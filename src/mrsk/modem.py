@@ -6,10 +6,14 @@ ratios of N molecule types.  Ratios live on a geometric grid spanning
 geometric-mean thresholds (FTD), optionally after subtracting the
 estimated one-tap interference of the previous symbol (ADMC), or jointly
 over a window by a Viterbi search of the ratio log-likelihood (MLSD).
+The Viterbi search works on arrays: branch metrics for every S^L symbol
+window over a block of frames in one expression, add-compare-select over
+(S^(L-1), S) score arrays and an integer traceback.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,6 +47,8 @@ __all__ = [
 _CODINGS = ("binary", "gray")
 _DETECTORS = ("ftd", "admc", "mlsd")
 _MLSD_METRICS = ("solid", "gaussian")
+# working-set budget of one block of the vectorised sequential detectors
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -294,20 +300,18 @@ def role_rotation(symbol_position: int, config: MrskConfig) -> int:
     return symbol_position % config.N
 
 
+def _radix(config: MrskConfig) -> np.ndarray:
+    """Place value of each ratio position in a symbol id: id = index row @ radix."""
+    return config.alphabet_size ** np.arange(config.N - 2, -1, -1)
+
+
 def symbol_index_combos(config: MrskConfig) -> np.ndarray:
     """All symbols as (symbol_count, N-1) 0-based index rows.
 
     Row s is the mixed-radix digits of s, first ratio position most
     significant; every module enumerating symbols shares this order.
     """
-    k = config.alphabet_size
-    n_pos = config.N - 1
-    s = np.arange(config.symbol_count)
-    combos = np.empty((s.size, n_pos), dtype=np.int64)
-    for j in range(n_pos - 1, -1, -1):
-        combos[:, j] = s % k
-        s = s // k
-    return combos
+    return np.arange(config.symbol_count)[:, None] // _radix(config) % config.alphabet_size
 
 
 def symbol_quantities(config: MrskConfig) -> np.ndarray:
@@ -381,55 +385,58 @@ def detect_admc(
     return RatioSymbol(tuple(int(i) + 1 for i in idx0))
 
 
-class _MlsdMetric:
-    """Cached branch-metric evaluator over symbol windows."""
+def _block_rows(floats_per_row: int) -> int:
+    """Rows per block so a block's float temporaries stay near _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * floats_per_row))
 
-    def __init__(self, config: MrskConfig, taps: np.ndarray):
-        self.config = config
-        self.taps = np.asarray(taps, dtype=float)
-        self.var_taps = self.taps * (1.0 - self.taps)
-        self.qty = symbol_quantities(config)
-        self.metric = config.mlsd_metric
-        self._cache: dict[tuple[int, ...], list[tuple[float, ...]]] = {}
 
-    def _constants(self, window: tuple[int, ...]) -> list[tuple[float, ...]]:
-        cached = self._cache.get(window)
-        if cached is not None:
-            return cached
-        emissions = self.qty[list(window)]
-        n = len(window)
-        mu = self.taps[:n][::-1] @ emissions
-        var = self.var_taps[:n][::-1] @ emissions
-        consts: list[tuple[float, ...]] = []
-        for j in range(self.config.N - 1):
-            mu_d, var_d = float(mu[j]), float(var[j])
-            mu_n, var_n = float(mu[j + 1]), float(var[j + 1])
-            if self.metric == "solid":
+def _window_constants(config: MrskConfig, taps: np.ndarray, n: int) -> np.ndarray:
+    """Branch-metric constants of every n-id window, shape (S^n, N-1, C).
+
+    Window w is the mixed-radix number of its ids, oldest most significant;
+    the moments are the cold-start FIR sums of the window's emissions.
+    """
+    qty = symbol_quantities(config)
+    var_taps = taps * (1.0 - taps)
+    rows = []
+    for window in itertools.product(range(config.symbol_count), repeat=n):
+        emissions = qty[list(window)]
+        mu = taps[:n][::-1] @ emissions
+        var = var_taps[:n][::-1] @ emissions
+        row = []
+        for mu_d, var_d, mu_n, var_n in zip(mu[:-1], var[:-1], mu[1:], var[1:]):
+            if config.mlsd_metric == "solid":
                 lnerf = math.log(math.erf(mu_d / math.sqrt(2.0 * var_d)))
-                consts.append((mu_n, var_n, mu_d, var_d, lnerf))
+                row.append((mu_d, var_d, mu_n, var_n, lnerf))
             else:
                 beta = mu_n / mu_d
                 lam2 = beta * beta * (var_n / (mu_n * mu_n) + var_d / (mu_d * mu_d))
-                consts.append((beta, lam2, 0.5 * math.log(lam2)))
-        self._cache[window] = consts
-        return consts
+                row.append((beta, lam2, 0.5 * math.log(lam2)))
+        rows.append(row)
+    return np.array(rows)
 
-    def __call__(self, window: tuple[int, ...], z: np.ndarray) -> float:
-        consts = self._constants(window)
-        total = 0.0
-        if self.metric == "solid":
-            for j, (mu_n, var_n, mu_d, var_d, lnerf) in enumerate(consts):
-                zj = z[j]
+
+def _branch_metrics(z: np.ndarray, consts: np.ndarray, config: MrskConfig) -> np.ndarray:
+    """(T, W) log ratio-densities of T ratio rows under W windows' constants.
+
+    Under ``solid`` a window with a non-positive density factor scores -1e300.
+    """
+    total = np.zeros((z.shape[0], consts.shape[0]))
+    dead = np.zeros(total.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(consts.shape[1]):
+            zj = z[:, j, None]
+            if config.mlsd_metric == "solid":
+                mu_d, var_d, mu_n, var_n, lnerf = consts[:, j].T
                 a = mu_d * var_n + mu_n * var_d * zj
                 b = var_n + var_d * zj * zj
-                if a <= 0.0:
-                    return -1e300
-                total += math.log(a) - 1.5 * math.log(b) - (mu_d * zj - mu_n) ** 2 / (2.0 * b) - lnerf
-        else:
-            for j, (beta, lam2, half_ln_lam2) in enumerate(consts):
-                dz = z[j] - beta
-                total += -half_ln_lam2 - dz * dz / (2.0 * lam2)
-        return total
+                dead |= a <= 0.0
+                total += np.log(a) - 1.5 * np.log(b) - (mu_d * zj - mu_n) ** 2 / (2.0 * b) - lnerf
+            else:
+                beta, lam2, half_ln_lam2 = consts[:, j].T
+                total += -half_ln_lam2 - (zj - beta) * (zj - beta) / (2.0 * lam2)
+    total[dead] = -1e300
+    return total
 
 
 def _viterbi_symbol_ids(
@@ -438,9 +445,13 @@ def _viterbi_symbol_ids(
     taps: np.ndarray,
     state_cap: int = 1 << 16,
 ) -> list[int]:
-    """Viterbi search over symbol ids for a (T, N-1) ratio array."""
-    L = len(taps)
-    S = config.symbol_count
+    """Viterbi search over symbol ids for a (T, N-1) ratio array.
+
+    A state is the mixed-radix index of the last L-1 ids, oldest most
+    significant, so window w = state * S + id.  Ties go to the lowest
+    predecessor and, at the end, to the lowest state.
+    """
+    L, S, T = len(taps), config.symbol_count, ratios.shape[0]
     n_states = S ** (L - 1)
     if n_states > state_cap:
         raise CapacityError(
@@ -448,38 +459,29 @@ def _viterbi_symbol_ids(
             f"(2^(M(N-1)(L-1))), exceeding the configured cap of {state_cap}; "
             f"raise state_cap to at least {n_states} or reduce N, M or L"
         )
-    metric = _MlsdMetric(config, taps)
-    mem = L - 1
+    mem = min(L - 1, T)
+    scores = np.zeros(1)
+    for k in range(mem):  # cold start: k ids so far, so S^k states
+        bm = _branch_metrics(ratios[k : k + 1], _window_constants(config, taps, k + 1), config)
+        scores = (scores[:, None] + bm.reshape(-1, S)).reshape(-1)
 
-    # scores: state tuple (last up-to-mem symbol ids) -> accumulated metric
-    scores: dict[tuple[int, ...], float] = {(): 0.0}
-    backptr: list[dict[tuple[int, ...], tuple[tuple[int, ...], int]]] = []
-    for k in range(ratios.shape[0]):
-        z = ratios[k]
-        nxt: dict[tuple[int, ...], float] = {}
-        bp: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        for state in sorted(scores):
-            base = scores[state]
-            for sym in range(S):
-                window = state + (sym,)
-                if len(window) > L:
-                    window = window[-L:]
-                new_state = (state + (sym,))[-mem:] if mem > 0 else ()
-                cand = base + metric(window, z)
-                best = nxt.get(new_state)
-                if best is None or cand > best:
-                    nxt[new_state] = cand
-                    bp[new_state] = (state, sym)
-        scores = nxt
-        backptr.append(bp)
+    # add-compare-select: candidate (oldest id o, new state n) is window o * n_states + n
+    consts = _window_constants(config, taps, L)
+    back = np.empty((T, n_states), dtype=np.min_scalar_type(S - 1))
+    block = _block_rows(8 * S**L)
+    for start in range(mem, T, block):
+        bm = _branch_metrics(ratios[start : start + block], consts, config)
+        for k, row in enumerate(bm, start):
+            cand = (scores[:, None] + row.reshape(n_states, S)).reshape(S, n_states)
+            back[k] = cand.argmax(axis=0)
+            scores = cand.max(axis=0)
 
-    state = max(sorted(scores), key=lambda s: scores[s])
-    detected: list[int] = []
-    for bp in reversed(backptr):
-        state, sym = bp[state]
-        detected.append(sym)
-    detected.reverse()
-    return detected
+    state, detected = int(scores.argmax()), []
+    for k in range(T - 1, -1, -1):
+        window = int(back[k, state]) * n_states + state if k >= mem else state
+        state, symbol = divmod(window, S)
+        detected.append(symbol)
+    return detected[::-1]
 
 
 def detect_mlsd(
@@ -496,12 +498,8 @@ def detect_mlsd(
     signal-dependent moments of each candidate window.  The window starts
     cold: intervals before the first frame carry zero emissions.
     """
-    ratios = np.atleast_2d(
-        np.array(
-            [f.ratios if isinstance(f, ReceivedFrame) else f for f in ratio_frames],
-            dtype=float,
-        )
-    )
+    rows = [f.ratios if isinstance(f, ReceivedFrame) else f for f in ratio_frames]
+    ratios = np.atleast_2d(np.array(rows, dtype=float))
     if ratios.shape[0] > config.mlsd_window:
         raise ValueError(
             f"window of {ratios.shape[0]} frames exceeds mlsd_window={config.mlsd_window}"

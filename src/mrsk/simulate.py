@@ -12,6 +12,7 @@ frames are scheduled across workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -23,11 +24,13 @@ from .errors import CapacityError
 from .modem import (
     MrskConfig,
     encode_bits_to_indices,
-    ratio_alphabet,
     role_rotation,
     thresholds,
+    _block_rows,
+    _radix,
     _viterbi_symbol_ids,
     symbol_index_combos,
+    symbol_quantities,
 )
 from .analysis import ftd_ber, hamming_table
 
@@ -92,6 +95,9 @@ class BerEstimate:
     """Bit-error estimate with a 95% confidence interval.
 
     Analytic results are carried with bits=0 and a collapsed interval.
+    ``degenerate_frames`` counts symbols whose raw ratio denominators fall
+    at or below the degeneracy epsilon; ``admc_clamps`` counts the
+    memory-cancelled count elements clamped at it.
     """
 
     errors: int
@@ -101,21 +107,13 @@ class BerEstimate:
     ci_high: float
     degenerate_frames: int = 0
     notes: tuple[str, ...] = ()
+    admc_clamps: int = 0
 
     @classmethod
-    def from_counts(
-        cls, errors: int, bits: int, degenerate_frames: int = 0, notes: tuple[str, ...] = ()
-    ) -> "BerEstimate":
+    def from_counts(cls, errors: int, bits: int, **counters) -> "BerEstimate":
+        """Estimate from an error count; ``counters`` fill the remaining fields."""
         lo, hi = ber_confidence(errors, bits)
-        return cls(
-            errors=errors,
-            bits=bits,
-            ber=errors / bits,
-            ci_low=lo,
-            ci_high=hi,
-            degenerate_frames=degenerate_frames,
-            notes=notes,
-        )
+        return cls(errors=errors, bits=bits, ber=errors / bits, ci_low=lo, ci_high=hi, **counters)
 
     @classmethod
     def exact(cls, ber: float) -> "BerEstimate":
@@ -311,11 +309,15 @@ def _arrivals_binomial(
     return counts.astype(float)
 
 
-def _detect_ftd_bulk(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, int]:
+def _ratios(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Received ratios with clamped denominators, and the raw-degenerate rows."""
     eps = config.denom_eps
     den = counts[:, :-1]
-    degenerate = np.any(den <= eps, axis=1)
-    ratios = counts[:, 1:] / np.maximum(den, eps)
+    return counts[:, 1:] / np.maximum(den, eps), np.any(den <= eps, axis=1)
+
+
+def _detect_ftd_bulk(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, int]:
+    ratios, degenerate = _ratios(counts, config)
     idx0 = np.searchsorted(thresholds(config), ratios, side="right")
     idx0[degenerate] = 0
     return idx0, int(degenerate.sum())
@@ -323,44 +325,43 @@ def _detect_ftd_bulk(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray
 
 def _detect_admc_bulk(
     counts: np.ndarray, config: MrskConfig, taps: np.ndarray
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, int]:
+    """One-tap memory cancellation: (indices, raw-degenerate symbols, clamps).
+
+    Decision k depends only on the id s decided at k-1, so each block
+    tabulates next_id[k, s] for every s, walks it, and counts the adjusted
+    elements clamped at epsilon at the walked (k, s); id S is the zero
+    emission before the first symbol.
+    """
     if taps.size < 2:
         raise ValueError("memory cancellation needs channel memory L >= 2")
-    alphabet = ratio_alphabet(config)
-    edges = thresholds(config)
-    eps = config.denom_eps
-    p2 = taps[1]
-    out = np.empty((counts.shape[0], config.N - 1), dtype=np.int64)
-    clamped_frames = 0
-    prev_qty = None
-    for k in range(counts.shape[0]):
-        c = counts[k].copy()
-        if prev_qty is not None:
-            c -= p2 * prev_qty
-        low = c <= eps
-        if low.any():
-            clamped_frames += 1
-            c = np.maximum(c, eps)
-        i0 = np.searchsorted(edges, c[1:] / c[:-1], side="right")
-        out[k] = i0
-        prev_qty = config.Q * np.concatenate(([1.0], np.cumprod(alphabet[i0])))
-    return out, clamped_frames
+    S, eps = config.symbol_count, config.denom_eps
+    cancel = taps[1] * np.vstack([symbol_quantities(config), np.zeros(config.N)])
+    ids, clamps, d = [], 0, S
+    block = _block_rows(4 * (S + 1) * config.N)
+    for start in range(0, counts.shape[0], block):
+        c = counts[start : start + block, None, :] - cancel
+        low = (c <= eps).sum(axis=2)
+        c = np.maximum(c, eps)
+        ratios = c[..., 1:] / c[..., :-1]
+        table = np.searchsorted(thresholds(config), ratios, side="right") @ _radix(config)
+        flat, path = table.ravel().tolist(), [d]
+        for row in range(0, len(flat), S + 1):
+            d = flat[row + d]
+            ids.append(d)
+        path += ids[start:-1]
+        clamps += int(low[np.arange(len(path)), path].sum())
+    return symbol_index_combos(config)[ids], int(_ratios(counts, config)[1].sum()), clamps
 
 
 def _detect_mlsd_bulk(
     counts: np.ndarray, config: MrskConfig, taps: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    eps = config.denom_eps
-    den = counts[:, :-1]
-    degenerate = np.any(den <= eps, axis=1)
-    ratios = counts[:, 1:] / np.maximum(den, eps)
-    combos = symbol_index_combos(config)
-    out = np.empty((counts.shape[0], config.N - 1), dtype=np.int64)
+    ratios, degenerate = _ratios(counts, config)
+    ids: list[int] = []
     for start in range(0, counts.shape[0], config.mlsd_window):
-        stop = min(start + config.mlsd_window, counts.shape[0])
-        ids = _viterbi_symbol_ids(ratios[start:stop], config, taps)
-        out[start:stop] = combos[ids]
-    return out, int(degenerate.sum())
+        ids += _viterbi_symbol_ids(ratios[start : start + config.mlsd_window], config, taps)
+    return symbol_index_combos(config)[ids], int(degenerate.sum())
 
 
 def _simulate_frame(
@@ -369,15 +370,12 @@ def _simulate_frame(
     sim: SimConfig,
     frame_index: int,
     n_symbols: int,
-) -> tuple[int, int, int]:
-    """Simulate one independent frame; returns (errors, bits, degenerate)."""
+) -> tuple[int, int, int, int]:
+    """Simulate one independent frame; returns (errors, bits, degenerate, ADMC clamps)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
     idx0 = encode_bits_to_indices(bits, mrsk)
-    alphabet = ratio_alphabet(mrsk)
-    emissions = mrsk.Q * np.concatenate(
-        [np.ones((n_symbols, 1)), np.cumprod(alphabet[idx0], axis=1)], axis=1
-    )
+    emissions = np.take(symbol_quantities(mrsk), idx0 @ _radix(mrsk), axis=0)
     if mrsk.rotate_roles:
         shifts = np.array([role_rotation(k, mrsk) for k in range(n_symbols)])
         for s in range(1, mrsk.N):
@@ -397,16 +395,17 @@ def _simulate_frame(
             rows = shifts == s
             counts[rows] = np.roll(counts[rows], -s, axis=1)
 
+    clamps = 0
     if mrsk.detector == "ftd":
         det_idx0, degenerate = _detect_ftd_bulk(counts, mrsk)
     elif mrsk.detector == "admc":
-        det_idx0, degenerate = _detect_admc_bulk(counts, mrsk, taps)
+        det_idx0, degenerate, clamps = _detect_admc_bulk(counts, mrsk, taps)
     else:
         det_idx0, degenerate = _detect_mlsd_bulk(counts, mrsk, taps)
 
     ham = hamming_table(mrsk.M, mrsk.coding)
     errors = int(ham[idx0, det_idx0].sum())
-    return errors, bits.size, degenerate
+    return errors, bits.size, degenerate, clamps
 
 
 def run_link(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> BerEstimate:
@@ -444,8 +443,10 @@ def run_link(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> BerEst
                 "absorption accuracy degrades at this dt",
             )
 
-    if sim.workers > 1 and len(frames) > 1:
-        with ProcessPoolExecutor(max_workers=sim.workers) as pool:
+    # results do not depend on the worker count: start no more processes than frames or cores
+    workers = min(sim.workers, len(frames), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _simulate_frame,
@@ -459,10 +460,10 @@ def run_link(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> BerEst
     else:
         results = [_simulate_frame(mrsk, channel, sim, i, n) for i, n in frames]
 
-    errors = sum(r[0] for r in results)
-    bits = sum(r[1] for r in results)
-    degenerate = sum(r[2] for r in results)
-    return BerEstimate.from_counts(errors, bits, degenerate_frames=degenerate, notes=notes)
+    errors, bits, degenerate, clamps = (sum(column) for column in zip(*results))
+    return BerEstimate.from_counts(
+        errors, bits, degenerate_frames=degenerate, admc_clamps=clamps, notes=notes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +490,10 @@ def _configs_for(
         m, tb = replace(mrsk, Q=float(value)), t_b
     elif param == "Omega":
         m, tb = replace(mrsk, Omega=float(value)), t_b
-    elif param == "N":
-        m, tb = replace(mrsk, N=int(value)), t_b
-    elif param == "M":
-        m, tb = replace(mrsk, M=int(value)), t_b
+    elif param in ("N", "M"):
+        if not float(value).is_integer():
+            raise ValueError(f"{param} must be a whole number, got {value}")
+        m, tb = replace(mrsk, **{param: int(value)}), t_b
     elif param == "d":
         m, tb = mrsk, t_b
         channel = replace(channel, d=float(value))

@@ -13,6 +13,8 @@ import time
 import numpy as np
 from scipy import integrate, special, stats
 
+from mlsd_oracle import ScalarMlsdMetric
+
 from mrsk.analysis import ftd_ber
 from mrsk.baselines import (
     CskConfig,
@@ -28,7 +30,6 @@ from mrsk.channel import ChannelParams, cir, hit_fraction
 from mrsk.cli import replay_csv, run_cli
 from mrsk.modem import (
     MrskConfig,
-    _MlsdMetric,
     _viterbi_symbol_ids,
     thresholds,
 )
@@ -247,7 +248,7 @@ def test_detector_ordering():
     cfg = MrskConfig(detector="mlsd")
     taps = cir(ch3).array
     rng = np.random.default_rng(5)
-    metric = _MlsdMetric(cfg, taps)
+    metric = ScalarMlsdMetric(cfg, taps)
 
     def exhaustive(z):
         best, best_seq = -np.inf, None

@@ -143,6 +143,12 @@ class TestErrors:
         rc, _ = run(tmp_path, "x.csv", ["sweep", "--param", "Q", "--values", "1:2"])
         assert rc == 1
 
+    def test_fractional_n_exit_one(self, tmp_path, capsys):
+        rc, out = run(tmp_path, "x.csv", ["sweep", "--param", "N", "--values", "2.5", "--bits", "1000"])
+        assert rc == 1
+        assert "whole number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_capability_refusal_exit_two(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "x.csv", ["ber-analytic", "--N", "4", "--M", "3"])
         assert rc == 2

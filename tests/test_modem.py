@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+from mlsd_oracle import ScalarMlsdMetric, mlsd_exhaustive
+
 from mrsk.channel import ChannelParams, Cir, cir
 from mrsk.errors import CapacityError
 from mrsk.modem import (
@@ -11,7 +14,6 @@ from mrsk.modem import (
     MrskConfig,
     RatioSymbol,
     ReceivedFrame,
-    _MlsdMetric,
     _viterbi_symbol_ids,
     average_molecules_per_bit,
     codewords,
@@ -28,21 +30,6 @@ from mrsk.modem import (
 )
 
 CH = ChannelParams(Ts=1.0, L=5)
-
-
-def mlsd_exhaustive(ratios: np.ndarray, config: MrskConfig, taps: np.ndarray) -> list[int]:
-    """Brute-force oracle: score every symbol sequence, keep the best."""
-    L, S = len(taps), config.symbol_count
-    metric = _MlsdMetric(config, taps)
-    best_score, best_seq = -np.inf, None
-    for seq in itertools.product(range(S), repeat=ratios.shape[0]):
-        score = 0.0
-        for k in range(ratios.shape[0]):
-            window = seq[max(0, k - L + 1) : k + 1]
-            score = score + metric(tuple(window), ratios[k])
-        if score > best_score:
-            best_score, best_seq = score, list(seq)
-    return best_seq
 
 
 def exact_mean_ratios(history: list[int], config: MrskConfig, taps: np.ndarray) -> np.ndarray:
@@ -343,6 +330,46 @@ class TestMlsd:
         for _ in range(100):
             z = np.exp(rng.normal(0.0, 1.2, size=(6, 1)))
             assert _viterbi_symbol_ids(z, cfg, taps) == mlsd_exhaustive(z, cfg, taps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.sampled_from([2, 3]),
+        metric=st.sampled_from(["solid", "gaussian"]),
+        L=st.integers(1, 4),
+        T=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trellis_equals_exhaustive_any_length(self, N, metric, L, T, seed):
+        # includes windows shorter than the channel memory (T < L - 1)
+        cfg = MrskConfig(N=N, M=1, mlsd_metric=metric)
+        T = min(T, 4) if N == 3 else T
+        taps = cir(ChannelParams(Ts=0.5, L=L)).array
+        z = np.exp(np.random.default_rng(seed).normal(0.0, 1.2, size=(T, N - 1)))
+        assert _viterbi_symbol_ids(z, cfg, taps) == mlsd_exhaustive(z, cfg, taps)
+
+    def test_dead_windows_match_exhaustive(self):
+        # a negative ratio zeroes the solid density of some windows (metric
+        # -1e300); the trellis must still find the exhaustive optimum
+        cfg = MrskConfig(N=2, M=1)
+        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        metric = ScalarMlsdMetric(cfg, taps)
+        windows = list(itertools.product(range(2), repeat=3))
+        z_dead = next(
+            z
+            for z in -np.geomspace(1e-3, 10.0, 400)
+            if 0 < sum(metric(w, np.array([z])) == -1e300 for w in windows) < len(windows)
+        )
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            z = np.exp(rng.normal(0.0, 1.2, size=(6, 1)))
+            z[rng.integers(2, 6)] = z_dead
+            assert _viterbi_symbol_ids(z, cfg, taps) == mlsd_exhaustive(z, cfg, taps)
+
+    def test_all_dead_ties_go_to_lowest_ids(self):
+        cfg = MrskConfig(N=2, M=1)
+        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        z = np.full((5, 1), -1e6)
+        assert _viterbi_symbol_ids(z, cfg, taps) == mlsd_exhaustive(z, cfg, taps) == [0] * 5
 
     def test_returns_ratio_symbols(self):
         cfg = MrskConfig(N=2, M=1)

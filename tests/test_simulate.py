@@ -1,13 +1,16 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mrsk import simulate
 from mrsk.analysis import ftd_ber
 from mrsk.channel import ChannelParams, arrival_moments, cir
 from mrsk.errors import CapacityError
-from mrsk.modem import MrskConfig
+from mrsk.modem import MrskConfig, ratio_alphabet, thresholds
 from mrsk.simulate import (
     BerCurve,
     BerEstimate,
@@ -24,6 +27,47 @@ from mrsk.simulate import (
 
 CH = ChannelParams(Ts=0.5, L=5)
 CFG = MrskConfig()
+
+
+def admc_reference(counts: np.ndarray, config: MrskConfig, taps: np.ndarray):
+    """Per-symbol ADMC loop: (detected indices, clamped elements)."""
+    alphabet = ratio_alphabet(config)
+    edges = thresholds(config)
+    eps = config.denom_eps
+    p2 = taps[1]
+    out = np.empty((counts.shape[0], config.N - 1), dtype=np.int64)
+    clamps = 0
+    prev_qty = None
+    for k in range(counts.shape[0]):
+        c = counts[k].copy()
+        if prev_qty is not None:
+            c -= p2 * prev_qty
+        low = c <= eps
+        if low.any():
+            clamps += int(low.sum())
+            c = np.maximum(c, eps)
+        i0 = np.searchsorted(edges, c[1:] / c[:-1], side="right")
+        out[k] = i0
+        prev_qty = config.Q * np.concatenate(([1.0], np.cumprod(alphabet[i0])))
+    return out, clamps
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers: int):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestConfidence:
@@ -78,6 +122,25 @@ class TestDeterminism:
         serial = run_link(CFG, CH, base)
         parallel = run_link(CFG, CH, replace(base, workers=3))
         assert serial == parallel
+
+    def test_pool_bounded_by_frames_and_cores(self, monkeypatch):
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        sim = SimConfig(n_bits=3000, seed=1, frame_symbols=1000, workers=100_000)
+        serial = run_link(CFG, CH, replace(sim, workers=1))
+        for cores, expected in ((64, [3]), (2, [3, 2]), (None, [3, 2])):
+            monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+            assert run_link(CFG, CH, sim) == serial
+            assert RecordingPool.sizes == expected
+
+    def test_admc_counters_worker_invariant(self):
+        cfg = MrskConfig(detector="admc", Q=100.0)
+        ch = ChannelParams(Ts=0.05, L=5)
+        base = SimConfig(n_bits=20_000, seed=3, frame_symbols=4096)
+        serial = run_link(cfg, ch, base)
+        parallel = run_link(cfg, ch, replace(base, workers=2))
+        assert serial == parallel
+        assert serial.admc_clamps > 0
 
     def test_different_seeds_differ(self):
         a = run_link(CFG, CH, SimConfig(n_bits=40_000, seed=1))
@@ -157,12 +220,59 @@ class TestDetectorPathEquivalence:
         taps = cir(CH)
         rng = np.random.default_rng(56)
         counts = rng.uniform(1.0, 1500.0, size=(300, 2))
-        bulk, _ = _detect_admc_bulk(counts.copy(), cfg, taps.array)
+        bulk, _, _ = _detect_admc_bulk(counts.copy(), cfg, taps.array)
         prev = None
         for k in range(300):
             sym = detect_admc(ReceivedFrame.from_counts(counts[k], cfg), prev, taps, cfg)
             assert tuple(int(i) + 1 for i in bulk[k]) == sym.indices
             prev = sym
+
+    def test_bulk_admc_counters_match_public_detector(self):
+        from mrsk.modem import DetectorStats, ReceivedFrame, detect_admc
+        from mrsk.simulate import _detect_admc_bulk
+
+        cfg = MrskConfig(N=3, M=1)
+        taps = cir(ChannelParams(Ts=0.1, L=3))
+        rng = np.random.default_rng(58)
+        counts = rng.uniform(-20.0, 1500.0, size=(400, 3))
+        _, degenerate, clamps = _detect_admc_bulk(counts.copy(), cfg, taps.array)
+        stats = DetectorStats()
+        raw_degenerate = 0
+        prev = None
+        for k in range(400):
+            frame = ReceivedFrame.from_counts(counts[k], cfg)
+            raw_degenerate += frame.degenerate
+            prev = detect_admc(frame, prev, taps, cfg, stats)
+        assert clamps == stats.admc_clamps > 0
+        assert degenerate == raw_degenerate > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        N=st.integers(2, 4),
+        M=st.integers(1, 3),
+        L=st.integers(2, 5),
+        block=st.integers(1, 24),
+        length=st.sampled_from(["one", "block-1", "block", "block+1", "blocks"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bulk_admc_matches_per_symbol_loop(self, N, M, L, block, length, seed):
+        cfg = MrskConfig(N=N, M=M, detector="admc")
+        taps = cir(ChannelParams(Ts=0.05 * cfg.bits_per_symbol, L=L)).array
+        n = {"one": 1, "block-1": max(1, block - 1), "block": block, "block+1": block + 1}.get(
+            length, 3 * block + 2
+        )
+        rng = np.random.default_rng(seed)
+        # negative, zero and near-epsilon counts make the clamps fire
+        counts = rng.uniform(-0.05, 1.0, size=(n, N)) * cfg.Q * cfg.Omega ** np.arange(N)
+        eps = cfg.denom_eps
+        spikes = rng.random((n, N)) < 0.15
+        counts[spikes] = rng.choice([0.0, eps, -eps, 0.5 * eps, 2.0 * eps], size=int(spikes.sum()))
+        with mock.patch.object(simulate, "_block_rows", lambda floats_per_row: block):
+            ids, degenerate, clamps = simulate._detect_admc_bulk(counts, cfg, taps)
+        ref_ids, ref_clamps = admc_reference(counts, cfg, taps)
+        assert np.array_equal(ids, ref_ids)
+        assert clamps == ref_clamps
+        assert degenerate == int(np.any(counts[:, :-1] <= eps, axis=1).sum())
 
     def test_bulk_mlsd_matches_public_detector(self):
         from mrsk.modem import ReceivedFrame, detect_mlsd
@@ -251,6 +361,11 @@ class TestSweep:
     def test_invalid_param_names_listed(self):
         with pytest.raises(ValueError, match="t_b, Q, d, Omega, N, M"):
             sweep("sigma", [1.0], CFG, CH, SimConfig(n_bits=1000))
+
+    @pytest.mark.parametrize("param", ["N", "M"])
+    def test_fractional_alphabet_parameters_rejected(self, param):
+        with pytest.raises(ValueError, match="whole number"):
+            sweep(param, [2.5], CFG, CH, SimConfig(n_bits=1000))
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
