@@ -1,41 +1,30 @@
 """Link-level simulator for ratio-keyed diffusive molecular communication.
 
 Modules map onto the system layers: :mod:`mrsk.channel` (diffusion
-physics), :mod:`mrsk.ratio_stats` (ratio-of-Gaussians laws),
-:mod:`mrsk.modem` (symbol construction and detectors),
-:mod:`mrsk.analysis` (closed-form BER), :mod:`mrsk.simulate` (Monte
-Carlo and particle engines), :mod:`mrsk.baselines` (OOK, CSK, MoSK,
-RTSK references) and :mod:`mrsk.cli` (batch experiment runner).
+physics and FIR moments), :mod:`mrsk.ratio_stats` (ratio-of-Gaussians
+laws), :mod:`mrsk.modem` (symbol ids, emissions and the array
+detectors), :mod:`mrsk.analysis` (closed-form BER), :mod:`mrsk.simulate`
+(Monte Carlo and particle engines, framing and sweeps),
+:mod:`mrsk.baselines` (OOK, CSK, MoSK, RTSK references) and
+:mod:`mrsk.cli` (batch experiment runner).
 """
 
 from .analysis import BerResult, ftd_ber
-from .channel import ArrivalMoments, ChannelParams, Cir, arrival_moments, cir, hit_fraction
+from .channel import ChannelParams, Cir, arrival_moments, cir, hit_fraction
 from .errors import CapacityError
-from .modem import (
-    EmissionVector,
-    MrskConfig,
-    RatioSymbol,
-    ReceivedFrame,
-    detect_admc,
-    detect_ftd,
-    detect_mlsd,
-)
+from .modem import MrskConfig, detect_admc, detect_ftd, detect_mlsd
 from .ratio_stats import GaussPair, SolidParams
 from .simulate import BerCurve, BerEstimate, SimConfig, run_link, sweep
 
 __all__ = [
-    "ArrivalMoments",
     "BerCurve",
     "BerEstimate",
     "BerResult",
     "CapacityError",
     "ChannelParams",
     "Cir",
-    "EmissionVector",
     "GaussPair",
     "MrskConfig",
-    "RatioSymbol",
-    "ReceivedFrame",
     "SimConfig",
     "SolidParams",
     "arrival_moments",

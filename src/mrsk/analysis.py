@@ -1,8 +1,11 @@
 """Closed-form bit-error-rate evaluation for fixed-threshold detection.
 
-Enumerates every length-L symbol sequence, computes the signal-dependent
-arrival moments it induces, and integrates the solid-approximation ratio
-law over the decision buckets.  The erf argument of the bucket
+Enumerates every length-L symbol-id sequence, computes the
+signal-dependent arrival moments it induces
+(:func:`mrsk.channel.arrival_moments`), and integrates the
+solid-approximation ratio law over the decision buckets
+(:func:`ftd_detection_prob`); :func:`ftd_ber` contracts those bucket
+probabilities with :func:`hamming_table`.  The erf argument of the bucket
 probabilities uses the ratio-normalized form (mu_den * E - mu_num); the
 unnormalized variant fails the quadrature and Monte Carlo oracles
 whenever the expected ratio differs from one.
@@ -10,23 +13,23 @@ whenever the expected ratio differs from one.
 Error rates for adaptive memory cancellation are deliberately not
 derived here: the conditioning on past decisions makes the exact
 recursion grow combinatorially, so that detector is evaluated by
-simulation only (see :mod:`mrsk.simulate`).
+simulation only (``simulate.run_link`` with ``detector="admc"``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import special
 
-from .channel import ChannelParams, Cir, cir
+from .channel import ChannelParams, arrival_moments, cir
 from .errors import CapacityError
 from .modem import (
     MrskConfig,
-    RatioSymbol,
     codewords,
+    radix_digits,
     symbol_index_combos,
     symbol_quantities,
     thresholds,
@@ -35,11 +38,9 @@ from .modem import (
 __all__ = [
     "SequenceSpace",
     "BerResult",
-    "hamming",
     "hamming_table",
     "ftd_detection_prob",
     "ftd_ber",
-    "admc_ber",
 ]
 
 DEFAULT_SEQUENCE_CAP = 1 << 24
@@ -69,18 +70,14 @@ class SequenceSpace:
 
 @dataclass(frozen=True)
 class BerResult:
-    """Analytic BER, optionally with the per-sequence error breakdown."""
+    """Analytic BER, optionally with the per-sequence error breakdown.
+
+    ``per_sequence_errors`` maps each transmitted symbol-id sequence,
+    oldest first, to the per-bit error probability of its newest symbol.
+    """
 
     ber: float
-    per_sequence_errors: Optional[dict[tuple[tuple[int, ...], ...], float]] = None
-
-
-def hamming(a: int, b: int, M: int, coding: str = "binary") -> int:
-    """Bit differences between the codewords of alphabet indices a, b (1-based)."""
-    if not (1 <= a <= 1 << M and 1 <= b <= 1 << M):
-        raise ValueError(f"indices must lie in 1..{1 << M}, got {a}, {b}")
-    codes = codewords(M, coding)
-    return int(bin(int(codes[a - 1]) ^ int(codes[b - 1])).count("1"))
+    per_sequence_errors: Optional[dict[tuple[int, ...], float]] = None
 
 
 def hamming_table(M: int, coding: str) -> np.ndarray:
@@ -97,96 +94,45 @@ def _bucket_probs(
     var_den: np.ndarray,
     edges: np.ndarray,
 ) -> np.ndarray:
-    """P(received ratio falls in each threshold bucket), vectorized.
+    """P(received ratio falls in each threshold bucket), shape (..., len(edges) + 1).
 
     Evaluates the solid-approximation CDF at the interior thresholds with
     the moments substituted; the outer edges are -inf and +inf, where the
     CDF is exactly 0 and 1.
     """
-    mu_num = np.atleast_1d(np.asarray(mu_num, dtype=float))
-    e = edges[None, :]
-    mn, vn = mu_num[:, None], np.atleast_1d(var_num)[:, None]
-    md, vd = np.atleast_1d(mu_den)[:, None], np.atleast_1d(var_den)[:, None]
-    g = (md * e - mn) / np.sqrt(2.0 * (vn + vd * e * e))
+    mn, vn, md, vd = (
+        np.asarray(a, dtype=float)[..., None] for a in (mu_num, var_num, mu_den, var_den)
+    )
+    g = (md * edges - mn) / np.sqrt(2.0 * (vn + vd * edges * edges))
     q = md / np.sqrt(2.0 * vd)
     cdf = 0.5 * (1.0 + special.erf(g) / special.erf(q))
-    cdf = np.concatenate(
-        [np.zeros((cdf.shape[0], 1)), cdf, np.ones((cdf.shape[0], 1))], axis=1
-    )
-    return np.diff(cdf, axis=1)
+    zeros = np.zeros(cdf.shape[:-1] + (1,))
+    return np.diff(np.concatenate([zeros, cdf, zeros + 1.0], axis=-1), axis=-1)
 
 
-def _sequence_ids_to_symbols(seq_ids: np.ndarray, symbol_count: int, L: int) -> np.ndarray:
-    """Sequence ids -> (n, L) symbol ids, oldest interval first."""
-    out = np.empty((seq_ids.size, L), dtype=np.int64)
-    s = seq_ids.copy()
-    for pos in range(L - 1, -1, -1):
-        out[:, pos] = s % symbol_count
-        s //= symbol_count
-    return out
+def ftd_detection_prob(sequences, taps: np.ndarray, config: MrskConfig) -> np.ndarray:
+    """Bucket probabilities of the newest symbol's ratios, shape (..., N-1, 2^M).
+
+    ``sequences`` holds symbol-id sequences, shape (..., n), oldest first;
+    n is the memory length L, or less for a cold start.  Entry [..., j, i] is P(ratio position j of the newest
+    symbol is detected as alphabet index i); the entries over i partition
+    the real line, so they sum to one.
+    """
+    mu, var = arrival_moments(symbol_quantities(config)[sequences], taps)
+    return _bucket_probs(mu[..., 1:], var[..., 1:], mu[..., :-1], var[..., :-1], thresholds(config))
 
 
 def _sequence_error_probs(
-    seq_symbols: np.ndarray,
-    config: MrskConfig,
-    taps: np.ndarray,
+    sequences: np.ndarray, config: MrskConfig, taps: np.ndarray
 ) -> np.ndarray:
-    """Per-bit error probability of the newest symbol for each sequence."""
-    qty = symbol_quantities(config)
-    combos = symbol_index_combos(config)
-    edges = thresholds(config)
+    """Per-bit error probability of the newest symbol for each (n, L) sequence."""
+    probs = ftd_detection_prob(sequences, taps, config)
+    true_idx0 = symbol_index_combos(config)[sequences[:, -1]]  # (n, N-1)
     ham = hamming_table(config.M, config.coding)
-    var_taps = taps * (1.0 - taps)
-
-    emissions = qty[seq_symbols]  # (n, L, N)
-    w = taps[::-1]
-    mu = np.einsum("m,cmn->cn", w, emissions)
-    var = np.einsum("m,cmn->cn", var_taps[::-1], emissions)
-
-    current = seq_symbols[:, -1]
-    true_idx0 = combos[current]  # (n, N-1)
-    err_bits = np.zeros(seq_symbols.shape[0])
+    err_bits = np.zeros(sequences.shape[0])
     for j in range(config.N - 1):
-        probs = _bucket_probs(mu[:, j + 1], var[:, j + 1], mu[:, j], var[:, j], edges)
-        err_bits += np.einsum("ci,ci->c", probs, ham[true_idx0[:, j]])
+        err_bits += np.einsum("ci,ci->c", probs[:, j], ham[true_idx0[:, j]])
     return err_bits / config.bits_per_symbol
-
-
-def ftd_detection_prob(
-    j: int,
-    i: int,
-    sequence: Sequence[RatioSymbol],
-    channel_cir: Cir,
-    config: MrskConfig,
-) -> float:
-    """P(ratio position j of the newest symbol is detected as index i).
-
-    ``sequence`` lists the L transmitted symbols oldest first; j and i
-    are 1-based.  The probabilities over i partition the real line, so
-    they sum to one for any sequence.
-    """
-    if not 1 <= j <= config.N - 1:
-        raise ValueError(f"ratio position must lie in 1..{config.N - 1}, got {j}")
-    if not 1 <= i <= config.alphabet_size:
-        raise ValueError(f"alphabet index must lie in 1..{config.alphabet_size}, got {i}")
-    taps = channel_cir.array
-    if len(sequence) != taps.size:
-        raise ValueError(f"sequence length {len(sequence)} must equal channel memory {taps.size}")
-    combos = symbol_index_combos(config)
-    k = config.alphabet_size
-    ids = []
-    for sym in sequence:
-        idx0 = [v - 1 for v in sym.indices]
-        ids.append(int(np.ravel_multi_index(idx0, (k,) * (config.N - 1))))
-    seq_symbols = np.asarray(ids, dtype=np.int64)[None, :]
-    qty = symbol_quantities(config)
-    emissions = qty[seq_symbols]
-    mu = np.einsum("m,cmn->cn", taps[::-1], emissions)
-    var = np.einsum("m,cmn->cn", (taps * (1 - taps))[::-1], emissions)
-    probs = _bucket_probs(
-        mu[:, j], var[:, j], mu[:, j - 1], var[:, j - 1], thresholds(config)
-    )
-    return float(probs[0, i - 1])
 
 
 def ftd_ber(
@@ -209,27 +155,11 @@ def ftd_ber(
     total = space.total
     acc = 0.0
     per_seq: Optional[dict] = {} if per_sequence else None
-    combos = symbol_index_combos(config)
     for start in range(0, total, _CHUNK):
         ids = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        seq_symbols = _sequence_ids_to_symbols(ids, space.symbol_count, space.L)
-        pe = _sequence_error_probs(seq_symbols, config, taps)
+        sequences = radix_digits(ids, space.symbol_count, space.L)
+        pe = _sequence_error_probs(sequences, config, taps)
         acc += float(pe.sum())
         if per_seq is not None:
-            for row, val in zip(seq_symbols, pe):
-                key = tuple(tuple(int(v) + 1 for v in combos[s]) for s in row)
-                per_seq[key] = float(val)
+            per_seq.update(zip(map(tuple, sequences.tolist()), pe.tolist()))
     return BerResult(ber=acc / total, per_sequence_errors=per_seq)
-
-
-def admc_ber(*_args, **_kwargs):
-    """Analytic error rate for memory cancellation is intentionally absent.
-
-    The exact expression conditions on every past decision, which blows
-    up combinatorially; estimate it with
-    ``simulate.run_link(..., detector="admc")`` instead.
-    """
-    raise NotImplementedError(
-        "no closed form for the memory-cancellation detector; "
-        "use simulate.run_link with detector='admc'"
-    )

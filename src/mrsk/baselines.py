@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .channel import ChannelParams, cir
+from .channel import ChannelParams, arrival_moments, cir
 
 __all__ = [
     "OokConfig",
@@ -116,14 +116,6 @@ def _histories(L: int) -> np.ndarray:
     return bits.astype(float)
 
 
-def _history_moments(levels: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of the received count for each emission history."""
-    w = taps[::-1]
-    mu = levels @ w
-    var = levels @ (w * (1.0 - taps[::-1]))
-    return mu, var
-
-
 def _p_above(threshold: float, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     """P(count >= threshold) under the Gaussian arrival model.
 
@@ -147,9 +139,8 @@ def ook_ber(config: OokConfig, channel: ChannelParams, t_b: float) -> float:
     """
     taps = cir(replace(channel, Ts=t_b)).array
     hist = _histories(channel.L)
-    levels = config.Q * hist
-    mu, var = _history_moments(levels, taps)
-    p1 = _p_above(config.alpha * config.Q, mu, var)
+    mu, var = arrival_moments(config.Q * hist[..., None], taps)
+    p1 = _p_above(config.alpha * config.Q, mu[:, 0], var[:, 0])
     current = hist[:, -1]
     err = np.where(current == 1.0, 1.0 - p1, p1)
     return float(err.mean())
@@ -164,9 +155,9 @@ def csk_ber(config: CskConfig, channel: ChannelParams, t_b: float) -> float:
     taps = cir(replace(channel, Ts=t_b)).array
     hist = _histories(channel.L)
     levels = config.Q * np.where(hist == 1.0, config.Gamma, 1.0)
-    mu, var = _history_moments(levels, taps)
+    mu, var = arrival_moments(levels[..., None], taps)
     threshold = math.sqrt(config.Gamma) * config.Q * taps[0]
-    p1 = _p_above(threshold, mu, var)
+    p1 = _p_above(threshold, mu[:, 0], var[:, 0])
     current = hist[:, -1]
     err = np.where(current == 1.0, 1.0 - p1, p1)
     return float(err.mean())
@@ -182,13 +173,10 @@ def mosk_ber(config: MoskConfig, channel: ChannelParams, t_b: float) -> float:
     """
     taps = cir(replace(channel, Ts=t_b)).array
     hist = _histories(channel.L)
-    # type emissions: transmitted type follows the history bits
-    levels_1 = config.Q * hist          # molecule type encoding bit 1
-    levels_0 = config.Q * (1.0 - hist)  # molecule type encoding bit 0
-    mu1, var1 = _history_moments(levels_1, taps)
-    mu0, var0 = _history_moments(levels_0, taps)
-    p1_above = _p_above(config.Lambda, mu1, var1)
-    p0_above = _p_above(config.Lambda, mu0, var0)
+    # type emissions follow the history bits: type 0 encodes bit 0, type 1 bit 1
+    mu, var = arrival_moments(config.Q * np.stack([1.0 - hist, hist], axis=-1), taps)
+    p0_above = _p_above(config.Lambda, mu[:, 0], var[:, 0])
+    p1_above = _p_above(config.Lambda, mu[:, 1], var[:, 1])
     current = hist[:, -1]
     pt = np.where(current == 1.0, p1_above, p0_above)
     po = np.where(current == 1.0, p0_above, p1_above)

@@ -1,9 +1,11 @@
-"""Diffusive point-to-sphere channel: hit probabilities and arrival statistics.
+"""Diffusive point-to-sphere channel: hit probabilities and FIR moments.
 
 Models an unbounded 3D fluid with a point transmitter and a perfectly
 absorbing spherical receiver.  Everything downstream (modem, analysis,
-simulation engines) consumes the per-interval hit probabilities computed
-here, so all schemes share one physics implementation.
+simulation engines, baselines) consumes the per-interval hit
+probabilities and the one FIR moment computation defined here, so all
+schemes share one physics implementation.  The arrival samplers are the
+``statistical`` and ``binomial`` engines of :mod:`mrsk.simulate`.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ from scipy import special
 __all__ = [
     "ChannelParams",
     "Cir",
-    "ArrivalMoments",
     "hit_fraction",
     "cir",
     "arrival_moments",
-    "sample_arrival",
-    "sample_arrival_binomial",
 ]
 
 
@@ -73,18 +72,6 @@ class Cir:
         return len(self.p_hit)
 
 
-@dataclass(frozen=True)
-class ArrivalMoments:
-    """Mean and variance of the absorbed-molecule count in one interval."""
-
-    mu: float
-    var: float
-
-    def __post_init__(self) -> None:
-        if self.mu < 0 or self.var < 0:
-            raise ValueError(f"moments must be nonnegative, got mu={self.mu}, var={self.var}")
-
-
 def hit_fraction(t, params: ChannelParams):
     """Fraction of emitted molecules absorbed by time ``t`` after release.
 
@@ -112,45 +99,23 @@ def cir(params: ChannelParams) -> Cir:
     return Cir(tuple(float(p) for p in np.diff(edges)))
 
 
-def arrival_moments(emission_history, channel_cir: Cir) -> ArrivalMoments:
-    """Gaussian moments of the received count given the last L emissions.
+def arrival_moments(emissions, taps) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian moments (mu, var) of the received counts under the FIR model.
 
-    ``emission_history`` holds the emitted counts s[k-L+1 .. k], oldest
-    first and the current interval last; entries older than the history
-    are the caller's zeros (cold start).
+    ``emissions`` has shape (..., n, N): the counts emitted in the last
+    n <= L intervals, oldest first and the current interval last, with a
+    cold start (nothing emitted before the first row).  Returns the mean
+    and variance of the count received in the current interval, each of
+    shape (..., N).
     """
-    s = np.asarray(emission_history, dtype=float)
-    p = channel_cir.array
-    if s.shape != p.shape:
-        raise ValueError(f"history length {s.shape} does not match memory length {p.shape}")
+    s = np.asarray(emissions, dtype=float)
+    p = np.asarray(taps, dtype=float)
+    n = s.shape[-2]
+    if not 1 <= n <= p.size:
+        raise ValueError(f"history length {n} must lie in 1..{p.size} (the memory length)")
     if np.any(s < 0):
         raise ValueError("emission counts must be nonnegative")
-    s_rev = s[::-1]
-    mu = float(np.dot(p, s_rev))
-    var = float(np.dot(p * (1.0 - p), s_rev))
-    return ArrivalMoments(mu=mu, var=var)
-
-
-def sample_arrival(moments: ArrivalMoments, rng: np.random.Generator) -> float:
-    """One Gaussian draw of the absorbed count.
-
-    Kept real-valued (possibly negative) to match the analytic arrival
-    model; use :func:`sample_arrival_binomial` for integer-exact checks.
-    """
-    if moments.var == 0.0:
-        return moments.mu
-    return float(rng.normal(moments.mu, np.sqrt(moments.var)))
-
-
-def sample_arrival_binomial(emission_history, channel_cir: Cir, rng: np.random.Generator) -> int:
-    """Exact arrival model: sum of per-tap binomial draws."""
-    s = np.asarray(emission_history)
-    p = channel_cir.array
-    if s.shape != p.shape:
-        raise ValueError(f"history length {s.shape} does not match memory length {p.shape}")
-    if np.any(s < 0):
-        raise ValueError("emission counts must be nonnegative")
-    s_int = np.asarray(np.rint(s), dtype=np.int64)
-    if not np.allclose(s, s_int):
-        raise ValueError("binomial arrivals need integer emission counts")
-    return int(rng.binomial(s_int[::-1], p).sum())
+    w = p[:n][::-1]
+    mu = np.einsum("m,...mn->...n", w, s)
+    var = np.einsum("m,...mn->...n", (p * (1.0 - p))[:n][::-1], s)
+    return mu, var

@@ -10,7 +10,7 @@ worker count never enters the spec because it never changes a result.
 Flags override keys from an optional flat ``key=value`` config file.
 When no output path is given, files land in ``$MRSK_OUT_DIR`` (or the
 working directory).  Exit codes: 0 success, 1 usage or I/O error,
-2 capability refusal (sequence or trellis cap exceeded).
+2 capability refusal (sequence, trellis or pdf size cap exceeded).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -54,6 +55,10 @@ __all__ = ["run_cli", "main", "write_csv", "replay_csv", "ExperimentSpec"]
 CSV_HEADER = "param,value,scheme,detector,coding,ber,ci_low,ci_high,trials"
 PDF_HEADER = "eta,exact,solid,gaussian,empirical"
 OUT_DIR_ENV = "MRSK_OUT_DIR"
+# pdf refuses larger requests before allocating: the sample arrays and the
+# per-point CSV rows grow linearly (about 50 bytes per sample, 200 per point)
+PDF_SAMPLES_CAP = 10_000_000
+PDF_GRID_POINTS_CAP = 100_000
 
 _SUBCOMMANDS = ("pdf", "ber-analytic", "ber-sim", "ber-particle", "compare", "sweep")
 
@@ -89,6 +94,11 @@ class ExperimentSpec:
     mosk_lambda_frac: float = 0.34
     rtsk_detector: str = "ml"
 
+    def __post_init__(self) -> None:
+        # an empty tuple would serialize as "values=", which cannot be read back
+        if self.values == ():
+            raise ValueError("values must hold at least one value")
+
     def serialize(self) -> str:
         parts = []
         for f in fields(self):
@@ -106,19 +116,16 @@ class ExperimentSpec:
         if not line.startswith("# spec: "):
             raise ValueError("not a spec header line")
         kwargs: dict = {}
-        types = {f.name: f.type for f in fields(cls)}
         for token in line[len("# spec: ") :].split():
             key, _, raw = token.partition("=")
-            if key not in types:
-                raise ValueError(f"unknown spec key {key!r}")
             if key == "values":
                 kwargs[key] = tuple(float(x) for x in raw.split(","))
-            elif key in ("subcommand", "coding", "detector", "mlsd_metric", "engine", "param", "rtsk_detector"):
+            elif key not in _SPEC_TYPES:
+                raise ValueError(f"unknown spec key {key!r}")
+            elif _SPEC_TYPES[key] is str:
                 kwargs[key] = raw.strip("'")
-            elif key in ("L", "N", "M", "bits", "seed", "grid_points", "samples"):
-                kwargs[key] = int(raw)
             else:
-                kwargs[key] = float(raw)
+                kwargs[key] = _SPEC_TYPES[key](raw)
         return cls(**kwargs)
 
     @property
@@ -148,6 +155,14 @@ class ExperimentSpec:
             particle_dt=self.dt,
             workers=workers,
         )
+
+
+# one schema, read off the dataclass: every field but ``values`` (a float
+# tuple) is an int, float or str; flags follow the field order, and
+# ``subcommand`` is the positional argument
+_HINTS = get_type_hints(ExperimentSpec)
+_SPEC_TYPES = {f.name: _HINTS[f.name] for f in fields(ExperimentSpec) if f.name != "values"}
+_SPEC_FLAGS = [(name, typ) for name, typ in _SPEC_TYPES.items() if name != "subcommand"]
 
 
 def _fmt(x: float) -> str:
@@ -208,6 +223,15 @@ class CliError(RuntimeError):
 
 
 def _run_pdf(spec: ExperimentSpec) -> str:
+    for name, cap in (("samples", PDF_SAMPLES_CAP), ("grid_points", PDF_GRID_POINTS_CAP)):
+        value, flag = getattr(spec, name), "--" + name.replace("_", "-")
+        if value < 1:
+            raise CliError(f"{flag} must be positive, got {value}")
+        if value > cap:
+            raise CapacityError(
+                f"{flag} {value} exceeds the cap PDF_{name.upper()}_CAP = {cap}; "
+                f"request at most {cap}"
+            )
     channel = spec.channel
     p1 = hit_fraction(channel.Ts, channel)
     mu_x = spec.Q * spec.ratio * p1
@@ -383,34 +407,6 @@ def _load_config(path) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
-
-
-_SPEC_FLAGS: list[tuple[str, type]] = [
-    ("d", float),
-    ("r", float),
-    ("D", float),
-    ("L", int),
-    ("t_b", float),
-    ("N", int),
-    ("M", int),
-    ("omega", float),
-    ("Q", float),
-    ("coding", str),
-    ("detector", str),
-    ("mlsd_metric", str),
-    ("engine", str),
-    ("bits", int),
-    ("dt", float),
-    ("seed", int),
-    ("param", str),
-    ("ratio", float),
-    ("grid_points", int),
-    ("samples", int),
-    ("ook_alpha", float),
-    ("csk_gamma", float),
-    ("mosk_lambda_frac", float),
-    ("rtsk_detector", str),
-]
 
 
 def _build_parser() -> _Parser:

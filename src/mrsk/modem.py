@@ -2,10 +2,15 @@
 
 A symbol encodes M*(N-1) bits into the N-1 consecutive concentration
 ratios of N molecule types.  Ratios live on a geometric grid spanning
-[Omega^-1, Omega]; detection buckets each received ratio against the
-geometric-mean thresholds (FTD), optionally after subtracting the
-estimated one-tap interference of the previous symbol (ADMC), or jointly
-over a window by a Viterbi search of the ratio log-likelihood (MLSD).
+[Omega^-1, Omega].  A symbol is named by its 0-based id, the mixed-radix
+number of its N-1 alphabet indices (first ratio position most
+significant); every module enumerates symbols in that order.
+
+The three detectors take (K, N) received counts and return (K,) symbol
+ids plus their diagnostic counters: FTD buckets each received ratio
+against the geometric-mean thresholds, ADMC first subtracts the
+estimated one-tap interference of the previous decision, and MLSD runs
+a Viterbi search of the ratio log-likelihood over windows of symbols.
 The Viterbi search works on arrays: branch metrics for every S^L symbol
 window over a block of frames in one expression, add-compare-select over
 (S^(L-1), S) score arrays and an integer traceback.
@@ -13,35 +18,30 @@ window over a block of frames in one expression, add-compare-select over
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
+from scipy import special
 
-from .channel import Cir
+from .channel import arrival_moments
 from .errors import CapacityError
 
 __all__ = [
     "MrskConfig",
-    "RatioSymbol",
-    "EmissionVector",
-    "ReceivedFrame",
-    "DetectorStats",
     "ratio_alphabet",
     "thresholds",
     "codewords",
-    "encode_bits",
-    "decode_bits",
-    "quantities",
+    "encode_bits_to_indices",
+    "decode_indices_to_bits",
     "average_molecules_per_bit",
-    "role_rotation",
+    "radix_digits",
+    "symbol_ids",
+    "symbol_index_combos",
+    "symbol_quantities",
     "detect_ftd",
     "detect_admc",
     "detect_mlsd",
-    "symbol_index_combos",
-    "symbol_quantities",
 ]
 
 _CODINGS = ("binary", "gray")
@@ -61,11 +61,12 @@ class MrskConfig:
     Q: reference molecule count of the first type
     coding: bit-to-index mapping, "binary" or "gray"
     detector: "ftd", "admc" or "mlsd"
-    mlsd_window: maximum window length handed to the sequence detector
+    mlsd_window: chunk length of the sequence detector (each chunk of
+        symbols is searched on its own, starting cold)
     mlsd_metric: branch metric, "solid" or "gaussian"
-    rotate_roles: cyclically permute molecule roles symbol by symbol so
-        reservoir usage balances; both ends apply the same deterministic
-        schedule (off by default)
+    rotate_roles: cyclically shift molecule roles by (symbol position
+        mod N) so reservoir usage balances; both ends apply the same
+        deterministic schedule (off by default)
     denom_eps_scale: ratio denominators at or below denom_eps_scale * Q
         mark a frame degenerate
     """
@@ -114,63 +115,6 @@ class MrskConfig:
     @property
     def denom_eps(self) -> float:
         return self.denom_eps_scale * self.Q
-
-
-@dataclass(frozen=True)
-class RatioSymbol:
-    """One symbol: N-1 alphabet indices, each 1-based in 1..2^M."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.indices) < 1 or any(i < 1 for i in self.indices):
-            raise ValueError(f"indices must be 1-based positive, got {self.indices}")
-
-
-@dataclass(frozen=True)
-class EmissionVector:
-    """Molecule counts released for one symbol, first type fixed at Q."""
-
-    quantities: tuple[float, ...]
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.quantities, dtype=float)
-
-
-@dataclass(frozen=True)
-class ReceivedFrame:
-    """Received counts for one symbol interval plus the derived ratios.
-
-    Ratios are stored with denominators clamped at the degeneracy
-    epsilon; ``degenerate`` records whether any clamp fired.
-    """
-
-    counts: tuple[float, ...]
-    ratios: tuple[float, ...]
-    degenerate: bool
-
-    @classmethod
-    def from_counts(cls, counts, config: MrskConfig) -> "ReceivedFrame":
-        c = np.asarray(counts, dtype=float)
-        if c.shape != (config.N,):
-            raise ValueError(f"expected {config.N} counts, got shape {c.shape}")
-        den = c[:-1]
-        degenerate = bool(np.any(den <= config.denom_eps))
-        ratios = c[1:] / np.maximum(den, config.denom_eps)
-        return cls(tuple(float(v) for v in c), tuple(float(v) for v in ratios), degenerate)
-
-    @property
-    def ratio_array(self) -> np.ndarray:
-        return np.asarray(self.ratios, dtype=float)
-
-
-@dataclass
-class DetectorStats:
-    """Caller-owned diagnostic counters shared across detector calls."""
-
-    degenerate_frames: int = 0
-    admc_clamps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,42 +188,16 @@ def encode_bits_to_indices(bits, config: MrskConfig) -> np.ndarray:
 
 
 def decode_indices_to_bits(indices, config: MrskConfig) -> np.ndarray:
-    """(n_symbols, N-1) 0-based alphabet indices -> bits."""
+    """(n_symbols, N-1) 0-based alphabet indices -> bits; inverse of the encoder."""
     idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[1] != config.N - 1:
+        raise ValueError(f"expected rows of {config.N - 1} ratio indices, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= config.alphabet_size):
+        raise ValueError(f"alphabet index out of range 0..{config.alphabet_size - 1}")
     values = codewords(config.M, config.coding)[idx.reshape(-1)]
     shifts = np.arange(config.M - 1, -1, -1)
     bits = (values[:, None] >> shifts) & 1
     return bits.reshape(-1).astype(np.uint8)
-
-
-def encode_bits(bits, config: MrskConfig) -> list[RatioSymbol]:
-    """Map a bit string onto ratio symbols, M bits per ratio position.
-
-    The bit count must be an exact multiple of M*(N-1); no implicit
-    padding, so error-rate accounting stays unambiguous.
-    """
-    indices = encode_bits_to_indices(bits, config)
-    return [RatioSymbol(tuple(int(i) + 1 for i in row)) for row in indices]
-
-
-def decode_bits(symbols: Sequence[RatioSymbol], config: MrskConfig) -> np.ndarray:
-    """Exact inverse of :func:`encode_bits` under the same coding."""
-    idx = np.array([[i - 1 for i in s.indices] for s in symbols], dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= config.alphabet_size):
-        raise ValueError("symbol index out of range for this alphabet")
-    return decode_indices_to_bits(idx, config)
-
-
-def quantities(symbol: RatioSymbol, config: MrskConfig) -> EmissionVector:
-    """Molecule counts for one symbol: Q times the cumulative ratio product."""
-    if len(symbol.indices) != config.N - 1:
-        raise ValueError(f"expected {config.N - 1} ratio indices, got {len(symbol.indices)}")
-    if any(i > config.alphabet_size for i in symbol.indices):
-        raise ValueError("symbol index out of range for this alphabet")
-    alphabet = ratio_alphabet(config)
-    ratios = alphabet[[i - 1 for i in symbol.indices]]
-    qty = config.Q * np.concatenate(([1.0], np.cumprod(ratios)))
-    return EmissionVector(tuple(float(v) for v in qty))
 
 
 def average_molecules_per_bit(config: MrskConfig) -> float:
@@ -293,16 +211,22 @@ def average_molecules_per_bit(config: MrskConfig) -> float:
     return total / config.bits_per_symbol
 
 
-def role_rotation(symbol_position: int, config: MrskConfig) -> int:
-    """Cyclic shift of molecule roles for the symbol at this position."""
-    if not config.rotate_roles:
-        return 0
-    return symbol_position % config.N
+def radix_digits(values, base: int, width: int) -> np.ndarray:
+    """Base-``base`` digits of integer values, most significant first: shape (..., width)."""
+    return np.asarray(values)[..., None] // base ** np.arange(width - 1, -1, -1) % base
 
 
-def _radix(config: MrskConfig) -> np.ndarray:
-    """Place value of each ratio position in a symbol id: id = index row @ radix."""
-    return config.alphabet_size ** np.arange(config.N - 2, -1, -1)
+def symbol_ids(indices, config: MrskConfig) -> np.ndarray:
+    """(..., N-1) 0-based index rows -> symbol ids; inverse of :func:`symbol_index_combos`.
+
+    Horner's rule over the ratio positions (NumPy's integer matmul is
+    several times slower on these narrow rows).
+    """
+    idx = np.asarray(indices)
+    ids = idx[..., 0].astype(np.int64)
+    for j in range(1, config.N - 1):
+        ids = ids * config.alphabet_size + idx[..., j]
+    return ids
 
 
 def symbol_index_combos(config: MrskConfig) -> np.ndarray:
@@ -311,7 +235,7 @@ def symbol_index_combos(config: MrskConfig) -> np.ndarray:
     Row s is the mixed-radix digits of s, first ratio position most
     significant; every module enumerating symbols shares this order.
     """
-    return np.arange(config.symbol_count)[:, None] // _radix(config) % config.alphabet_size
+    return radix_digits(np.arange(config.symbol_count), config.alphabet_size, config.N - 1)
 
 
 def symbol_quantities(config: MrskConfig) -> np.ndarray:
@@ -329,60 +253,58 @@ def symbol_quantities(config: MrskConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bucket(ratios: np.ndarray, config: MrskConfig) -> np.ndarray:
-    """0-based alphabet indices for received ratios; ties go upward."""
-    return np.searchsorted(thresholds(config), ratios, side="right")
+def _ratios(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Received ratios with clamped denominators, and the raw-degenerate rows."""
+    eps = config.denom_eps
+    den = counts[:, :-1]
+    return counts[:, 1:] / np.maximum(den, eps), np.any(den <= eps, axis=1)
 
 
-def detect_ftd(
-    frame: ReceivedFrame,
-    config: MrskConfig,
-    stats: Optional[DetectorStats] = None,
-) -> RatioSymbol:
-    """Fixed-threshold detection: bucket each ratio independently.
+def detect_ftd(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, int]:
+    """Fixed-threshold detection of (K, N) counts: (symbol ids, degenerate symbols).
 
-    Thresholds depend only on the ratio alphabet, never on the channel.
-    A degenerate frame (near-zero denominator) yields the all-lowest-index
-    symbol and bumps the diagnostic counter so Monte Carlo batches stay
-    total.
+    Each ratio is bucketed independently against the alphabet thresholds
+    (ties go upward).  A symbol whose raw denominator is at or below the
+    degeneracy epsilon decodes as id 0 and is counted.
     """
-    if frame.degenerate:
-        if stats is not None:
-            stats.degenerate_frames += 1
-        return RatioSymbol((1,) * (config.N - 1))
-    idx0 = _bucket(frame.ratio_array, config)
-    return RatioSymbol(tuple(int(i) + 1 for i in idx0))
+    ratios, degenerate = _ratios(counts, config)
+    ids = symbol_ids(np.searchsorted(thresholds(config), ratios, side="right"), config)
+    ids[degenerate] = 0
+    return ids, int(degenerate.sum())
 
 
 def detect_admc(
-    frame: ReceivedFrame,
-    previous_detected: Optional[RatioSymbol],
-    channel_cir: Cir,
-    config: MrskConfig,
-    stats: Optional[DetectorStats] = None,
-) -> RatioSymbol:
-    """Adaptive detection with one-tap memory cancellation.
+    counts: np.ndarray, config: MrskConfig, taps: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """One-tap memory cancellation: (symbol ids, raw-degenerate symbols, clamps).
 
-    Subtracts p_hit[2] times the previous symbol's estimated emissions
-    (reconstructed from the previous decision) from the received counts,
-    then applies fixed-threshold detection to the adjusted ratios.  The
-    first symbol of a burst has no predecessor and uses zero correction.
-    Non-positive adjusted counts are clamped at the degeneracy epsilon
-    and counted.
+    Symbol k's counts lose taps[1] times the emissions of the symbol
+    decided at k-1 (none before the first symbol), adjusted counts at or
+    below epsilon are clamped there and counted, and the adjusted ratios
+    are bucketed as in :func:`detect_ftd`.  Decision k depends only on the
+    id s decided at k-1, so each block tabulates next_id[k, s] for every
+    s, walks it, and counts the clamps at the walked (k, s); id S is the
+    zero emission before the first symbol.
     """
-    if len(channel_cir) < 2:
+    if taps.size < 2:
         raise ValueError("memory cancellation needs channel memory L >= 2")
-    counts = np.asarray(frame.counts, dtype=float)
-    if previous_detected is not None:
-        counts = counts - channel_cir.p_hit[1] * quantities(previous_detected, config).array
-    eps = config.denom_eps
-    low = counts <= eps
-    if np.any(low):
-        if stats is not None:
-            stats.admc_clamps += int(low.sum())
-        counts = np.maximum(counts, eps)
-    idx0 = _bucket(counts[1:] / counts[:-1], config)
-    return RatioSymbol(tuple(int(i) + 1 for i in idx0))
+    S, eps = config.symbol_count, config.denom_eps
+    cancel = taps[1] * np.vstack([symbol_quantities(config), np.zeros(config.N)])
+    ids, clamps, d = [], 0, S
+    block = _block_rows(4 * (S + 1) * config.N)
+    for start in range(0, counts.shape[0], block):
+        c = counts[start : start + block, None, :] - cancel
+        low = (c <= eps).sum(axis=2)
+        c = np.maximum(c, eps)
+        ratios = c[..., 1:] / c[..., :-1]
+        table = symbol_ids(np.searchsorted(thresholds(config), ratios, side="right"), config)
+        flat, path = table.ravel().tolist(), [d]
+        for row in range(0, len(flat), S + 1):
+            d = flat[row + d]
+            ids.append(d)
+        path += ids[start:-1]
+        clamps += int(low[np.arange(len(path)), path].sum())
+    return np.array(ids, dtype=np.int64), int(_ratios(counts, config)[1].sum()), clamps
 
 
 def _block_rows(floats_per_row: int) -> int:
@@ -396,24 +318,15 @@ def _window_constants(config: MrskConfig, taps: np.ndarray, n: int) -> np.ndarra
     Window w is the mixed-radix number of its ids, oldest most significant;
     the moments are the cold-start FIR sums of the window's emissions.
     """
-    qty = symbol_quantities(config)
-    var_taps = taps * (1.0 - taps)
-    rows = []
-    for window in itertools.product(range(config.symbol_count), repeat=n):
-        emissions = qty[list(window)]
-        mu = taps[:n][::-1] @ emissions
-        var = var_taps[:n][::-1] @ emissions
-        row = []
-        for mu_d, var_d, mu_n, var_n in zip(mu[:-1], var[:-1], mu[1:], var[1:]):
-            if config.mlsd_metric == "solid":
-                lnerf = math.log(math.erf(mu_d / math.sqrt(2.0 * var_d)))
-                row.append((mu_d, var_d, mu_n, var_n, lnerf))
-            else:
-                beta = mu_n / mu_d
-                lam2 = beta * beta * (var_n / (mu_n * mu_n) + var_d / (mu_d * mu_d))
-                row.append((beta, lam2, 0.5 * math.log(lam2)))
-        rows.append(row)
-    return np.array(rows)
+    windows = radix_digits(np.arange(config.symbol_count**n), config.symbol_count, n)
+    mu, var = arrival_moments(symbol_quantities(config)[windows], taps)
+    mu_d, var_d, mu_n, var_n = mu[:, :-1], var[:, :-1], mu[:, 1:], var[:, 1:]
+    if config.mlsd_metric == "solid":
+        lnerf = np.log(special.erf(mu_d / np.sqrt(2.0 * var_d)))
+        return np.stack([mu_d, var_d, mu_n, var_n, lnerf], axis=-1)
+    beta = mu_n / mu_d
+    lam2 = beta * beta * (var_n / (mu_n * mu_n) + var_d / (mu_d * mu_d))
+    return np.stack([beta, lam2, 0.5 * np.log(lam2)], axis=-1)
 
 
 def _branch_metrics(z: np.ndarray, consts: np.ndarray, config: MrskConfig) -> np.ndarray:
@@ -485,25 +398,23 @@ def _viterbi_symbol_ids(
 
 
 def detect_mlsd(
-    ratio_frames,
+    counts: np.ndarray,
     config: MrskConfig,
-    channel_cir: Cir,
+    taps: np.ndarray,
     state_cap: int = 1 << 16,
-) -> list[RatioSymbol]:
-    """Maximum-likelihood sequence detection over a window of frames.
+) -> tuple[np.ndarray, int]:
+    """Maximum-likelihood sequence detection: (symbol ids, degenerate symbols).
 
-    Runs a Viterbi search whose states are the last L-1 symbols; the
-    branch metric is the log ratio-density (solid approximation by
-    default, Gaussian behind ``mlsd_metric``) evaluated with the
-    signal-dependent moments of each candidate window.  The window starts
-    cold: intervals before the first frame carry zero emissions.
+    The (K, N) counts are cut into chunks of ``mlsd_window`` symbols, each
+    searched by a Viterbi trellis whose states are the last L-1 symbols;
+    the branch metric is the log ratio-density (solid approximation by
+    default, Gaussian behind ``mlsd_metric``) under the signal-dependent
+    moments of each candidate window.  Every chunk starts cold: intervals
+    before its first symbol carry zero emissions.
     """
-    rows = [f.ratios if isinstance(f, ReceivedFrame) else f for f in ratio_frames]
-    ratios = np.atleast_2d(np.array(rows, dtype=float))
-    if ratios.shape[0] > config.mlsd_window:
-        raise ValueError(
-            f"window of {ratios.shape[0]} frames exceeds mlsd_window={config.mlsd_window}"
-        )
-    ids = _viterbi_symbol_ids(ratios, config, channel_cir.array, state_cap)
-    combos = symbol_index_combos(config)
-    return [RatioSymbol(tuple(int(i) + 1 for i in combos[s])) for s in ids]
+    ratios, degenerate = _ratios(counts, config)
+    ids: list[int] = []
+    for start in range(0, counts.shape[0], config.mlsd_window):
+        chunk = ratios[start : start + config.mlsd_window]
+        ids += _viterbi_symbol_ids(chunk, config, taps, state_cap)
+    return np.array(ids, dtype=np.int64), int(degenerate.sum())

@@ -1,9 +1,12 @@
 """Monte Carlo link engines, a Brownian particle simulator, and sweeps.
 
 Three arrival engines share one transmit/detect pipeline: ``statistical``
-draws Gaussian counts from the FIR moments, ``binomial`` draws the exact
+draws Gaussian counts from the FIR moments, ``binomial`` draws the
 per-tap binomial counts, and ``particle`` integrates every molecule's
-Brownian path against the absorbing receiver.  Bit streams are split
+Brownian path against the absorbing receiver.  A frame encodes random
+bits to symbol ids, emits them (optionally rotating molecule roles),
+draws arrivals, hands the (K, N) counts to a :mod:`mrsk.modem` detector
+and counts bit errors per ratio position.  Bit streams are split
 into fixed-size frames with independently derived random streams, so
 results are bit-for-bit reproducible for a given seed no matter how the
 frames are scheduled across workers.
@@ -23,12 +26,11 @@ from .channel import ChannelParams, cir
 from .errors import CapacityError
 from .modem import (
     MrskConfig,
+    detect_admc,
+    detect_ftd,
+    detect_mlsd,
     encode_bits_to_indices,
-    role_rotation,
-    thresholds,
-    _block_rows,
-    _radix,
-    _viterbi_symbol_ids,
+    symbol_ids,
     symbol_index_combos,
     symbol_quantities,
 )
@@ -309,61 +311,6 @@ def _arrivals_binomial(
     return counts.astype(float)
 
 
-def _ratios(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Received ratios with clamped denominators, and the raw-degenerate rows."""
-    eps = config.denom_eps
-    den = counts[:, :-1]
-    return counts[:, 1:] / np.maximum(den, eps), np.any(den <= eps, axis=1)
-
-
-def _detect_ftd_bulk(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, int]:
-    ratios, degenerate = _ratios(counts, config)
-    idx0 = np.searchsorted(thresholds(config), ratios, side="right")
-    idx0[degenerate] = 0
-    return idx0, int(degenerate.sum())
-
-
-def _detect_admc_bulk(
-    counts: np.ndarray, config: MrskConfig, taps: np.ndarray
-) -> tuple[np.ndarray, int, int]:
-    """One-tap memory cancellation: (indices, raw-degenerate symbols, clamps).
-
-    Decision k depends only on the id s decided at k-1, so each block
-    tabulates next_id[k, s] for every s, walks it, and counts the adjusted
-    elements clamped at epsilon at the walked (k, s); id S is the zero
-    emission before the first symbol.
-    """
-    if taps.size < 2:
-        raise ValueError("memory cancellation needs channel memory L >= 2")
-    S, eps = config.symbol_count, config.denom_eps
-    cancel = taps[1] * np.vstack([symbol_quantities(config), np.zeros(config.N)])
-    ids, clamps, d = [], 0, S
-    block = _block_rows(4 * (S + 1) * config.N)
-    for start in range(0, counts.shape[0], block):
-        c = counts[start : start + block, None, :] - cancel
-        low = (c <= eps).sum(axis=2)
-        c = np.maximum(c, eps)
-        ratios = c[..., 1:] / c[..., :-1]
-        table = np.searchsorted(thresholds(config), ratios, side="right") @ _radix(config)
-        flat, path = table.ravel().tolist(), [d]
-        for row in range(0, len(flat), S + 1):
-            d = flat[row + d]
-            ids.append(d)
-        path += ids[start:-1]
-        clamps += int(low[np.arange(len(path)), path].sum())
-    return symbol_index_combos(config)[ids], int(_ratios(counts, config)[1].sum()), clamps
-
-
-def _detect_mlsd_bulk(
-    counts: np.ndarray, config: MrskConfig, taps: np.ndarray
-) -> tuple[np.ndarray, int]:
-    ratios, degenerate = _ratios(counts, config)
-    ids: list[int] = []
-    for start in range(0, counts.shape[0], config.mlsd_window):
-        ids += _viterbi_symbol_ids(ratios[start : start + config.mlsd_window], config, taps)
-    return symbol_index_combos(config)[ids], int(degenerate.sum())
-
-
 def _simulate_frame(
     mrsk: MrskConfig,
     channel: ChannelParams,
@@ -375,9 +322,9 @@ def _simulate_frame(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
     idx0 = encode_bits_to_indices(bits, mrsk)
-    emissions = np.take(symbol_quantities(mrsk), idx0 @ _radix(mrsk), axis=0)
+    emissions = np.take(symbol_quantities(mrsk), symbol_ids(idx0, mrsk), axis=0)
     if mrsk.rotate_roles:
-        shifts = np.array([role_rotation(k, mrsk) for k in range(n_symbols)])
+        shifts = np.arange(n_symbols) % mrsk.N
         for s in range(1, mrsk.N):
             rows = shifts == s
             emissions[rows] = np.roll(emissions[rows], s, axis=1)
@@ -397,14 +344,15 @@ def _simulate_frame(
 
     clamps = 0
     if mrsk.detector == "ftd":
-        det_idx0, degenerate = _detect_ftd_bulk(counts, mrsk)
+        det_ids, degenerate = detect_ftd(counts, mrsk)
     elif mrsk.detector == "admc":
-        det_idx0, degenerate, clamps = _detect_admc_bulk(counts, mrsk, taps)
+        det_ids, degenerate, clamps = detect_admc(counts, mrsk, taps)
     else:
-        det_idx0, degenerate = _detect_mlsd_bulk(counts, mrsk, taps)
+        det_ids, degenerate = detect_mlsd(counts, mrsk, taps)
 
-    ham = hamming_table(mrsk.M, mrsk.coding)
-    errors = int(ham[idx0, det_idx0].sum())
+    # bit errors per ratio position, as flat takes (2-D fancy indexing is slower)
+    pairs = idx0 * mrsk.alphabet_size + np.take(symbol_index_combos(mrsk), det_ids, axis=0)
+    errors = int(np.take(hamming_table(mrsk.M, mrsk.coding).ravel(), pairs).sum())
     return errors, bits.size, degenerate, clamps
 
 

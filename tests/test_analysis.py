@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,17 +8,15 @@ from mrsk.analysis import (
     BerResult,
     SequenceSpace,
     _bucket_probs,
-    admc_ber,
     ftd_ber,
     ftd_detection_prob,
-    hamming,
     hamming_table,
 )
 from mrsk.channel import ChannelParams, cir
 from mrsk.errors import CapacityError
 from mrsk.modem import (
     MrskConfig,
-    RatioSymbol,
+    codewords,
     symbol_quantities,
     thresholds,
 )
@@ -27,34 +26,39 @@ CH = ChannelParams(Ts=0.5, L=5)
 
 
 def random_sequence(config, L, rng):
-    k = config.alphabet_size
-    return [
-        RatioSymbol(tuple(int(v) + 1 for v in rng.integers(0, k, size=config.N - 1)))
-        for _ in range(L)
-    ]
+    """L random symbol ids, oldest first."""
+    return rng.integers(0, config.symbol_count, size=L)
 
 
 class TestHamming:
     def test_identical_indices(self):
-        assert hamming(3, 3, 2) == 0
+        assert hamming_table(2, "binary")[2, 2] == 0
 
     def test_binary_extremes(self):
-        assert hamming(1, 4, 2, "binary") == 2  # 00 vs 11
+        assert hamming_table(2, "binary")[0, 3] == 2  # 00 vs 11
 
     def test_gray_adjacent(self):
-        for i in range(1, 4):
-            assert hamming(i, i + 1, 2, "gray") == 1
+        table = hamming_table(2, "gray")
+        for i in range(3):
+            assert table[i, i + 1] == 1
 
     def test_table_matches_scalar(self):
         for coding in ("binary", "gray"):
             table = hamming_table(3, coding)
-            for a in range(1, 9):
-                for b in range(1, 9):
-                    assert table[a - 1, b - 1] == hamming(a, b, 3, coding)
+            codes = codewords(3, coding)
+            for a in range(8):
+                for b in range(8):
+                    assert table[a, b] == bin(int(codes[a]) ^ int(codes[b])).count("1")
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            hamming(0, 1, 2)
+        # the table covers exactly the 2^M alphabet indices, symmetric with a zero diagonal
+        for M in (1, 2, 3):
+            table = hamming_table(M, "gray")
+            assert table.shape == (1 << M, 1 << M)
+            assert np.array_equal(table, table.T) and not table.diagonal().any()
+            assert table.min() >= 0 and table.max() == M
+            with pytest.raises(IndexError):
+                table[1 << M, 0]
 
 
 class TestBucketProbs:
@@ -84,22 +88,17 @@ class TestBucketProbs:
         for N, M in ((2, 1), (2, 3), (3, 2)):
             cfg = MrskConfig(N=N, M=M)
             taps = cir(CH)
-            for _ in range(34):
-                seq = random_sequence(cfg, CH.L, rng)
-                for j in range(1, N):
-                    total = sum(
-                        ftd_detection_prob(j, i, seq, taps, cfg)
-                        for i in range(1, cfg.alphabet_size + 1)
-                    )
-                    assert abs(total - 1.0) < 1e-10
+            seqs = np.stack([random_sequence(cfg, CH.L, rng) for _ in range(34)])
+            probs = ftd_detection_prob(seqs, taps.array, cfg)
+            assert probs.shape == (34, N - 1, cfg.alphabet_size)
+            assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-10)
 
 
 class TestDetectionProb:
     def test_high_snr_concentrates(self):
         cfg = MrskConfig(N=2, M=1, Q=1e6)
         ch = ChannelParams(Ts=0.5, L=1)
-        seq = [RatioSymbol((2,))]
-        assert ftd_detection_prob(1, 2, seq, cir(ch), cfg) > 1.0 - 1e-12
+        assert ftd_detection_prob([1], cir(ch).array, cfg)[0, 1] > 1.0 - 1e-12
 
     def test_matches_monte_carlo_frequency(self):
         # fixed random sequence; empirical bucket frequencies from Gaussian
@@ -110,11 +109,7 @@ class TestDetectionProb:
         seq = random_sequence(cfg, CH.L, rng)
         qty = symbol_quantities(cfg)
         k = cfg.alphabet_size
-        ids = [
-            int(np.ravel_multi_index([v - 1 for v in s.indices], (k,) * (cfg.N - 1)))
-            for s in seq
-        ]
-        emissions = qty[ids]
+        emissions = qty[seq]
         p = taps.array
         mu = p[::-1] @ emissions
         var = (p * (1 - p))[::-1] @ emissions
@@ -125,10 +120,9 @@ class TestDetectionProb:
         freq = np.array(
             [np.mean(np.searchsorted(edges, ratios, side="right") == i) for i in range(k)]
         )
-        for i in range(1, k + 1):
-            prob = ftd_detection_prob(1, i, seq, taps, cfg)
+        for i, prob in enumerate(ftd_detection_prob(seq, p, cfg)[0]):
             se = math.sqrt(max(prob * (1 - prob), 1e-12) / n)
-            assert abs(freq[i - 1] - prob) < 3 * se + 1e-9
+            assert abs(freq[i] - prob) < 3 * se + 1e-9
 
 
 class TestFtdBer:
@@ -174,6 +168,7 @@ class TestFtdBer:
         ch = ChannelParams(Ts=0.5, L=3)
         res = ftd_ber(cfg, ch, per_sequence=True)
         assert len(res.per_sequence_errors) == 8
+        assert set(res.per_sequence_errors) == set(itertools.product(range(2), repeat=3))
         assert np.mean(list(res.per_sequence_errors.values())) == pytest.approx(
             res.ber, rel=1e-12
         )
@@ -211,12 +206,6 @@ class TestFtdBer:
             est = run_link(cfg, ch, SimConfig(n_bits=1_000_000, seed=int(rng.integers(1 << 30))))
             se = math.sqrt(max(analytic * (1 - analytic), 1e-12) / est.bits)
             assert abs(est.ber - analytic) < 3 * se + 1e-9
-
-
-class TestAdmcCoverage:
-    def test_analytic_path_is_absent_by_design(self):
-        with pytest.raises(NotImplementedError, match="simulate"):
-            admc_ber()
 
 
 class TestBerResult:

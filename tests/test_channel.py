@@ -3,15 +3,13 @@ import pytest
 from scipy import integrate
 
 from mrsk.channel import (
-    ArrivalMoments,
     ChannelParams,
     Cir,
     arrival_moments,
     cir,
     hit_fraction,
-    sample_arrival,
-    sample_arrival_binomial,
 )
+from mrsk.simulate import _arrivals_binomial, _arrivals_statistical
 
 DEFAULTS = ChannelParams(d=10.0, r=5.0, D=79.4, Ts=1.0, L=5)
 
@@ -102,106 +100,117 @@ class TestCir:
             Cir(())
 
 
+def column(history) -> np.ndarray:
+    """A single-type emission history, oldest first, as an (n, 1) array."""
+    return np.asarray(history, dtype=float)[:, None]
+
+
 class TestArrivalMoments:
     def test_all_zero_history(self):
-        m = arrival_moments(np.zeros(5), cir(DEFAULTS))
-        assert m.mu == 0.0 and m.var == 0.0
+        mu, var = arrival_moments(np.zeros((5, 1)), cir(DEFAULTS).array)
+        assert mu.tolist() == [0.0] and var.tolist() == [0.0]
 
     def test_single_emission_current_slot(self):
-        taps = cir(DEFAULTS)
-        m = arrival_moments([0, 0, 0, 0, 1000], taps)
-        assert m.mu == pytest.approx(1000 * taps.p_hit[0], rel=1e-12)
-        assert m.mu == pytest.approx(345.766540633907, abs=1e-6)
+        taps = cir(DEFAULTS).array
+        mu, _ = arrival_moments(column([0, 0, 0, 0, 1000]), taps)
+        assert mu[0] == pytest.approx(1000 * taps[0], rel=1e-12)
+        assert mu[0] == pytest.approx(345.766540633907, abs=1e-6)
 
     def test_two_tap_history(self):
-        taps = cir(DEFAULTS)
-        two_tap = Cir(taps.p_hit[:2])
-        m = arrival_moments([1000, 1000], two_tap)
-        assert m.mu == pytest.approx(1000 * (taps.p_hit[0] + taps.p_hit[1]), rel=1e-12)
-        assert m.mu == pytest.approx(389.52, abs=0.01)
+        taps = cir(DEFAULTS).array
+        mu, _ = arrival_moments(column([1000, 1000]), taps[:2])
+        assert mu[0] == pytest.approx(1000 * (taps[0] + taps[1]), rel=1e-12)
+        assert mu[0] == pytest.approx(389.52, abs=0.01)
 
     def test_linearity(self):
-        taps = cir(DEFAULTS)
+        taps = cir(DEFAULTS).array
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            s1 = rng.uniform(0, 2000, 5)
-            s2 = rng.uniform(0, 2000, 5)
-            a, b = rng.uniform(0, 3, 2)
-            lhs = arrival_moments(a * s1 + b * s2, taps)
-            m1 = arrival_moments(s1, taps)
-            m2 = arrival_moments(s2, taps)
-            assert lhs.mu == pytest.approx(a * m1.mu + b * m2.mu, rel=1e-10)
-            assert lhs.var == pytest.approx(a * m1.var + b * m2.var, rel=1e-10)
+        s1 = rng.uniform(0, 2000, (20, 5, 3))
+        s2 = rng.uniform(0, 2000, (20, 5, 3))
+        a, b = rng.uniform(0, 3, (2, 20, 1, 1))
+        mu, var = arrival_moments(a * s1 + b * s2, taps)
+        mu1, var1 = arrival_moments(s1, taps)
+        mu2, var2 = arrival_moments(s2, taps)
+        assert mu.shape == var.shape == (20, 3)
+        assert mu == pytest.approx(a[:, 0] * mu1 + b[:, 0] * mu2, rel=1e-10)
+        assert var == pytest.approx(a[:, 0] * var1 + b[:, 0] * var2, rel=1e-10)
 
     def test_variance_below_mean(self):
-        taps = cir(DEFAULTS)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            m = arrival_moments(rng.uniform(0, 5000, 5), taps)
-            assert 0.0 <= m.var <= m.mu
+        taps = cir(DEFAULTS).array
+        mu, var = arrival_moments(np.random.default_rng(1).uniform(0, 5000, (20, 5, 2)), taps)
+        assert np.all(0.0 <= var) and np.all(var <= mu)
 
     def test_negative_emission_rejected(self):
         with pytest.raises(ValueError):
-            arrival_moments([0, 0, 0, 0, -5], cir(DEFAULTS))
+            arrival_moments(column([0, 0, 0, 0, -5]), cir(DEFAULTS).array)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            arrival_moments([0, 0], cir(DEFAULTS))
+        # a history may be shorter than the memory (cold start), never longer
+        taps = cir(DEFAULTS).array
+        for n in (0, 6):
+            with pytest.raises(ValueError):
+                arrival_moments(np.zeros((n, 1)), taps)
+        short = arrival_moments(column([700, 1000]), taps)
+        padded = arrival_moments(column([0, 0, 0, 700, 1000]), taps)
+        assert np.allclose(short, padded, rtol=1e-15, atol=0.0)
+
+
+def stationary_rows(engine, level: float, taps: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Single-type arrival draws on a constant emission, past the cold start.
+
+    Rows from L-1 on see the full memory, so they are i.i.d. draws with
+    the moments of a length-L constant history.
+    """
+    draws = engine(np.full((n + taps.size - 1, 1), level), taps, np.random.default_rng(seed))
+    return draws[taps.size - 1 :, 0]
 
 
 class TestSampling:
     def test_degenerate_gaussian(self):
+        # zero emissions: zero mean and variance, so the draw is exactly the mean
         rng = np.random.default_rng(0)
-        assert sample_arrival(ArrivalMoments(5.0, 0.0), rng) == 5.0
+        draws = _arrivals_statistical(np.zeros((10, 2)), cir(DEFAULTS).array, rng)
+        assert not draws.any()
 
     def test_law_of_large_numbers(self):
-        taps = cir(DEFAULTS)
-        m = arrival_moments([0, 0, 0, 0, 1000], taps)
-        rng = np.random.default_rng(7)
-        draws = np.array([sample_arrival(m, rng) for _ in range(100_000)])
-        se = np.sqrt(m.var / draws.size)
-        assert abs(draws.mean() - m.mu) < 3 * se
+        taps = cir(DEFAULTS).array
+        mu, var = arrival_moments(np.full((5, 1), 1000.0), taps)
+        draws = stationary_rows(_arrivals_statistical, 1000.0, taps, 100_000, 7)
+        se = np.sqrt(var[0] / draws.size)
+        assert abs(draws.mean() - mu[0]) < 3 * se
 
     def test_seeded_replay(self):
-        m = ArrivalMoments(100.0, 50.0)
-        a = [sample_arrival(m, np.random.default_rng(3)) for _ in range(1)]
-        b = [sample_arrival(m, np.random.default_rng(3)) for _ in range(1)]
-        assert a == b
+        emissions = np.full((50, 2), 100.0)
+        taps = cir(DEFAULTS).array
+        for engine in (_arrivals_statistical, _arrivals_binomial):
+            a = engine(emissions, taps, np.random.default_rng(3))
+            b = engine(emissions, taps, np.random.default_rng(3))
+            assert np.array_equal(a, b)
 
     def test_binomial_zero_history(self):
         rng = np.random.default_rng(0)
-        assert sample_arrival_binomial(np.zeros(5, dtype=int), cir(DEFAULTS), rng) == 0
+        assert not _arrivals_binomial(np.zeros((5, 1)), cir(DEFAULTS).array, rng).any()
 
     def test_binomial_single_molecule_is_bernoulli(self):
-        taps = Cir((0.3,))
-        rng = np.random.default_rng(2)
-        draws = [sample_arrival_binomial([1], taps, rng) for _ in range(20_000)]
-        assert set(draws) <= {0, 1}
+        draws = stationary_rows(_arrivals_binomial, 1.0, np.array([0.3]), 20_000, 2)
+        assert set(draws.tolist()) <= {0.0, 1.0}
         assert np.mean(draws) == pytest.approx(0.3, abs=0.01)
 
     def test_binomial_matches_moments(self):
-        taps = cir(DEFAULTS)
-        history = [1000, 1000, 1000, 1000, 1000]
-        m = arrival_moments(history, taps)
-        rng = np.random.default_rng(11)
-        draws = np.array([sample_arrival_binomial(history, taps, rng) for _ in range(100_000)])
-        se_mean = np.sqrt(m.var / draws.size)
-        assert abs(draws.mean() - m.mu) < 3 * se_mean
+        taps = cir(DEFAULTS).array
+        mu, var = arrival_moments(np.full((5, 1), 1000.0), taps)
+        draws = stationary_rows(_arrivals_binomial, 1000.0, taps, 100_000, 11)
+        se_mean = np.sqrt(var[0] / draws.size)
+        assert abs(draws.mean() - mu[0]) < 3 * se_mean
         # variance of the sample variance ~ 2 var^2 / n for near-Gaussian sums
-        se_var = m.var * np.sqrt(2.0 / draws.size)
-        assert abs(draws.var() - m.var) < 4 * se_var
-
-    def test_binomial_rejects_fractional_emissions(self):
-        with pytest.raises(ValueError):
-            sample_arrival_binomial([0.5], Cir((0.3,)), np.random.default_rng(0))
+        se_var = var[0] * np.sqrt(2.0 / draws.size)
+        assert abs(draws.var() - var[0]) < 4 * se_var
 
     def test_gaussian_binomial_distribution_agreement(self):
         # same first two moments within tight tolerances at Q >= 500
-        taps = cir(DEFAULTS)
-        history = [500, 500, 500, 500, 500]
-        m = arrival_moments(history, taps)
-        rng = np.random.default_rng(5)
-        gauss = np.array([sample_arrival(m, rng) for _ in range(100_000)])
-        binom = np.array([sample_arrival_binomial(history, taps, rng) for _ in range(100_000)])
-        assert abs(gauss.mean() - binom.mean()) / m.mu < 0.01
-        assert abs(gauss.var() - binom.var()) / m.var < 0.02
+        taps = cir(DEFAULTS).array
+        mu, var = arrival_moments(np.full((5, 1), 500.0), taps)
+        gauss = stationary_rows(_arrivals_statistical, 500.0, taps, 100_000, 5)
+        binom = stationary_rows(_arrivals_binomial, 500.0, taps, 100_000, 6)
+        assert abs(gauss.mean() - binom.mean()) / mu[0] < 0.01
+        assert abs(gauss.var() - binom.var()) / var[0] < 0.02

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mrsk import cli
 from mrsk.cli import (
     CSV_HEADER,
     ExperimentSpec,
@@ -18,6 +21,10 @@ def run(tmp_path, name, args):
     out = tmp_path / name
     rc = run_cli(args + ["-o", str(out)])
     return rc, out
+
+
+def refuse_call(*args, **kwargs):
+    raise AssertionError("the size check must run before any sampling")
 
 
 def data_lines(text: str) -> list[str]:
@@ -158,6 +165,30 @@ class TestErrors:
     def test_unknown_flag_exit_one(self, capsys):
         assert run_cli(["sweep", "--frobnicate", "1"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--samples", "--grid-points"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_pdf_sizes_must_be_positive(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "sample_ratio", refuse_call)
+        rc, out = run(tmp_path, "x.csv", ["pdf", flag, value])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, cap", [("--samples", "PDF_SAMPLES_CAP"), ("--grid-points", "PDF_GRID_POINTS_CAP")]
+    )
+    def test_pdf_size_caps_exit_two(self, tmp_path, capsys, monkeypatch, flag, cap):
+        # refused before anything is allocated: the sampler is never reached
+        monkeypatch.setattr(cli, "sample_ratio", refuse_call)
+        rc, out = run(tmp_path, "x.csv", ["pdf", flag, str(getattr(cli, cap) + 1)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert cap in err and str(getattr(cli, cap)) in err
+        assert not out.exists()
+
+    def test_pdf_caps_admit_the_largest_recipe(self):
+        assert cli.PDF_SAMPLES_CAP >= 1_000_000 and cli.PDF_GRID_POINTS_CAP >= 4001
+
 
 class TestConfigFile:
     def test_config_keys_and_flag_override(self, tmp_path):
@@ -223,3 +254,25 @@ class TestSpecSerialization:
     def test_rejects_foreign_lines(self):
         with pytest.raises(ValueError):
             ExperimentSpec.deserialize("param,value,scheme")
+
+    def test_empty_values_rejected(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            ExperimentSpec(subcommand="sweep", values=())
+
+    def test_flags_follow_the_dataclass(self):
+        names = [f.name for f in dataclasses.fields(ExperimentSpec)]
+        assert [name for name, _ in cli._SPEC_FLAGS] == [
+            n for n in names if n not in ("subcommand", "values")
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_any_spec(self, data):
+        words = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=12)
+        draws = {int: st.integers(), float: st.floats(allow_nan=False), str: words}
+        kwargs = {name: data.draw(draws[typ]) for name, typ in cli._SPEC_TYPES.items()}
+        kwargs["values"] = data.draw(
+            st.none() | st.lists(st.floats(allow_nan=False), min_size=1, max_size=5).map(tuple)
+        )
+        spec = ExperimentSpec(**kwargs)
+        assert ExperimentSpec.deserialize(spec.serialize()) == spec

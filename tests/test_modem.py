@@ -7,23 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mlsd_oracle import ScalarMlsdMetric, mlsd_exhaustive
 
-from mrsk.channel import ChannelParams, Cir, cir
+from mrsk.channel import ChannelParams, cir
 from mrsk.errors import CapacityError
 from mrsk.modem import (
-    DetectorStats,
     MrskConfig,
-    RatioSymbol,
-    ReceivedFrame,
     _viterbi_symbol_ids,
     average_molecules_per_bit,
     codewords,
-    decode_bits,
+    decode_indices_to_bits,
     detect_admc,
     detect_ftd,
     detect_mlsd,
-    encode_bits,
-    quantities,
+    encode_bits_to_indices,
     ratio_alphabet,
+    symbol_ids,
     symbol_index_combos,
     symbol_quantities,
     thresholds,
@@ -94,15 +91,20 @@ class TestThresholds:
         assert np.all(a[:-1] < e) and np.all(e < a[1:])
 
 
+def emission(row, config: MrskConfig) -> np.ndarray:
+    """Emission quantities of one 0-based index row."""
+    return symbol_quantities(config)[symbol_ids(row, config)]
+
+
 class TestCoding:
     def test_binary_bit_one_maps_to_upper_index(self):
         cfg = MrskConfig(N=2, M=1, coding="binary")
-        assert encode_bits([1], cfg)[0].indices == (2,)
-        assert encode_bits([0], cfg)[0].indices == (1,)
+        assert encode_bits_to_indices([1], cfg).tolist() == [[1]]
+        assert encode_bits_to_indices([0], cfg).tolist() == [[0]]
 
     def test_gray_m2_sequence(self):
         cfg = MrskConfig(N=2, M=2, coding="gray")
-        carried = [tuple(decode_bits([RatioSymbol((i,))], cfg)) for i in range(1, 5)]
+        carried = [tuple(decode_indices_to_bits([[i]], cfg)) for i in range(4)]
         assert carried == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
     def test_roundtrip_both_codings(self):
@@ -112,13 +114,43 @@ class TestCoding:
                 for coding in ("binary", "gray"):
                     cfg = MrskConfig(N=N, M=M, coding=coding)
                     bits = rng.integers(0, 2, size=cfg.bits_per_symbol * 40, dtype=np.uint8)
-                    assert np.array_equal(decode_bits(encode_bits(bits, cfg), cfg), bits)
+                    rows = encode_bits_to_indices(bits, cfg)
+                    assert np.array_equal(decode_indices_to_bits(rows, cfg), bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        N=st.integers(2, 5),
+        M=st.integers(1, 4),
+        coding=st.sampled_from(["binary", "gray"]),
+        n_symbols=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.sampled_from(["negative", "too-large"]),
+    )
+    def test_roundtrip_property_and_range(self, N, M, coding, n_symbols, seed, bad):
+        cfg = MrskConfig(N=N, M=M, coding=coding)
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=cfg.bits_per_symbol * n_symbols, dtype=np.uint8)
+        rows = encode_bits_to_indices(bits, cfg)
+        assert rows.shape == (n_symbols, N - 1)
+        assert rows.min() >= 0 and rows.max() < cfg.alphabet_size
+        assert np.array_equal(decode_indices_to_bits(rows, cfg), bits)
+        bad_id = -1 if bad == "negative" else cfg.alphabet_size
+        rows[rng.integers(n_symbols), rng.integers(N - 1)] = bad_id
+        with pytest.raises(ValueError, match="out of range"):
+            decode_indices_to_bits(rows, cfg)
+
+    def test_decode_rejects_out_of_range_ids(self):
+        cfg = MrskConfig(N=2, M=2)
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                decode_indices_to_bits([[bad]], cfg)
 
     def test_gray_differs_from_binary(self):
         cfg_b = MrskConfig(N=2, M=2, coding="binary")
         cfg_g = MrskConfig(N=2, M=2, coding="gray")
         bits = np.array([1, 0], dtype=np.uint8)
-        assert encode_bits(bits, cfg_b)[0] != encode_bits(bits, cfg_g)[0]
+        binary, gray = encode_bits_to_indices(bits, cfg_b), encode_bits_to_indices(bits, cfg_g)
+        assert not np.array_equal(binary, gray)
 
     def test_gray_adjacency(self):
         for M in (2, 3, 4):
@@ -131,25 +163,24 @@ class TestCoding:
 
     def test_length_must_divide(self):
         with pytest.raises(ValueError):
-            encode_bits([1, 0, 1], MrskConfig(N=2, M=2))
+            encode_bits_to_indices([1, 0, 1], MrskConfig(N=2, M=2))
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            encode_bits([0, 2], MrskConfig(N=2, M=1))
+            encode_bits_to_indices([0, 2], MrskConfig(N=2, M=1))
 
 
 class TestQuantities:
     def test_binary_symbols(self):
         cfg = MrskConfig(N=2, M=1, Q=1000.0)
-        up = quantities(encode_bits([1], cfg)[0], cfg)
-        down = quantities(encode_bits([0], cfg)[0], cfg)
-        assert up.quantities == pytest.approx((1000.0, 2718.2818284590453), rel=1e-12)
-        assert down.quantities == pytest.approx((1000.0, 367.87944117144233), rel=1e-12)
+        up = emission(encode_bits_to_indices([1], cfg)[0], cfg)
+        down = emission(encode_bits_to_indices([0], cfg)[0], cfg)
+        assert up == pytest.approx((1000.0, 2718.2818284590453), rel=1e-12)
+        assert down == pytest.approx((1000.0, 367.87944117144233), rel=1e-12)
 
     def test_cumulative_product(self):
         cfg = MrskConfig(N=3, M=1, Q=1000.0)
-        v = quantities(RatioSymbol((2, 2)), cfg)
-        assert v.quantities == pytest.approx(
+        assert emission([1, 1], cfg) == pytest.approx(
             (1000.0, 1000.0 * math.e, 1000.0 * math.e**2), rel=1e-12
         )
 
@@ -157,15 +188,14 @@ class TestQuantities:
         rng = np.random.default_rng(4)
         cfg = MrskConfig(N=4, M=2, Q=500.0)
         for _ in range(20):
-            sym = RatioSymbol(tuple(rng.integers(1, 5, size=3)))
-            q = quantities(sym, cfg).array
+            q = emission(rng.integers(0, 4, size=3), cfg)
             assert q[0] == cfg.Q
             assert np.all(q >= cfg.Q * cfg.Omega ** -(cfg.N - 1) - 1e-9)
             assert np.all(q <= cfg.Q * cfg.Omega ** (cfg.N - 1) + 1e-9)
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            quantities(RatioSymbol((1, 1)), MrskConfig(N=2, M=1))
+        with pytest.raises(ValueError, match="ratio indices"):
+            decode_indices_to_bits([[0, 0]], MrskConfig(N=2, M=1))
 
 
 class TestAverageMolecules:
@@ -192,81 +222,68 @@ class TestAverageMolecules:
 class TestFtd:
     def test_basic_buckets(self):
         cfg = MrskConfig(N=2, M=1)
-        frame = ReceivedFrame.from_counts([1000.0, 900.0], cfg)  # ratio 0.9
-        assert detect_ftd(frame, cfg).indices == (1,)
-        frame = ReceivedFrame.from_counts([1000.0, 2500.0], cfg)  # ratio 2.5
-        assert detect_ftd(frame, cfg).indices == (2,)
+        counts = np.array([[1000.0, 900.0], [1000.0, 2500.0]])  # ratios 0.9, 2.5
+        assert detect_ftd(counts, cfg)[0].tolist() == [0, 1]
 
     def test_boundary_goes_up(self):
         cfg = MrskConfig(N=2, M=1)
-        frame = ReceivedFrame.from_counts([1000.0, 1000.0], cfg)  # ratio exactly 1
-        assert detect_ftd(frame, cfg).indices == (2,)
+        assert detect_ftd(np.array([[1000.0, 1000.0]]), cfg)[0].tolist() == [1]  # ratio exactly 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
         cfg = MrskConfig(N=3, M=2)
-        for _ in range(50):
-            counts = rng.uniform(50.0, 5000.0, size=3)
-            base = detect_ftd(ReceivedFrame.from_counts(counts, cfg), cfg)
-            for c in (0.25, 3.0, 1234.5):
-                scaled = detect_ftd(ReceivedFrame.from_counts(c * counts, cfg), cfg)
-                assert scaled == base
+        counts = rng.uniform(50.0, 5000.0, size=(50, 3))
+        base, _ = detect_ftd(counts, cfg)
+        for c in (0.25, 3.0, 1234.5):
+            assert np.array_equal(detect_ftd(c * counts, cfg)[0], base)
 
     def test_degenerate_frame(self):
         cfg = MrskConfig(N=2, M=1)
-        stats = DetectorStats()
-        frame = ReceivedFrame.from_counts([0.0, 500.0], cfg)
-        assert frame.degenerate
-        assert detect_ftd(frame, cfg, stats).indices == (1,)
-        assert stats.degenerate_frames == 1
+        ids, degenerate = detect_ftd(np.array([[0.0, 500.0], [400.0, 2000.0]]), cfg)
+        assert ids.tolist() == [0, 1]
+        assert degenerate == 1
 
 
 class TestAdmc:
     def test_zero_second_tap_equals_ftd(self):
         cfg = MrskConfig(N=2, M=1)
-        taps = Cir((0.3, 0.0))
-        rng = np.random.default_rng(12)
-        prev = RatioSymbol((2,))
-        for _ in range(30):
-            frame = ReceivedFrame.from_counts(rng.uniform(100, 3000, size=2), cfg)
-            assert detect_admc(frame, prev, taps, cfg) == detect_ftd(frame, cfg)
+        taps = np.array([0.3, 0.0])
+        counts = np.random.default_rng(12).uniform(100, 3000, size=(30, 2))
+        assert np.array_equal(detect_admc(counts, cfg, taps)[0], detect_ftd(counts, cfg)[0])
 
     def test_first_symbol_equals_ftd(self):
         cfg = MrskConfig(N=2, M=1)
-        taps = cir(CH)
-        frame = ReceivedFrame.from_counts([400.0, 380.0], cfg)
-        assert detect_admc(frame, None, taps, cfg) == detect_ftd(frame, cfg)
+        counts = np.array([[400.0, 380.0]])
+        ids, _, _ = detect_admc(counts, cfg, cir(CH).array)
+        assert ids.tolist() == detect_ftd(counts, cfg)[0].tolist()
 
     def test_exact_interference_cancellation(self):
-        # counts at the exact two-tap means: previous symbol carried ratio e,
-        # current carries 1/e; the adjusted ratio recovers 1/e exactly
+        # counts at the exact two-tap means: the previous symbol (decided
+        # from the row before) carried ratio e, the current carries 1/e; the
+        # adjusted ratio recovers 1/e exactly
         cfg = MrskConfig(N=2, M=1, Q=1000.0)
-        taps = cir(CH)
-        p1, p2 = taps.p_hit[0], taps.p_hit[1]
-        prev_qty = quantities(RatioSymbol((2,)), cfg).array
-        cur_qty = quantities(RatioSymbol((1,)), cfg).array
+        taps = cir(CH).array
+        p1, p2 = taps[0], taps[1]
+        prev_qty, cur_qty = emission([1], cfg), emission([0], cfg)
         counts = p1 * cur_qty + p2 * prev_qty
-        frame = ReceivedFrame.from_counts(counts, cfg)
         raw_ratio = counts[1] / counts[0]
         adjusted = counts - p2 * prev_qty
         assert adjusted[1] / adjusted[0] == pytest.approx(math.exp(-1), rel=1e-12)
         assert abs(adjusted[1] / adjusted[0] - math.exp(-1)) < abs(raw_ratio - math.exp(-1))
-        assert detect_admc(frame, RatioSymbol((2,)), taps, cfg).indices == (1,)
+        ids, _, clamps = detect_admc(np.vstack([p1 * prev_qty, counts]), cfg, taps)
+        assert ids.tolist() == [1, 0] and clamps == 0
 
     def test_clamp_counted(self):
         cfg = MrskConfig(N=2, M=1, Q=1000.0)
-        taps = cir(CH)
-        stats = DetectorStats()
-        frame = ReceivedFrame.from_counts([10.0, 10.0], cfg)
-        detect_admc(frame, RatioSymbol((2,)), taps, cfg, stats)
-        assert stats.admc_clamps > 0
+        taps = cir(CH).array
+        counts = np.vstack([taps[0] * emission([1], cfg), [10.0, 10.0]])
+        ids, _, clamps = detect_admc(counts, cfg, taps)
+        assert ids[0] == 1 and clamps > 0
 
     def test_requires_memory(self):
         cfg = MrskConfig(N=2, M=1)
         with pytest.raises(ValueError):
-            detect_admc(
-                ReceivedFrame.from_counts([1.0, 1.0], cfg), None, Cir((0.3,)), cfg
-            )
+            detect_admc(np.ones((1, 2)), cfg, np.array([0.3]))
 
     def test_equalizes_ratio_residuals(self):
         # over 10^4 symbols at the default link, cancelling the one-tap
@@ -286,16 +303,10 @@ class TestAdmc:
         counts = mu + np.sqrt(var) * rng.standard_normal(emissions.shape)
         raw_residual = counts[:, 1] / counts[:, 0] - alphabet[idx0]
 
-        adj_residual = np.empty(n)
-        prev = None
-        for k in range(n):
-            frame = ReceivedFrame.from_counts(counts[k], cfg)
-            c = counts[k].copy()
-            if prev is not None:
-                c = c - taps[1] * quantities(prev, cfg).array
-            c = np.maximum(c, cfg.denom_eps)
-            adj_residual[k] = c[1] / c[0] - alphabet[idx0[k]]
-            prev = detect_admc(frame, prev, cir(ch), cfg)
+        ids, _, _ = detect_admc(counts, cfg, taps)
+        previous = np.vstack([np.zeros(2), symbol_quantities(cfg)[ids[:-1]]])
+        c = np.maximum(counts - taps[1] * previous, cfg.denom_eps)
+        adj_residual = c[:, 1] / c[:, 0] - alphabet[idx0]
         assert adj_residual.var() <= raw_residual.var()
 
 
@@ -306,14 +317,8 @@ class TestMlsd:
         for hist in itertools.product(range(2), repeat=4):
             z = exact_mean_ratios(list(hist), cfg, taps)
             ids = _viterbi_symbol_ids(z, cfg, taps)
-            ftd_ids = [
-                detect_ftd(
-                    ReceivedFrame.from_counts([1.0, float(r)], cfg), cfg
-                ).indices[0]
-                - 1
-                for r in z[:, 0]
-            ]
-            assert ids == ftd_ids == list(hist)
+            ftd_ids, _ = detect_ftd(np.column_stack([np.ones(len(z)), z[:, 0]]), cfg)
+            assert ids == ftd_ids.tolist() == list(hist)
 
     def test_noiseless_recovery_all_histories(self):
         cfg = MrskConfig(N=2, M=1)
@@ -373,28 +378,35 @@ class TestMlsd:
 
     def test_returns_ratio_symbols(self):
         cfg = MrskConfig(N=2, M=1)
-        taps = cir(ChannelParams(Ts=0.5, L=3))
-        frames = [ReceivedFrame.from_counts([300.0, 900.0], cfg) for _ in range(4)]
-        out = detect_mlsd(frames, cfg, taps)
-        assert len(out) == 4 and all(isinstance(s, RatioSymbol) for s in out)
+        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        ids, degenerate = detect_mlsd(np.tile([300.0, 900.0], (4, 1)), cfg, taps)
+        assert ids.shape == (4,) and ids.dtype.kind == "i" and degenerate == 0
+        assert set(ids.tolist()) <= set(range(cfg.symbol_count))
 
     def test_state_cap_refusal_names_requirement(self):
         cfg = MrskConfig(N=4, M=3)
-        taps = cir(ChannelParams(Ts=0.5, L=5))
-        frames = np.ones((2, 3))
+        taps = cir(ChannelParams(Ts=0.5, L=5)).array
+        counts = np.ones((2, 4))
         with pytest.raises(CapacityError, match=str(cfg.symbol_count ** 4)):
-            detect_mlsd(frames, cfg, taps, state_cap=1 << 16)
+            detect_mlsd(counts, cfg, taps, state_cap=1 << 16)
 
-    def test_window_limit_enforced(self):
-        cfg = MrskConfig(N=2, M=1, mlsd_window=2)
-        taps = cir(ChannelParams(Ts=0.5, L=3))
-        with pytest.raises(ValueError):
-            detect_mlsd(np.ones((3, 1)), cfg, taps)
+    def test_window_chunks_are_independent_searches(self):
+        # mlsd_window is the chunk length: each chunk of rows is its own
+        # cold-start trellis search
+        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        counts = np.random.default_rng(61).uniform(50.0, 1500.0, size=(23, 2))
+        ratios = counts[:, 1:] / counts[:, :-1]
+        for window in (1, 2, 5, 7, 23, 40, 1 << 20):
+            cfg = MrskConfig(N=2, M=1, mlsd_window=window)
+            expected = []
+            for start in range(0, len(counts), window):
+                expected += _viterbi_symbol_ids(ratios[start : start + window], cfg, taps)
+            assert detect_mlsd(counts, cfg, taps)[0].tolist() == expected
 
 
 class TestEndToEnd:
     def test_noiseless_identity_memoryless(self):
-        # encode -> quantities -> exact arrival means -> detect -> decode
+        # encode -> symbol ids -> emissions -> exact arrival means -> detect -> decode
         rng = np.random.default_rng(77)
         ch = ChannelParams(Ts=1.0, L=1)
         p1 = cir(ch).p_hit[0]
@@ -402,12 +414,10 @@ class TestEndToEnd:
             for M in (1, 2, 3):
                 cfg = MrskConfig(N=N, M=M)
                 bits = rng.integers(0, 2, size=cfg.bits_per_symbol * 25, dtype=np.uint8)
-                symbols = encode_bits(bits, cfg)
-                detected = []
-                for sym in symbols:
-                    counts = p1 * quantities(sym, cfg).array
-                    detected.append(detect_ftd(ReceivedFrame.from_counts(counts, cfg), cfg))
-                assert np.array_equal(decode_bits(detected, cfg), bits)
+                ids = symbol_ids(encode_bits_to_indices(bits, cfg), cfg)
+                detected, _ = detect_ftd(p1 * symbol_quantities(cfg)[ids], cfg)
+                rows = symbol_index_combos(cfg)[detected]
+                assert np.array_equal(decode_indices_to_bits(rows, cfg), bits)
 
     def test_symbol_table_order_matches_combos(self):
         cfg = MrskConfig(N=3, M=2)
@@ -415,7 +425,10 @@ class TestEndToEnd:
         alphabet = ratio_alphabet(cfg)
         qty = symbol_quantities(cfg)
         for sid in (0, 5, 13, 15):
-            sym = RatioSymbol(tuple(int(i) + 1 for i in combos[sid]))
-            assert quantities(sym, cfg).array == pytest.approx(qty[sid], rel=1e-14)
+            ratios = alphabet[combos[sid]]
+            expected = cfg.Q * np.array([1.0, ratios[0], ratios[0] * ratios[1]])
+            assert qty[sid] == pytest.approx(expected, rel=1e-14)
         assert combos.shape == (16, 2)
         assert np.all(alphabet[combos[0]] == alphabet[0])
+        assert combos[6].tolist() == [1, 2]  # first ratio position most significant
+        assert np.array_equal(symbol_ids(combos, cfg), np.arange(16))

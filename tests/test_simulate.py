@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrsk import simulate
+from mlsd_oracle import mlsd_exhaustive
+
+from mrsk import modem, simulate
 from mrsk.analysis import ftd_ber
 from mrsk.channel import ChannelParams, arrival_moments, cir
 from mrsk.errors import CapacityError
-from mrsk.modem import MrskConfig, ratio_alphabet, thresholds
+from mrsk.modem import (
+    MrskConfig,
+    detect_admc,
+    detect_ftd,
+    detect_mlsd,
+    ratio_alphabet,
+    symbol_index_combos,
+    thresholds,
+)
 from mrsk.simulate import (
     BerCurve,
     BerEstimate,
@@ -27,6 +37,19 @@ from mrsk.simulate import (
 
 CH = ChannelParams(Ts=0.5, L=5)
 CFG = MrskConfig()
+
+
+def ftd_reference(counts: np.ndarray, config: MrskConfig):
+    """Per-row FTD loop: (detected indices, degenerate rows)."""
+    edges, eps = thresholds(config), config.denom_eps
+    out = np.zeros((counts.shape[0], config.N - 1), dtype=np.int64)
+    degenerate = 0
+    for k, c in enumerate(counts):
+        if np.any(c[:-1] <= eps):
+            degenerate += 1
+        else:
+            out[k] = np.searchsorted(edges, c[1:] / c[:-1], side="right")
+    return out, degenerate
 
 
 def admc_reference(counts: np.ndarray, config: MrskConfig, taps: np.ndarray):
@@ -201,49 +224,32 @@ class TestEngines:
 
 class TestDetectorPathEquivalence:
     def test_bulk_ftd_matches_public_detector(self):
-        from mrsk.modem import ReceivedFrame, detect_ftd
-        from mrsk.simulate import _detect_ftd_bulk
-
         cfg = MrskConfig(N=3, M=2)
         rng = np.random.default_rng(55)
         counts = rng.uniform(-5.0, 4000.0, size=(300, 3))
-        bulk, _ = _detect_ftd_bulk(counts.copy(), cfg)
-        for k in range(300):
-            sym = detect_ftd(ReceivedFrame.from_counts(counts[k], cfg), cfg)
-            assert tuple(int(i) + 1 for i in bulk[k]) == sym.indices
+        ids, degenerate = detect_ftd(counts.copy(), cfg)
+        ref, ref_degenerate = ftd_reference(counts, cfg)
+        assert np.array_equal(symbol_index_combos(cfg)[ids], ref)
+        assert degenerate == ref_degenerate > 0
 
     def test_bulk_admc_matches_public_detector(self):
-        from mrsk.modem import ReceivedFrame, detect_admc
-        from mrsk.simulate import _detect_admc_bulk
-
         cfg = MrskConfig(N=2, M=1)
-        taps = cir(CH)
+        taps = cir(CH).array
         rng = np.random.default_rng(56)
         counts = rng.uniform(1.0, 1500.0, size=(300, 2))
-        bulk, _, _ = _detect_admc_bulk(counts.copy(), cfg, taps.array)
-        prev = None
-        for k in range(300):
-            sym = detect_admc(ReceivedFrame.from_counts(counts[k], cfg), prev, taps, cfg)
-            assert tuple(int(i) + 1 for i in bulk[k]) == sym.indices
-            prev = sym
+        ids, _, _ = detect_admc(counts.copy(), cfg, taps)
+        ref, _ = admc_reference(counts, cfg, taps)
+        assert np.array_equal(symbol_index_combos(cfg)[ids], ref)
 
     def test_bulk_admc_counters_match_public_detector(self):
-        from mrsk.modem import DetectorStats, ReceivedFrame, detect_admc
-        from mrsk.simulate import _detect_admc_bulk
-
         cfg = MrskConfig(N=3, M=1)
-        taps = cir(ChannelParams(Ts=0.1, L=3))
+        taps = cir(ChannelParams(Ts=0.1, L=3)).array
         rng = np.random.default_rng(58)
         counts = rng.uniform(-20.0, 1500.0, size=(400, 3))
-        _, degenerate, clamps = _detect_admc_bulk(counts.copy(), cfg, taps.array)
-        stats = DetectorStats()
-        raw_degenerate = 0
-        prev = None
-        for k in range(400):
-            frame = ReceivedFrame.from_counts(counts[k], cfg)
-            raw_degenerate += frame.degenerate
-            prev = detect_admc(frame, prev, taps, cfg, stats)
-        assert clamps == stats.admc_clamps > 0
+        _, degenerate, clamps = detect_admc(counts.copy(), cfg, taps)
+        _, ref_clamps = admc_reference(counts, cfg, taps)
+        raw_degenerate = sum(bool(np.any(c[:-1] <= cfg.denom_eps)) for c in counts)
+        assert clamps == ref_clamps > 0
         assert degenerate == raw_degenerate > 0
 
     @settings(max_examples=80, deadline=None)
@@ -267,27 +273,25 @@ class TestDetectorPathEquivalence:
         eps = cfg.denom_eps
         spikes = rng.random((n, N)) < 0.15
         counts[spikes] = rng.choice([0.0, eps, -eps, 0.5 * eps, 2.0 * eps], size=int(spikes.sum()))
-        with mock.patch.object(simulate, "_block_rows", lambda floats_per_row: block):
-            ids, degenerate, clamps = simulate._detect_admc_bulk(counts, cfg, taps)
+        with mock.patch.object(modem, "_block_rows", lambda floats_per_row: block):
+            ids, degenerate, clamps = detect_admc(counts, cfg, taps)
         ref_ids, ref_clamps = admc_reference(counts, cfg, taps)
-        assert np.array_equal(ids, ref_ids)
+        assert np.array_equal(symbol_index_combos(cfg)[ids], ref_ids)
         assert clamps == ref_clamps
         assert degenerate == int(np.any(counts[:, :-1] <= eps, axis=1).sum())
 
     def test_bulk_mlsd_matches_public_detector(self):
-        from mrsk.modem import ReceivedFrame, detect_mlsd
-        from mrsk.simulate import _detect_mlsd_bulk
-
-        cfg = MrskConfig(N=2, M=1)
-        ch = ChannelParams(Ts=0.5, L=3)
-        taps = cir(ch)
+        # 40 rows in chunks of 5: each chunk against the exhaustive search
+        cfg = MrskConfig(N=2, M=1, mlsd_window=5)
+        taps = cir(ChannelParams(Ts=0.5, L=3)).array
         rng = np.random.default_rng(57)
         counts = rng.uniform(50.0, 1500.0, size=(40, 2))
-        bulk, _ = _detect_mlsd_bulk(counts.copy(), cfg, taps.array)
-        frames = [ReceivedFrame.from_counts(c, cfg) for c in counts]
-        symbols = detect_mlsd(frames, cfg, taps)
-        for k in range(40):
-            assert tuple(int(i) + 1 for i in bulk[k]) == symbols[k].indices
+        ids, degenerate = detect_mlsd(counts.copy(), cfg, taps)
+        ratios = counts[:, 1:] / counts[:, :-1]
+        expected = []
+        for start in range(0, 40, 5):
+            expected += mlsd_exhaustive(ratios[start : start + 5], cfg, taps)
+        assert ids.tolist() == expected and degenerate == 0
 
 
 class TestParticle:
@@ -325,18 +329,15 @@ class TestParticle:
     def test_interval_counts_match_moments(self):
         # per-interval tallies against the FIR moments at 10^4 molecules
         ch = ChannelParams(Ts=0.5, L=3)
-        taps = cir(ch)
+        taps = cir(ch).array
         rng = np.random.default_rng(7)
         from mrsk.simulate import _arrivals_particle
 
         emissions = np.full((3, 2), 10_000.0)
         counts = _arrivals_particle(emissions, ch, 1e-3, rng)
         for k in range(3):
-            history = np.zeros((3, 2))
-            history[-(k + 1) :] = emissions[: k + 1]
-            for typ in range(2):
-                mu = arrival_moments(history[:, typ], taps).mu
-                assert counts[k, typ] == pytest.approx(mu, rel=0.05)
+            mu, _ = arrival_moments(emissions[: k + 1], taps)
+            assert counts[k] == pytest.approx(mu, rel=0.05)
 
     def test_release_validation(self):
         state = new_particle_state(CH, 1)
