@@ -10,7 +10,7 @@ worker count never enters the spec because it never changes a result.
 Flags override keys from an optional flat ``key=value`` config file.
 When no output path is given, files land in ``$MRSK_OUT_DIR`` (or the
 working directory).  Exit codes: 0 success, 1 usage or I/O error,
-2 capability refusal (sequence, trellis or pdf size cap exceeded).
+2 capability refusal (sequence, trellis, pdf size or worker cap exceeded).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .ratio_stats import (
     sample_ratio,
     solid_ratio_pdf,
 )
-from .simulate import BerCurve, BerEstimate, SimConfig, run_link, sweep
+from .simulate import BerCurve, BerEstimate, SimConfig, child_seed, run_link, sweep
 
 __all__ = ["run_cli", "main", "write_csv", "replay_csv", "ExperimentSpec"]
 
@@ -59,6 +59,8 @@ OUT_DIR_ENV = "MRSK_OUT_DIR"
 # per-point CSV rows grow linearly (about 50 bytes per sample, 200 per point)
 PDF_SAMPLES_CAP = 10_000_000
 PDF_GRID_POINTS_CAP = 100_000
+# a larger --workers is a typo: the pool never exceeds the frame or core count
+WORKERS_CAP = 256
 
 _SUBCOMMANDS = ("pdf", "ber-analytic", "ber-sim", "ber-particle", "compare", "sweep")
 
@@ -332,11 +334,7 @@ def _run_compare(spec: ExperimentSpec) -> str:
             base_channel,
             t_b,
             n_symbols=spec.bits,
-            seed=int(
-                np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,)).generate_state(
-                    1, np.uint64
-                )[0]
-            ),
+            seed=child_seed(spec.seed, i),
         )
         est = BerEstimate.from_counts(errors, n)
         lines.append(_estimate_row(spec.param, value, "rtsk", spec.rtsk_detector, "-", est))
@@ -455,6 +453,10 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.workers < 1:
+            raise CliError(f"--workers must be positive, got {args.workers}")
+        if args.workers > WORKERS_CAP:
+            raise CapacityError(f"--workers {args.workers} exceeds the cap WORKERS_CAP = {WORKERS_CAP}")
         spec = _resolve_spec(args)
         text = run_spec(spec, workers=args.workers)
         out = Path(args.output) if args.output else _default_output(args.subcommand)

@@ -352,38 +352,45 @@ def _branch_metrics(z: np.ndarray, consts: np.ndarray, config: MrskConfig) -> np
     return total
 
 
-def _viterbi_symbol_ids(
-    ratios: np.ndarray,
-    config: MrskConfig,
-    taps: np.ndarray,
-    state_cap: int = 1 << 16,
-) -> list[int]:
-    """Viterbi search over symbol ids for a (T, N-1) ratio array.
-
-    A state is the mixed-radix index of the last L-1 ids, oldest most
-    significant, so window w = state * S + id.  Ties go to the lowest
-    predecessor and, at the end, to the lowest state.
-    """
-    L, S, T = len(taps), config.symbol_count, ratios.shape[0]
-    n_states = S ** (L - 1)
+def _trellis_constants(config: MrskConfig, taps: np.ndarray, state_cap: int = 1 << 16) -> list:
+    """The window constants for n = 1..L ids, after the trellis-size refusal."""
+    n_states = config.symbol_count ** (len(taps) - 1)
     if n_states > state_cap:
         raise CapacityError(
             f"sequence detection needs {n_states} trellis states "
             f"(2^(M(N-1)(L-1))), exceeding the configured cap of {state_cap}; "
             f"raise state_cap to at least {n_states} or reduce N, M or L"
         )
+    return [_window_constants(config, taps, n) for n in range(1, len(taps) + 1)]
+
+
+def _viterbi_symbol_ids(
+    ratios: np.ndarray,
+    config: MrskConfig,
+    taps: np.ndarray,
+    consts: list[np.ndarray] | None = None,
+) -> list[int]:
+    """Viterbi search over symbol ids for a (T, N-1) ratio array.
+
+    A state is the mixed-radix index of the last L-1 ids, oldest most
+    significant, so window w = state * S + id.  Ties go to the lowest
+    predecessor and, at the end, to the lowest state.  ``consts`` are the
+    :func:`_trellis_constants`, built here when not given.
+    """
+    consts = consts or _trellis_constants(config, taps)
+    L, S, T = len(taps), config.symbol_count, ratios.shape[0]
+    n_states = S ** (L - 1)
     mem = min(L - 1, T)
     scores = np.zeros(1)
     for k in range(mem):  # cold start: k ids so far, so S^k states
-        bm = _branch_metrics(ratios[k : k + 1], _window_constants(config, taps, k + 1), config)
+        bm = _branch_metrics(ratios[k : k + 1], consts[k], config)
         scores = (scores[:, None] + bm.reshape(-1, S)).reshape(-1)
 
     # add-compare-select: candidate (oldest id o, new state n) is window o * n_states + n
-    consts = _window_constants(config, taps, L)
     back = np.empty((T, n_states), dtype=np.min_scalar_type(S - 1))
     block = _block_rows(8 * S**L)
     for start in range(mem, T, block):
-        bm = _branch_metrics(ratios[start : start + block], consts, config)
+        bm = _branch_metrics(ratios[start : start + block], consts[-1], config)
         for k, row in enumerate(bm, start):
             cand = (scores[:, None] + row.reshape(n_states, S)).reshape(S, n_states)
             back[k] = cand.argmax(axis=0)
@@ -413,8 +420,9 @@ def detect_mlsd(
     before its first symbol carry zero emissions.
     """
     ratios, degenerate = _ratios(counts, config)
+    consts = _trellis_constants(config, taps, state_cap)
     ids: list[int] = []
     for start in range(0, counts.shape[0], config.mlsd_window):
         chunk = ratios[start : start + config.mlsd_window]
-        ids += _viterbi_symbol_ids(chunk, config, taps, state_cap)
+        ids += _viterbi_symbol_ids(chunk, config, taps, consts)
     return np.array(ids, dtype=np.int64), int(degenerate.sum())

@@ -6,10 +6,12 @@ per-tap binomial counts, and ``particle`` integrates every molecule's
 Brownian path against the absorbing receiver.  A frame encodes random
 bits to symbol ids, emits them (optionally rotating molecule roles),
 draws arrivals, hands the (K, N) counts to a :mod:`mrsk.modem` detector
-and counts bit errors per ratio position.  Bit streams are split
-into fixed-size frames with independently derived random streams, so
-results are bit-for-bit reproducible for a given seed no matter how the
-frames are scheduled across workers.
+and counts bit errors per ratio position.  Bit streams are split into
+fixed-size frames with independently derived random streams.  One call
+of :func:`run_link` or a simulated :func:`sweep` builds each link's tables
+once and queues the frames of all its points together on one process pool
+(in-process at one worker); per-link sums in frame order make the results
+bit-for-bit reproducible for a seed at any worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal
 
 from .channel import ChannelParams, cir
 from .errors import CapacityError
@@ -48,6 +49,7 @@ __all__ = [
     "particle_step",
     "particle_hit_fraction",
     "ber_confidence",
+    "child_seed",
     "SWEEPABLE_PARAMS",
 ]
 
@@ -293,8 +295,9 @@ def _arrivals_particle(
 def _arrivals_statistical(
     emissions: np.ndarray, taps: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    mu = signal.lfilter(taps, [1.0], emissions, axis=0)
-    var = signal.lfilter(taps * (1.0 - taps), [1.0], emissions, axis=0)
+    def fir(b):  # cold-start FIR per molecule column, bit for bit lfilter(b, [1.0], ., axis=0)
+        return np.stack([np.convolve(b, col)[: len(emissions)] for col in emissions.T], axis=1)
+    mu, var = fir(taps), fir(taps * (1.0 - taps))
     return mu + np.sqrt(var) * rng.standard_normal(emissions.shape)
 
 
@@ -315,21 +318,22 @@ def _simulate_frame(
     mrsk: MrskConfig,
     channel: ChannelParams,
     sim: SimConfig,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     frame_index: int,
     n_symbols: int,
 ) -> tuple[int, int, int, int]:
     """Simulate one independent frame; returns (errors, bits, degenerate, ADMC clamps)."""
+    quantities, taps, combos, hamming = tables
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
     idx0 = encode_bits_to_indices(bits, mrsk)
-    emissions = np.take(symbol_quantities(mrsk), symbol_ids(idx0, mrsk), axis=0)
+    emissions = np.take(quantities, symbol_ids(idx0, mrsk), axis=0)
     if mrsk.rotate_roles:
         shifts = np.arange(n_symbols) % mrsk.N
         for s in range(1, mrsk.N):
             rows = shifts == s
             emissions[rows] = np.roll(emissions[rows], s, axis=1)
 
-    taps = cir(channel).array
     if sim.engine == "statistical":
         counts = _arrivals_statistical(emissions, taps, rng)
     elif sim.engine == "binomial":
@@ -351,9 +355,63 @@ def _simulate_frame(
         det_ids, degenerate = detect_mlsd(counts, mrsk, taps)
 
     # bit errors per ratio position, as flat takes (2-D fancy indexing is slower)
-    pairs = idx0 * mrsk.alphabet_size + np.take(symbol_index_combos(mrsk), det_ids, axis=0)
-    errors = int(np.take(hamming_table(mrsk.M, mrsk.coding).ravel(), pairs).sum())
+    pairs = idx0 * mrsk.alphabet_size + np.take(combos, det_ids, axis=0)
+    errors = int(np.take(hamming, pairs).sum())
     return errors, bits.size, degenerate, clamps
+
+
+def _run_links(
+    links: list[tuple[MrskConfig, ChannelParams, SimConfig]], workers: int
+) -> list[BerEstimate]:
+    """One estimate per (mrsk, channel, sim) link; all their frames share one queue."""
+    owners, jobs = [], []
+    for link, (mrsk, channel, sim) in enumerate(links):
+        if sim.n_bits > sim.trials_cap:
+            raise CapacityError(
+                f"requested {sim.n_bits} bits exceeds trials_cap={sim.trials_cap}; "
+                f"raise the cap to at least {sim.n_bits}"
+            )
+        tables = (
+            symbol_quantities(mrsk),
+            cir(channel).array,
+            symbol_index_combos(mrsk),
+            hamming_table(mrsk.M, mrsk.coding).ravel(),
+        )
+        n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
+        frame_symbols = sim.frame_symbols
+        if sim.engine == "particle":
+            frame_symbols = min(frame_symbols, _PARTICLE_FRAME_CAP)
+        for index, start in enumerate(range(0, n_symbols, frame_symbols)):
+            owners.append(link)
+            jobs.append((mrsk, channel, sim, tables, index, min(frame_symbols, n_symbols - start)))
+
+    # results do not depend on the worker count: start no more processes than frames or cores
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(jobs) // (8 * workers))  # ~8 chunks a worker: balance vs IPC
+            results = list(pool.map(_simulate_frame, *zip(*jobs), chunksize=chunk))
+    else:
+        results = [_simulate_frame(*job) for job in jobs]
+
+    totals = np.zeros((len(links), 4), dtype=np.int64)
+    np.add.at(totals, owners, results)
+    estimates = []
+    for (mrsk, channel, sim), (errors, bits, degenerate, clamps) in zip(links, totals.tolist()):
+        notes: tuple[str, ...] = ()
+        if sim.engine == "particle":
+            step_rms = math.sqrt(2.0 * channel.D * sim.particle_dt)
+            if step_rms > channel.r / 5.0:
+                notes = (
+                    f"particle step rms {step_rms:.3g} um exceeds r/5 = {channel.r / 5.0:.3g} um; "
+                    "absorption accuracy degrades at this dt",
+                )
+        estimates.append(
+            BerEstimate.from_counts(
+                errors, bits, degenerate_frames=degenerate, admc_clamps=clamps, notes=notes
+            )
+        )
+    return estimates
 
 
 def run_link(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> BerEstimate:
@@ -365,53 +423,7 @@ def run_link(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> BerEst
     bursts (cold channel at each frame start), so partial results add
     associatively and the estimate is identical for any worker count.
     """
-    if sim.n_bits > sim.trials_cap:
-        raise CapacityError(
-            f"requested {sim.n_bits} bits exceeds trials_cap={sim.trials_cap}; "
-            f"raise the cap to at least {sim.n_bits}"
-        )
-    bps = mrsk.bits_per_symbol
-    n_symbols = -(-sim.n_bits // bps)
-    frame_symbols = sim.frame_symbols
-    if sim.engine == "particle":
-        frame_symbols = min(frame_symbols, _PARTICLE_FRAME_CAP)
-    frames = []
-    start = 0
-    while start < n_symbols:
-        size = min(frame_symbols, n_symbols - start)
-        frames.append((len(frames), size))
-        start += size
-
-    notes: tuple[str, ...] = ()
-    if sim.engine == "particle":
-        step_rms = math.sqrt(2.0 * channel.D * sim.particle_dt)
-        if step_rms > channel.r / 5.0:
-            notes = (
-                f"particle step rms {step_rms:.3g} um exceeds r/5 = {channel.r / 5.0:.3g} um; "
-                "absorption accuracy degrades at this dt",
-            )
-
-    # results do not depend on the worker count: start no more processes than frames or cores
-    workers = min(sim.workers, len(frames), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _simulate_frame,
-                    [mrsk] * len(frames),
-                    [channel] * len(frames),
-                    [sim] * len(frames),
-                    [i for i, _ in frames],
-                    [n for _, n in frames],
-                )
-            )
-    else:
-        results = [_simulate_frame(mrsk, channel, sim, i, n) for i, n in frames]
-
-    errors, bits, degenerate, clamps = (sum(column) for column in zip(*results))
-    return BerEstimate.from_counts(
-        errors, bits, degenerate_frames=degenerate, admc_clamps=clamps, notes=notes
-    )
+    return _run_links([(mrsk, channel, sim)], sim.workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +431,8 @@ def run_link(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> BerEst
 # ---------------------------------------------------------------------------
 
 
-def _child_seed(seed: int, index: int) -> int:
+def child_seed(seed: int, index: int) -> int:
+    """The seed of point ``index`` of a run seeded with ``seed``."""
     return int(
         np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]
     )
@@ -469,25 +482,22 @@ def sweep(
     by the base channel and modem configuration.
     """
     values = list(values)
-    if param_name not in SWEEPABLE_PARAMS:
-        raise ValueError(
-            f"unknown sweep parameter {param_name!r}; valid names: {', '.join(SWEEPABLE_PARAMS)}"
-        )
     if not values:
         raise ValueError("sweep needs at least one value")
     engine = engine or sim.engine
     if t_b is None:
         t_b = channel.Ts / mrsk.bits_per_symbol
-    estimates = []
-    for i, value in enumerate(values):
-        m, ch = _configs_for(param_name, value, mrsk, channel, t_b)
-        if engine == "analytic":
-            if m.detector != "ftd":
-                raise ValueError("the analytic path covers the fixed-threshold detector only")
-            estimates.append(BerEstimate.exact(ftd_ber(m, ch).ber))
-        else:
-            sim_i = replace(sim, engine=engine, seed=_child_seed(sim.seed, i))
-            estimates.append(run_link(m, ch, sim_i))
+    points = [_configs_for(param_name, value, mrsk, channel, t_b) for value in values]
+    if engine == "analytic":
+        if mrsk.detector != "ftd":
+            raise ValueError("the analytic path covers the fixed-threshold detector only")
+        estimates = [BerEstimate.exact(ftd_ber(m, ch).ber) for m, ch in points]
+    else:
+        links = [
+            (m, ch, replace(sim, engine=engine, seed=child_seed(sim.seed, i)))
+            for i, (m, ch) in enumerate(points)
+        ]
+        estimates = _run_links(links, sim.workers)
     return BerCurve(
         param_name=param_name,
         param_values=tuple(float(v) for v in values),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrsk import cli
+from mrsk import cli, simulate
 from mrsk.cli import (
     CSV_HEADER,
     ExperimentSpec,
@@ -185,6 +185,26 @@ class TestErrors:
         err = capsys.readouterr().err
         assert cap in err and str(getattr(cli, cap)) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", refuse_call)
+        rc, out = run(tmp_path, "x.csv", ["ber-sim", "--bits", "1000", "--workers", workers])
+        assert rc == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_cap_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", refuse_call)
+        too_many = str(cli.WORKERS_CAP + 1)
+        rc, out = run(tmp_path, "x.csv", ["ber-sim", "--bits", "1000", "--workers", too_many])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "WORKERS_CAP" in err and str(cli.WORKERS_CAP) in err
+        assert not out.exists()
+        # the cap itself is admitted
+        rc, _ = run(tmp_path, "y.csv", ["ber-analytic", "--workers", str(cli.WORKERS_CAP)])
+        assert rc == 0
 
     def test_pdf_caps_admit_the_largest_recipe(self):
         assert cli.PDF_SAMPLES_CAP >= 1_000_000 and cli.PDF_GRID_POINTS_CAP >= 4001

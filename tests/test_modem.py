@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mlsd_oracle import ScalarMlsdMetric, mlsd_exhaustive
 
+from mrsk import modem
 from mrsk.channel import ChannelParams, cir
 from mrsk.errors import CapacityError
 from mrsk.modem import (
@@ -402,6 +403,17 @@ class TestMlsd:
             for start in range(0, len(counts), window):
                 expected += _viterbi_symbol_ids(ratios[start : start + window], cfg, taps)
             assert detect_mlsd(counts, cfg, taps)[0].tolist() == expected
+
+    def test_window_constants_built_once_per_call(self, monkeypatch):
+        built = []
+        original = modem._window_constants
+        monkeypatch.setattr(
+            modem, "_window_constants", lambda *a: built.append(a[2]) or original(*a)
+        )
+        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        counts = np.random.default_rng(62).uniform(50.0, 1500.0, size=(23, 2))
+        detect_mlsd(counts, MrskConfig(N=2, M=1, mlsd_window=2), taps)
+        assert built == [1, 2, 3]
 
 
 class TestEndToEnd:

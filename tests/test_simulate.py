@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal
 
 from mlsd_oracle import mlsd_exhaustive
 
+import mrsk
 from mrsk import modem, simulate
 from mrsk.analysis import ftd_ber
 from mrsk.channel import ChannelParams, arrival_moments, cir
@@ -89,8 +95,12 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
+
+
+def refuse_frame(*args, **kwargs):
+    raise AssertionError("every refusal must come before the first frame")
 
 
 class TestConfidence:
@@ -220,6 +230,73 @@ class TestEngines:
         ch = ChannelParams(Ts=1.0, L=1)
         est = run_link(cfg, ch, SimConfig(n_bits=6_000, seed=2))
         assert est.errors == 0
+
+
+class TestStatisticalEngine:
+    def test_moments_equal_lfilter(self):
+        # the engine's FIR moments are the sums lfilter computes, bit for bit
+        rng = np.random.default_rng(71)
+        for k, n, L in ((1, 2, 5), (3, 2, 5), (5, 3, 5), (40, 4, 3), (200, 2, 1)):
+            emissions = rng.uniform(0.0, 5000.0, size=(k, n))
+            taps = cir(ChannelParams(Ts=rng.uniform(0.05, 2.0), L=L)).array
+            mu = signal.lfilter(taps, [1.0], emissions, axis=0)
+            var = signal.lfilter(taps * (1.0 - taps), [1.0], emissions, axis=0)
+            expected = mu + np.sqrt(var) * np.random.default_rng(k).standard_normal((k, n))
+            got = simulate._arrivals_statistical(emissions, taps, np.random.default_rng(k))
+            assert np.array_equal(got, expected)
+
+    def test_import_leaves_scipy_signal_out(self):
+        code = "import sys, mrsk; print('scipy.signal' in sys.modules)"
+        src = str(Path(mrsk.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+
+class TestFrameRunner:
+    ADMC = MrskConfig(detector="admc", Q=100.0)
+
+    @pytest.mark.parametrize(
+        "param, values, config, channel, sim",
+        [
+            ("t_b", [0.25, 0.5, 1.0], CFG, CH, SimConfig(n_bits=12_000, seed=2, frame_symbols=1500)),
+            ("Q", [100.0, 300.0], CFG, CH,
+             SimConfig(n_bits=6_000, seed=3, engine="binomial", frame_symbols=1000)),
+            # N sets the bits per symbol, so the points have different frame counts
+            ("N", [2, 3, 4], ADMC, ChannelParams(Ts=0.05, L=3),
+             SimConfig(n_bits=6_000, seed=4, frame_symbols=700)),
+        ],
+        ids=["statistical-ftd", "binomial", "admc"],
+    )
+    def test_sweep_worker_invariance(self, param, values, config, channel, sim, monkeypatch):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)  # so 3 workers means 3 processes
+        serial = sweep(param, values, config, channel, sim)
+        for workers in (2, 3):
+            assert sweep(param, values, config, channel, replace(sim, workers=workers)) == serial
+        if config.detector == "admc":
+            assert all(est.admc_clamps > 0 for est in serial.estimates)
+
+    def test_sweep_opens_one_pool(self, monkeypatch):
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        # 3 points of 2 frames each: 6 frames in the one queue
+        sim = SimConfig(n_bits=2_000, seed=6, frame_symbols=1000)
+        serial = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, sim)
+        for workers, cores, expected in ((5, 64, [5]), (100, 64, [5, 6]), (100, 2, [5, 6, 2])):
+            monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+            curve = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, replace(sim, workers=workers))
+            assert curve == serial
+            assert RecordingPool.sizes == expected
+
+    def test_refusal_before_any_frame(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_simulate_frame", refuse_frame)
+        ok = SimConfig(n_bits=2_000)
+        links = [(CFG, CH, ok), (CFG, CH, ok), (CFG, CH, replace(ok, trials_cap=1_500))]
+        with pytest.raises(CapacityError, match="trials_cap=1500"):
+            simulate._run_links(links, workers=1)
 
 
 class TestDetectorPathEquivalence:
