@@ -42,6 +42,7 @@ __all__ = [
     "detect_ftd",
     "detect_admc",
     "detect_mlsd",
+    "trellis_states",
 ]
 
 _CODINGS = ("binary", "gray")
@@ -352,15 +353,21 @@ def _branch_metrics(z: np.ndarray, consts: np.ndarray, config: MrskConfig) -> np
     return total
 
 
-def _trellis_constants(config: MrskConfig, taps: np.ndarray, state_cap: int = 1 << 16) -> list:
-    """The window constants for n = 1..L ids, after the trellis-size refusal."""
-    n_states = config.symbol_count ** (len(taps) - 1)
+def trellis_states(config: MrskConfig, L: int, state_cap: int = 1 << 16) -> int:
+    """Viterbi states of sequence detection over L taps; refused above ``state_cap``."""
+    n_states = config.symbol_count ** (L - 1)
     if n_states > state_cap:
         raise CapacityError(
             f"sequence detection needs {n_states} trellis states "
             f"(2^(M(N-1)(L-1))), exceeding the configured cap of {state_cap}; "
             f"raise state_cap to at least {n_states} or reduce N, M or L"
         )
+    return n_states
+
+
+def _trellis_constants(config: MrskConfig, taps: np.ndarray, state_cap: int = 1 << 16) -> list:
+    """The window constants for n = 1..L ids, after the trellis-size refusal."""
+    trellis_states(config, len(taps), state_cap)
     return [_window_constants(config, taps, n) for n in range(1, len(taps) + 1)]
 
 

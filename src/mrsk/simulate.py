@@ -2,16 +2,18 @@
 
 Three arrival engines share one transmit/detect pipeline: ``statistical``
 draws Gaussian counts from the FIR moments, ``binomial`` draws the
-per-tap binomial counts, and ``particle`` integrates every molecule's
-Brownian path against the absorbing receiver.  A frame encodes random
-bits to symbol ids, emits them (optionally rotating molecule roles),
-draws arrivals, hands the (K, N) counts to a :mod:`mrsk.modem` detector
-and counts bit errors per ratio position.  Bit streams are split into
-fixed-size frames with independently derived random streams.  One call
-of :func:`run_link` or a simulated :func:`sweep` builds each link's tables
-once and queues the frames of all its points together on one process pool
-(in-process at one worker); per-link sums in frame order make the results
-bit-for-bit reproducible for a seed at any worker count.
+per-tap binomial counts, and ``particle`` steps every molecule's Brownian
+path against the absorbing receiver in blocks inside each symbol interval,
+retiring it at age L intervals (the FIR truncation of the other engines).
+A frame encodes random bits to symbol ids, emits them (optionally
+rotating molecule roles), draws arrivals, hands the (K, N) counts to a
+:mod:`mrsk.modem` detector and counts bit errors per ratio position.
+Bit streams are split into fixed-size frames with independently
+derived random streams.  One call of :func:`run_link` or a simulated
+:func:`sweep` builds each link's tables once and queues the frames of all
+its points together on one process pool (in-process at one worker);
+per-link sums in frame order make the results bit-for-bit reproducible
+for a seed at any worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .modem import (
     symbol_ids,
     symbol_index_combos,
     symbol_quantities,
+    trellis_states,
 )
 from .analysis import ftd_ber, hamming_table
 
@@ -51,13 +54,16 @@ __all__ = [
     "ber_confidence",
     "child_seed",
     "SWEEPABLE_PARAMS",
+    "PARTICLE_POPULATION_CAP",
 ]
 
 SWEEPABLE_PARAMS = ("t_b", "Q", "d", "Omega", "N", "M")
 _Z95 = 1.959963984540054
-# particle frames stay short so the live molecule population (which is
-# never pruned) remains bounded per independent burst
-_PARTICLE_FRAME_CAP = 64
+# live molecules a particle link may hold: L intervals of its largest symbol
+PARTICLE_POPULATION_CAP = 10**6
+# molecule-steps per particle block: ~1 MiB of float64 temporaries at 7 per
+# molecule-step (paths 3, distances 1, bridge test 3)
+_PARTICLE_BLOCK_STEPS = (1 << 20) // (7 * 8)
 
 
 @dataclass(frozen=True)
@@ -172,13 +178,15 @@ class ParticleState:
     """Mutable Brownian-dynamics state.
 
     The receiver sphere sits at the origin; the transmitter point is at
-    (d, 0, 0).  ``interval_counts`` accumulates absorptions per molecule
-    type since the last reset.
+    (d, 0, 0).  ``ages`` counts the steps each live molecule has taken and
+    ``interval_counts`` accumulates absorptions per molecule type since the
+    last reset.
     """
 
     channel: ChannelParams
     positions: np.ndarray
     types: np.ndarray
+    ages: np.ndarray
     interval_counts: np.ndarray
     time: float = 0.0
     bridge_absorption: bool = True
@@ -186,6 +194,11 @@ class ParticleState:
     @property
     def alive(self) -> int:
         return self.positions.shape[0]
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop every molecule whose ``mask`` entry is False."""
+        self.positions = self.positions[mask]
+        self.types, self.ages = self.types[mask], self.ages[mask]
 
 
 def new_particle_state(
@@ -195,6 +208,7 @@ def new_particle_state(
         channel=channel,
         positions=np.empty((0, 3)),
         types=np.empty(0, dtype=np.int64),
+        ages=np.empty(0, dtype=np.int64),
         interval_counts=np.zeros(n_types, dtype=np.int64),
         bridge_absorption=bridge_absorption,
     )
@@ -212,42 +226,46 @@ def release_molecules(state: ParticleState, counts_by_type) -> None:
     pos[:, 0] = state.channel.d
     state.positions = np.concatenate([state.positions, pos])
     state.types = np.concatenate([state.types, np.repeat(np.arange(counts.size), counts)])
+    state.ages = np.concatenate([state.ages, np.zeros(n, dtype=np.int64)])
 
 
-def particle_step(state: ParticleState, dt: float, rng: np.random.Generator) -> ParticleState:
-    """Advance every molecule by one Brownian step and absorb hits.
+def particle_step(
+    state: ParticleState, dt: float, rng: np.random.Generator, n_steps: int = 1
+) -> ParticleState:
+    """Advance every molecule by ``n_steps`` Brownian steps and absorb hits.
 
-    Each coordinate gains an independent N(0, 2 D dt) increment; any
-    molecule ending within the receiver radius is removed and tallied.
-    With ``bridge_absorption`` the within-step crossing probability
-    exp(-delta0*delta1 / (D dt)) of the straddling Brownian bridge is
-    also applied, which removes most of the finite-step undercount.
+    Each coordinate gains an independent N(0, 2 D dt) increment per step; a
+    molecule ending a step within the receiver radius is absorbed, and with
+    ``bridge_absorption`` so is one whose straddling Brownian bridge crosses
+    it, w.p. exp(-delta0*delta1 / (D dt)).  Steps run in blocks of (b, n, 3)
+    draws; a molecule absorbed at any step of a block is tallied once.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if state.alive == 0:
-        state.time += dt
-        return state
+    if dt <= 0 or n_steps < 0:
+        raise ValueError("dt must be positive and n_steps nonnegative")
     ch = state.channel
-    dist0 = np.sqrt(np.einsum("ij,ij->i", state.positions, state.positions))
     scale = math.sqrt(2.0 * ch.D * dt)
-    if scale > 0.0:
-        state.positions = state.positions + rng.normal(0.0, scale, size=state.positions.shape)
-    dist1 = np.sqrt(np.einsum("ij,ij->i", state.positions, state.positions))
-    absorbed = dist1 <= ch.r
-    if state.bridge_absorption and ch.D > 0.0:
-        outside = ~absorbed
-        expo = (dist0[outside] - ch.r) * (dist1[outside] - ch.r) / (ch.D * dt)
-        crossing = rng.random(expo.size) < np.exp(-np.minimum(expo, 700.0))
-        absorbed[np.flatnonzero(outside)[crossing]] = True
-    if np.any(absorbed):
-        state.interval_counts += np.bincount(
-            state.types[absorbed], minlength=state.interval_counts.size
-        )
-        keep = ~absorbed
-        state.positions = state.positions[keep]
-        state.types = state.types[keep]
-    state.time += dt
+    state.time += n_steps * dt
+    while n_steps and state.alive:
+        n = state.alive
+        b = min(n_steps, max(1, _PARTICLE_BLOCK_STEPS // n))
+        paths = np.empty((b + 1, n, 3))
+        paths[0] = state.positions
+        rng.standard_normal(out=paths[1:])
+        paths[1:] *= scale
+        for j in range(b):  # in-place cumsum over axis 0, faster than np.cumsum at small b
+            paths[j + 1] += paths[j]
+        gap = np.sqrt(np.einsum("bij,bij->bi", paths, paths))
+        gap -= ch.r  # (b + 1, n) distances to the receiver surface
+        hit = gap[1:] <= 0.0
+        if state.bridge_absorption:
+            # the bridge crosses w.p. exp(-x) exactly when an Exp(1) draw exceeds x
+            hit |= gap[:-1] * gap[1:] < (ch.D * dt) * rng.standard_exponential(hit.shape)
+        absorbed = hit.any(axis=0)
+        state.interval_counts += np.bincount(state.types[absorbed], minlength=len(state.interval_counts))
+        state.positions = paths[-1]
+        state.keep(~absorbed)  # copies, so the block is freed
+        state.ages += b
+        n_steps -= b
     return state
 
 
@@ -262,8 +280,7 @@ def particle_hit_fraction(
     """Absorbed fraction of a single burst after time t (particle oracle)."""
     state = new_particle_state(channel, 1, bridge_absorption)
     release_molecules(state, [n_molecules])
-    for _ in range(int(round(t / dt))):
-        particle_step(state, dt, rng)
+    particle_step(state, dt, rng, int(round(t / dt)))
     return float(state.interval_counts[0]) / n_molecules
 
 
@@ -273,17 +290,17 @@ def _arrivals_particle(
     dt: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-interval absorbed counts for a frame of emissions (K, N)."""
+    """Per-interval absorbed counts of a frame of emissions (K, N); retires molecules at age L·Ts."""
     k_symbols, n_types = emissions.shape
     state = new_particle_state(channel, n_types)
     n_steps = max(1, int(round(channel.Ts / dt)))
     counts = np.zeros((k_symbols, n_types))
     for k in range(k_symbols):
         release_molecules(state, np.rint(emissions[k]).astype(np.int64))
-        for _ in range(n_steps):
-            particle_step(state, dt, rng)
+        particle_step(state, dt, rng, n_steps)
         counts[k] = state.interval_counts
-        state.interval_counts = np.zeros(n_types, dtype=np.int64)
+        state.interval_counts[:] = 0
+        state.keep(state.ages < channel.L * n_steps)
     return counts
 
 
@@ -371,19 +388,25 @@ def _run_links(
                 f"requested {sim.n_bits} bits exceeds trials_cap={sim.trials_cap}; "
                 f"raise the cap to at least {sim.n_bits}"
             )
+        if mrsk.detector == "mlsd":
+            trellis_states(mrsk, channel.L)
+        quantities = symbol_quantities(mrsk)
+        population = channel.L * float(quantities.sum(axis=1).max())  # retirement bounds it
+        if sim.engine == "particle" and population > PARTICLE_POPULATION_CAP:
+            raise CapacityError(
+                f"a particle link may hold {population:.4g} live molecules (L times the largest symbol), "
+                f"exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; reduce Q, Omega, N, M or L"
+            )
         tables = (
-            symbol_quantities(mrsk),
+            quantities,
             cir(channel).array,
             symbol_index_combos(mrsk),
             hamming_table(mrsk.M, mrsk.coding).ravel(),
         )
         n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
-        frame_symbols = sim.frame_symbols
-        if sim.engine == "particle":
-            frame_symbols = min(frame_symbols, _PARTICLE_FRAME_CAP)
-        for index, start in enumerate(range(0, n_symbols, frame_symbols)):
+        for index, start in enumerate(range(0, n_symbols, sim.frame_symbols)):
             owners.append(link)
-            jobs.append((mrsk, channel, sim, tables, index, min(frame_symbols, n_symbols - start)))
+            jobs.append((mrsk, channel, sim, tables, index, min(sim.frame_symbols, n_symbols - start)))
 
     # results do not depend on the worker count: start no more processes than frames or cores
     workers = min(workers, len(jobs), os.cpu_count() or 1)

@@ -162,6 +162,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "16777216" in err  # the violated cap is named
 
+    def test_trellis_refusal_exit_two(self, tmp_path, capsys, monkeypatch):
+        # refused before any frame: no arrivals are drawn
+        monkeypatch.setattr(simulate, "_arrivals_statistical", refuse_call)
+        argv = ["ber-sim", "--N", "3", "--M", "2", "--L", "6", "--detector", "mlsd", "--bits", "2000"]
+        rc, out = run(tmp_path, "x.csv", argv)
+        assert rc == 2
+        assert "1048576 trellis states" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_particle_population_refusal_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "_arrivals_particle", refuse_call)
+        rc, out = run(tmp_path, "x.csv", ["ber-particle", "--Q", "1e6", "--bits", "1000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "PARTICLE_POPULATION_CAP" in err and str(simulate.PARTICLE_POPULATION_CAP) in err
+        assert not out.exists()
+
     def test_unknown_flag_exit_one(self, capsys):
         assert run_cli(["sweep", "--frobnicate", "1"]) == 1
 
@@ -262,6 +279,26 @@ class TestDocumentedRecipes:
             args[k + 1] = str(tmp_path / f"recipe_{i}.csv")
             assert run_cli(args) == 0, recipe
             assert (tmp_path / f"recipe_{i}.csv").exists()
+
+    def test_particle_recipes_within_population_cap(self, tmp_path, monkeypatch):
+        # every documented and benchmarked particle recipe passes the
+        # population refusal (frames stubbed: only the refusals run; the
+        # -o that run() appends overrides a recipe's own)
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        recipes = [
+            line.split()[1:]
+            for line in (root / "README.md").read_text().splitlines()
+            if line.strip().startswith("mrsk ber-particle ")
+        ]
+        bench = (root / "perfbench" / "workloads.py").read_text()
+        recipes += [r.split() for r in re.findall(r'"(ber-particle [^"]*)"', bench)]
+        assert len(recipes) >= 2
+        monkeypatch.setattr(simulate, "_simulate_frame", lambda *job: (0, 1, 0, 0))
+        for args in recipes:
+            assert run(tmp_path, "x.csv", args)[0] == 0, args
 
 
 class TestSpecSerialization:

@@ -268,8 +268,10 @@ class TestFrameRunner:
             # N sets the bits per symbol, so the points have different frame counts
             ("N", [2, 3, 4], ADMC, ChannelParams(Ts=0.05, L=3),
              SimConfig(n_bits=6_000, seed=4, frame_symbols=700)),
+            ("Q", [10.0, 20.0], CFG, ChannelParams(Ts=0.25, L=2),
+             SimConfig(n_bits=1_000, seed=5, engine="particle", particle_dt=1e-2, frame_symbols=100)),
         ],
-        ids=["statistical-ftd", "binomial", "admc"],
+        ids=["statistical-ftd", "binomial", "admc", "particle"],
     )
     def test_sweep_worker_invariance(self, param, values, config, channel, sim, monkeypatch):
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)  # so 3 workers means 3 processes
@@ -297,6 +299,12 @@ class TestFrameRunner:
         links = [(CFG, CH, ok), (CFG, CH, ok), (CFG, CH, replace(ok, trials_cap=1_500))]
         with pytest.raises(CapacityError, match="trials_cap=1500"):
             simulate._run_links(links, workers=1)
+
+    def test_trellis_refusal_before_any_arrival(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_arrivals_statistical", refuse_frame)
+        with pytest.raises(CapacityError, match="trellis states"):
+            run_link(MrskConfig(N=3, M=2, detector="mlsd"), ChannelParams(Ts=1.0, L=6),
+                     SimConfig(n_bits=2000))
 
 
 class TestDetectorPathEquivalence:
@@ -373,28 +381,34 @@ class TestDetectorPathEquivalence:
 
 class TestParticle:
     def test_frozen_medium_keeps_positions(self):
-        # vanishing diffusion: the kick scale collapses and nothing moves
+        # vanishing diffusion: the kick scale collapses and nothing moves,
+        # in one-step and in multi-step blocks
         ch = ChannelParams(d=10.0, r=5.0, D=1e-15, Ts=1.0, L=1)
-        state = new_particle_state(ch, 1)
-        release_molecules(state, [100])
-        before = state.positions.copy()
-        particle_step(state, 1e-3, np.random.default_rng(0))
-        assert np.allclose(state.positions, before, atol=1e-6)
-        assert state.interval_counts[0] == 0
+        for n_steps in (1, 7):
+            state = new_particle_state(ch, 1)
+            release_molecules(state, [100])
+            before = state.positions.copy()
+            particle_step(state, 1e-3, np.random.default_rng(0), n_steps)
+            assert np.allclose(state.positions, before, atol=1e-6)
+            assert state.interval_counts[0] == 0
+            assert state.ages.tolist() == [n_steps] * 100
 
     def test_mean_squared_displacement(self):
-        # free diffusion: per-axis displacement variance is 2 D t
+        # free diffusion: per-axis displacement variance is 2 D t, however
+        # the 50 steps are split into calls
         ch = ChannelParams(d=1e6, r=1e-3, D=79.4, Ts=1.0, L=1)
-        state = new_particle_state(ch, 1, bridge_absorption=False)
-        release_molecules(state, [100_000])
-        start = state.positions.copy()
-        rng = np.random.default_rng(3)
         t = 0.05
-        for _ in range(50):
-            particle_step(state, 1e-3, rng)
-        disp = state.positions - start
-        for axis in range(3):
-            assert disp[:, axis].var() == pytest.approx(2 * ch.D * t, rel=0.01)
+        for n_steps in (1, 10, 50):
+            state = new_particle_state(ch, 1, bridge_absorption=False)
+            release_molecules(state, [100_000])
+            start = state.positions.copy()
+            rng = np.random.default_rng(3)
+            for _ in range(50 // n_steps):
+                particle_step(state, 1e-3, rng, n_steps)
+            assert state.time == pytest.approx(t)
+            disp = state.positions - start
+            for axis in range(3):
+                assert disp[:, axis].var() == pytest.approx(2 * ch.D * t, rel=0.01)
 
     def test_absorbed_fraction_matches_hit_fraction(self):
         from mrsk.channel import hit_fraction
@@ -408,13 +422,47 @@ class TestParticle:
         ch = ChannelParams(Ts=0.5, L=3)
         taps = cir(ch).array
         rng = np.random.default_rng(7)
-        from mrsk.simulate import _arrivals_particle
-
         emissions = np.full((3, 2), 10_000.0)
-        counts = _arrivals_particle(emissions, ch, 1e-3, rng)
+        counts = simulate._arrivals_particle(emissions, ch, 1e-3, rng)
         for k in range(3):
             mu, _ = arrival_moments(emissions[: k + 1], taps)
             assert counts[k] == pytest.approx(mu, rel=0.05)
+
+    def test_molecules_retire_after_memory(self):
+        # one burst, then empty symbols: nothing is counted L or more intervals
+        # after the release, though free molecules would still hit then
+        ch = ChannelParams(Ts=0.25, L=2)
+        emissions = np.zeros((8, 1))
+        emissions[0] = 2_000
+        counts = simulate._arrivals_particle(emissions, ch, 1e-2, np.random.default_rng(9))
+        assert np.all(counts[: ch.L] > 0)
+        assert np.all(counts[ch.L :] == 0)
+
+    def test_burst_split_is_multinomial(self):
+        # one burst of n over L intervals splits as Multinomial(n; p_1..p_L):
+        # per-interval means n p_k and cross-interval covariance -n p_1 p_2
+        # (independent per-tap draws would give 0, about 6.5 SE away)
+        ch = ChannelParams(Ts=0.25, L=3)
+        p = cir(ch).array
+        n, frames = 200, 2_000
+        emissions = np.zeros((ch.L, 1))
+        emissions[0] = n
+        rng = np.random.default_rng(11)
+        x = np.array([simulate._arrivals_particle(emissions, ch, 1e-2, rng)[:, 0] for _ in range(frames)])
+        var = n * p * (1.0 - p)
+        assert np.all(np.abs(x.mean(axis=0) - n * p) < 4.0 * np.sqrt(var / frames))
+        cov = -n * p[0] * p[1]
+        se = math.sqrt((var[0] * var[1] + cov * cov) / frames)  # Gaussian approximation
+        assert abs(np.cov(x[:, 0], x[:, 1])[0, 1] - cov) < 4.0 * se
+
+    def test_population_cap_refused_before_any_frame(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_arrivals_particle", refuse_frame)
+        sim = SimConfig(n_bits=1_000, engine="particle")
+        big = MrskConfig(Q=simulate.PARTICLE_POPULATION_CAP / 2)
+        with pytest.raises(CapacityError, match="PARTICLE_POPULATION_CAP"):
+            run_link(big, ChannelParams(L=2), sim)
+        # the same link on another engine holds no molecules
+        run_link(big, ChannelParams(L=2), replace(sim, engine="statistical"))
 
     def test_release_validation(self):
         state = new_particle_state(CH, 1)
