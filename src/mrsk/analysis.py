@@ -1,14 +1,23 @@
 """Closed-form bit-error-rate evaluation for fixed-threshold detection.
 
-Enumerates every length-L symbol-id sequence, computes the
-signal-dependent arrival moments it induces
-(:func:`mrsk.channel.arrival_moments`), and integrates the
-solid-approximation ratio law over the decision buckets
-(:func:`ftd_detection_prob`); :func:`ftd_ber` contracts those bucket
-probabilities with :func:`hamming_table`.  The erf argument of the bucket
-probabilities uses the ratio-normalized form (mu_den * E - mu_num); the
-unnormalized variant fails the quadrature and Monte Carlo oracles
-whenever the expected ratio differs from one.
+The newest symbol's ratio position j reads molecule types j and j+1,
+whose emissions are Q times products of the symbol's first j and j+1
+alphabet values.  So its error probability depends only on the first
+j+1 alphabet digits of each of the last L symbols, and :func:`ftd_ber`
+averages it over those (2^M)^((j+1)L) windows instead of over all
+symbol_count^L sequences.  The FIR moments of a window are sums over
+its L intervals of per-interval emission factors, computed in blocks
+as a (head, tail) split of the window's digits: head factors times tail
+factors, contracted over the intervals.  Each window's moments give the
+solid-approximation probability of every decision bucket (CDF at the
+thresholds, then differences), dotted with the Hamming row of the true
+index.  The erf argument uses the ratio-normalized form
+(mu_den * E - mu_num); the unnormalized variant fails the quadrature and
+Monte Carlo oracles whenever the expected ratio differs from one.
+
+The last ratio position needs all symbol_count^L windows, so the
+sequence cap counts that: ``ftd_ber`` refuses exactly when
+symbol_count^L exceeds it.
 
 Error rates for adaptive memory cancellation are deliberately not
 derived here: the conditioning on past decisions makes the exact
@@ -19,65 +28,31 @@ simulation only (``simulate.run_link`` with ``detector="admc"``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import special
 
-from .channel import ChannelParams, arrival_moments, cir
+from .channel import ChannelParams, cir
 from .errors import CapacityError
-from .modem import (
-    MrskConfig,
-    codewords,
-    radix_digits,
-    symbol_index_combos,
-    symbol_quantities,
-    thresholds,
-)
+from .modem import MrskConfig, codewords, ratio_alphabet, thresholds
 
 __all__ = [
-    "SequenceSpace",
     "BerResult",
     "hamming_table",
-    "ftd_detection_prob",
     "ftd_ber",
 ]
 
 DEFAULT_SEQUENCE_CAP = 1 << 24
-_CHUNK = 1 << 15
-
-
-@dataclass(frozen=True)
-class SequenceSpace:
-    """Size bookkeeping for the exhaustive sequence enumeration."""
-
-    L: int
-    symbol_count: int
-
-    @property
-    def total(self) -> int:
-        return self.symbol_count**self.L
-
-    def require_within(self, cap: int) -> None:
-        if self.total > cap:
-            raise CapacityError(
-                f"enumerating {self.total} symbol sequences "
-                f"(symbol_count={self.symbol_count}, L={self.L}) exceeds the "
-                f"configured cap of {cap}; raise the cap to at least "
-                f"{self.total} or use the simulation path"
-            )
+# windows per block are (2^M)^t with t * M <= _BLOCK_BITS: about a MiB of
+# bucket temporaries
+_BLOCK_BITS = 12
 
 
 @dataclass(frozen=True)
 class BerResult:
-    """Analytic BER, optionally with the per-sequence error breakdown.
-
-    ``per_sequence_errors`` maps each transmitted symbol-id sequence,
-    oldest first, to the per-bit error probability of its newest symbol.
-    """
+    """Analytic BER of fixed-threshold detection."""
 
     ber: float
-    per_sequence_errors: Optional[dict[tuple[int, ...], float]] = None
 
 
 def hamming_table(M: int, coding: str) -> np.ndarray:
@@ -101,65 +76,80 @@ def _bucket_probs(
     CDF is exactly 0 and 1.
     """
     mn, vn, md, vd = (
-        np.asarray(a, dtype=float)[..., None] for a in (mu_num, var_num, mu_den, var_den)
+        np.asarray(a, dtype=float) for a in (mu_num, var_num, mu_den, var_den)
     )
-    g = (md * edges - mn) / np.sqrt(2.0 * (vn + vd * edges * edges))
+    # thresholds on the leading axis keep the inner loops long
+    e = edges.reshape(edges.shape + (1,) * md.ndim)
+    g = (md * e - mn) / np.sqrt(2.0 * (vn + vd * e * e))
     q = md / np.sqrt(2.0 * vd)
     cdf = 0.5 * (1.0 + special.erf(g) / special.erf(q))
-    zeros = np.zeros(cdf.shape[:-1] + (1,))
-    return np.diff(np.concatenate([zeros, cdf, zeros + 1.0], axis=-1), axis=-1)
+    return np.moveaxis(np.diff(cdf, axis=0, prepend=0.0, append=1.0), 0, -1)
 
 
-def ftd_detection_prob(sequences, taps: np.ndarray, config: MrskConfig) -> np.ndarray:
-    """Bucket probabilities of the newest symbol's ratios, shape (..., N-1, 2^M).
+def _digit_factors(
+    alphabet: np.ndarray, j: int, L: int, first: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Emission factors of window digits first..first+count-1, each (L, 2^M ** count).
 
-    ``sequences`` holds symbol-id sequences, shape (..., n), oldest first;
-    n is the memory length L, or less for a cold start.  Entry [..., j, i] is P(ratio position j of the newest
-    symbol is detected as alphabet index i); the entries over i partition
-    the real line, so they sum to one.
+    A window of ratio position j holds j+1 alphabet digits per interval,
+    oldest interval first.  Column c enumerates those ``count`` digits
+    (first one most significant); entry [m, c] is the product of the
+    alphabet values of interval m's digits among them, over its first j
+    digits (denominator type j) or all j+1 (numerator type j+1).
     """
-    mu, var = arrival_moments(symbol_quantities(config)[sequences], taps)
-    return _bucket_probs(mu[..., 1:], var[..., 1:], mu[..., :-1], var[..., :-1], thresholds(config))
+    k = alphabet.size
+    den = np.ones((L,) + (k,) * count)
+    num = np.ones((L,) + (k,) * count)
+    for axis in range(count):
+        m, slot = divmod(first + axis, j + 1)
+        column = alphabet.reshape((k,) + (1,) * (count - 1 - axis))
+        num[m] *= column
+        if slot < j:
+            den[m] *= column
+    return den.reshape(L, -1), num.reshape(L, -1)
 
 
-def _sequence_error_probs(
-    sequences: np.ndarray, config: MrskConfig, taps: np.ndarray
-) -> np.ndarray:
-    """Per-bit error probability of the newest symbol for each (n, L) sequence."""
-    probs = ftd_detection_prob(sequences, taps, config)
-    true_idx0 = symbol_index_combos(config)[sequences[:, -1]]  # (n, N-1)
-    ham = hamming_table(config.M, config.coding)
-    err_bits = np.zeros(sequences.shape[0])
-    for j in range(config.N - 1):
-        err_bits += np.einsum("ci,ci->c", probs[:, j], ham[true_idx0[:, j]])
-    return err_bits / config.bits_per_symbol
+def _position_errors(config: MrskConfig, taps: np.ndarray, j: int, ham: np.ndarray) -> float:
+    """Mean bit errors at ratio position j of the newest symbol, over its windows."""
+    k, L = config.alphabet_size, taps.size
+    alphabet, edges = ratio_alphabet(config), thresholds(config)
+    digits = (j + 1) * L
+    tail = max(1, min(digits, _BLOCK_BITS // config.M))
+    head_den, head_num = _digit_factors(alphabet, j, L, 0, digits - tail)
+    tail_den, tail_num = _digit_factors(alphabet, j, L, digits - tail, tail)
+    # (2, L): mean and variance weights per interval, oldest first
+    weights = config.Q * np.stack([taps, taps * (1.0 - taps)])[:, ::-1]
+    total = 0.0
+    for h in range(head_den.shape[1]):
+        mu_den, var_den = (weights * head_den[:, h]) @ tail_den
+        mu_num, var_num = (weights * head_num[:, h]) @ tail_num
+        probs = _bucket_probs(mu_num, var_num, mu_den, var_den, edges)
+        # the last window digit, the newest symbol's index j, varies fastest
+        total += float(np.einsum("rti,ti->", probs.reshape(-1, k, k), ham))
+    return total / k**digits
 
 
 def ftd_ber(
     config: MrskConfig,
     channel: ChannelParams,
     sequence_cap: int = DEFAULT_SEQUENCE_CAP,
-    per_sequence: bool = False,
 ) -> BerResult:
     """Exact BER of fixed-threshold detection under the FIR channel model.
 
-    Averages the per-bit error probability of the newest symbol over all
-    symbol_count^L equally likely transmit sequences.  Enumeration runs
-    in fixed-size chunks, so memory stays flat and partial sums combine
-    associatively regardless of partitioning.
+    The per-bit error probability of the newest symbol, averaged over all
+    symbol_count^L equally likely transmit sequences, one ratio position
+    at a time over the digit windows that position reads.  Refuses with
+    :class:`CapacityError` when symbol_count^L exceeds ``sequence_cap``.
     """
-    space = SequenceSpace(L=channel.L, symbol_count=config.symbol_count)
-    space.require_within(sequence_cap)
+    total = config.symbol_count**channel.L
+    if total > sequence_cap:
+        raise CapacityError(
+            f"enumerating {total} symbol sequences "
+            f"(symbol_count={config.symbol_count}, L={channel.L}) exceeds the "
+            f"configured cap of {sequence_cap}; raise the cap to at least "
+            f"{total} or use the simulation path"
+        )
     taps = cir(channel).array
-
-    total = space.total
-    acc = 0.0
-    per_seq: Optional[dict] = {} if per_sequence else None
-    for start in range(0, total, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        sequences = radix_digits(ids, space.symbol_count, space.L)
-        pe = _sequence_error_probs(sequences, config, taps)
-        acc += float(pe.sum())
-        if per_seq is not None:
-            per_seq.update(zip(map(tuple, sequences.tolist()), pe.tolist()))
-    return BerResult(ber=acc / total, per_sequence_errors=per_seq)
+    ham = hamming_table(config.M, config.coding)
+    errors = sum(_position_errors(config, taps, j, ham) for j in range(config.N - 1))
+    return BerResult(ber=errors / config.bits_per_symbol)

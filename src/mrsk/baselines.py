@@ -2,11 +2,13 @@
 
 On-off keying, binary concentration shift keying and binary molecule
 shift keying are evaluated in closed form by enumerating all 2^L bit
-histories and integrating Gaussian arrival tails; release-time shift
+histories and integrating Gaussian arrival tails.  Release-time shift
 keying rides a first-arrival timing channel whose delay is Levy
-distributed and is estimated by Monte Carlo.  All four consume
-:mod:`mrsk.channel`, so the comparison against the ratio scheme shares
-one physics implementation.
+distributed; both of its detectors threshold the arrival time, so its
+error rate is exact too, from the Levy CDF at the threshold and at the
+bit interval (:func:`rtsk_error_counts` is its Monte Carlo oracle).
+All four consume :mod:`mrsk.channel`, so the comparison against the
+ratio scheme shares one physics implementation.
 
 Threshold conventions: counts at a threshold decide upward (consistent
 with the ratio detector's tie-break), and frames where neither or both
@@ -282,13 +284,43 @@ def rtsk_error_counts(
     return int(np.count_nonzero(decided != bits)), n_symbols
 
 
-def rtsk_ber(
-    config: RtskConfig,
-    channel: ChannelParams,
-    t_b: float,
-    n_symbols: int = 10**6,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo RTSK error rate; independent of any molecule count."""
-    errors, n = rtsk_error_counts(config, channel, t_b, n_symbols, seed)
-    return errors / n
+def _rtsk_threshold(config: RtskConfig, c: float) -> float:
+    """Arrival time above which the detector decides bit 1.
+
+    Linear: midway between the two conditional medians.  ML: the Levy
+    log-likelihoods cross once, at Delta + u* with u* the root of
+    h(u) = 1.5 u (u + Delta) log1p(Delta / u) - c Delta / 2; h increases
+    from -c Delta / 2, and log(1 + x) >= x / (1 + x) gives
+    h(u) >= 1.5 u Delta - c Delta / 2, so the root lies in (0, c/3].
+    Bisection runs until the bracket stops shrinking.
+    """
+    delta = config.Delta
+    if config.detector == "linear":
+        return delta / 2.0 + levy_median(c)
+    lo, hi = 0.0, c / 3.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return delta + hi
+        if 1.5 * mid * (mid + delta) * math.log1p(delta / mid) < 0.5 * c * delta:
+            lo = mid
+        else:
+            hi = mid
+
+
+def rtsk_ber(config: RtskConfig, channel: ChannelParams, t_b: float) -> float:
+    """Exact RTSK error rate; independent of any molecule count.
+
+    With F_b the arrival CDF given bit b (a Levy law shifted by b*Delta),
+    threshold tau and tau' = min(tau, t_b): bit 0 errs when it arrives in
+    [tau', t_b], bit 1 when it arrives before tau', and an arrival past
+    t_b is a fair coin.  :func:`rtsk_error_counts` is its Monte Carlo
+    counterpart.
+    """
+    if not config.Delta < t_b:
+        raise ValueError(f"release offset {config.Delta} must lie inside the bit interval {t_b}")
+    c = levy_scale(channel)
+    tau = min(_rtsk_threshold(config, c), t_b)
+    f0_tb, f0_tau = levy_cdf(t_b, c), levy_cdf(tau, c)
+    f1_tb, f1_tau = levy_cdf(t_b - config.Delta, c), levy_cdf(tau - config.Delta, c)
+    return 0.5 * (f0_tb - f0_tau) + 0.5 * f1_tau + 0.25 * (2.0 - f0_tb - f1_tb)

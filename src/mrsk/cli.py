@@ -34,7 +34,7 @@ from .baselines import (
     csk_ber,
     mosk_ber,
     ook_ber,
-    rtsk_error_counts,
+    rtsk_ber,
 )
 from .channel import ChannelParams, hit_fraction
 from .errors import CapacityError
@@ -48,7 +48,7 @@ from .ratio_stats import (
     sample_ratio,
     solid_ratio_pdf,
 )
-from .simulate import BerCurve, BerEstimate, SimConfig, child_seed, run_link, sweep
+from .simulate import BerCurve, BerEstimate, SimConfig, run_link, sweep
 
 __all__ = ["run_cli", "main", "write_csv", "replay_csv", "ExperimentSpec"]
 
@@ -312,7 +312,7 @@ def _run_compare(spec: ExperimentSpec) -> str:
     if spec.param not in ("t_b", "Q"):
         raise CliError("compare sweeps t_b or Q only")
     lines = [spec.serialize(), CSV_HEADER]
-    for i, value in enumerate(values):
+    for value in values:
         t_b = float(value) if spec.param == "t_b" else spec.t_b
         q = float(value) if spec.param == "Q" else spec.Q
         mrsk_cfg = replace(spec.mrsk, Q=q, detector="ftd")
@@ -329,14 +329,9 @@ def _run_compare(spec: ExperimentSpec) -> str:
             mosk_ber(MoskConfig(Q=q, Lambda=spec.mosk_lambda_frac * q), base_channel, t_b)
         )
         lines.append(_estimate_row(spec.param, value, "mosk", "fixed", "-", est))
-        errors, n = rtsk_error_counts(
-            RtskConfig(Delta=t_b / 2.0, detector=spec.rtsk_detector),
-            base_channel,
-            t_b,
-            n_symbols=spec.bits,
-            seed=child_seed(spec.seed, i),
+        est = BerEstimate.exact(
+            rtsk_ber(RtskConfig(Delta=t_b / 2.0, detector=spec.rtsk_detector), base_channel, t_b)
         )
-        est = BerEstimate.from_counts(errors, n)
         lines.append(_estimate_row(spec.param, value, "rtsk", spec.rtsk_detector, "-", est))
     return "\n".join(lines) + "\n"
 

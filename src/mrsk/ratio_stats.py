@@ -38,6 +38,9 @@ __all__ = [
     "sample_ratio",
 ]
 
+# denominators drawn per block of the sampler (512 KiB of float64)
+_SAMPLE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class GaussPair:
@@ -157,18 +160,28 @@ def sample_ratio(
 
     Draws whose denominator magnitude falls at or below ``denom_eps`` are
     redrawn (both coordinates) so the sample matches the conditional law
-    the analytic forms approximate; the redraw count is reported.
+    the analytic forms approximate; the redraw count is reported.  All n
+    numerators come first, then the n denominators, then the redraws of
+    each round (numerators, then denominators).  The denominators are
+    drawn in blocks of the same stream and divide the numerators in place,
+    so no n-length denominator array is held.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     x = rng.normal(pair.mu_x, pair.sigma_x, size=n)
-    y = rng.normal(pair.mu_y, pair.sigma_y, size=n)
+    bad = []
+    for start in range(0, n, _SAMPLE_BLOCK):
+        y = rng.normal(pair.mu_y, pair.sigma_y, size=min(_SAMPLE_BLOCK, n - start))
+        small = (y <= denom_eps) & (y >= -denom_eps)
+        np.divide(x[start : start + y.size], y, out=x[start : start + y.size], where=~small)
+        bad.append(start + np.flatnonzero(small))
+    bad = np.concatenate(bad)
     redraws = 0
-    bad = np.abs(y) <= denom_eps
-    while np.any(bad):
-        k = int(bad.sum())
-        redraws += k
-        x[bad] = rng.normal(pair.mu_x, pair.sigma_x, size=k)
-        y[bad] = rng.normal(pair.mu_y, pair.sigma_y, size=k)
-        bad = np.abs(y) <= denom_eps
-    return RatioSample(values=x / y, redraws=redraws)
+    while bad.size:
+        redraws += bad.size
+        xb = rng.normal(pair.mu_x, pair.sigma_x, size=bad.size)
+        yb = rng.normal(pair.mu_y, pair.sigma_y, size=bad.size)
+        small = (yb <= denom_eps) & (yb >= -denom_eps)
+        x[bad] = np.divide(xb, yb, out=xb, where=~small)  # the still-small ones go again
+        bad = bad[small]
+    return RatioSample(values=x, redraws=redraws)

@@ -55,12 +55,16 @@ __all__ = [
     "child_seed",
     "SWEEPABLE_PARAMS",
     "PARTICLE_POPULATION_CAP",
+    "SYMBOL_COUNT_CAP",
 ]
 
 SWEEPABLE_PARAMS = ("t_b", "Q", "d", "Omega", "N", "M")
 _Z95 = 1.959963984540054
 # live molecules a particle link may hold: L intervals of its largest symbol
 PARTICLE_POPULATION_CAP = 10**6
+# symbols a link may tabulate: its (S, N) emissions and (S, N-1) index rows
+# take 8 (2N - 1) S bytes, about 160 MB at the cap (M = 1, N = 20)
+SYMBOL_COUNT_CAP = 1 << 19
 # molecule-steps per particle block: ~1 MiB of float64 temporaries at 7 per
 # molecule-step (paths 3, distances 1, bridge test 3)
 _PARTICLE_BLOCK_STEPS = (1 << 20) // (7 * 8)
@@ -387,6 +391,11 @@ def _run_links(
             raise CapacityError(
                 f"requested {sim.n_bits} bits exceeds trials_cap={sim.trials_cap}; "
                 f"raise the cap to at least {sim.n_bits}"
+            )
+        if mrsk.symbol_count > SYMBOL_COUNT_CAP:
+            raise CapacityError(
+                f"N={mrsk.N}, M={mrsk.M} gives {mrsk.symbol_count} symbols, exceeding "
+                f"SYMBOL_COUNT_CAP = {SYMBOL_COUNT_CAP}; reduce N or M"
             )
         if mrsk.detector == "mlsd":
             trellis_states(mrsk, channel.L)

@@ -1,15 +1,14 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ftd_oracle import ftd_ber_oracle, ftd_detection_prob
 from mrsk.analysis import (
     BerResult,
-    SequenceSpace,
     _bucket_probs,
     ftd_ber,
-    ftd_detection_prob,
     hamming_table,
 )
 from mrsk.channel import ChannelParams, cir
@@ -163,21 +162,35 @@ class TestFtdBer:
             err += below_threshold if x > 1 else (1.0 - below_threshold)
         assert ftd_ber(cfg, ch).ber == pytest.approx(err / 2.0, rel=1e-12)
 
-    def test_per_sequence_breakdown(self):
-        cfg = MrskConfig(N=2, M=1)
-        ch = ChannelParams(Ts=0.5, L=3)
-        res = ftd_ber(cfg, ch, per_sequence=True)
-        assert len(res.per_sequence_errors) == 8
-        assert set(res.per_sequence_errors) == set(itertools.product(range(2), repeat=3))
-        assert np.mean(list(res.per_sequence_errors.values())) == pytest.approx(
-            res.ber, rel=1e-12
-        )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(2, 4),
+        M=st.integers(1, 3),
+        L=st.integers(1, 5),
+        coding=st.sampled_from(["binary", "gray"]),
+        Q=st.floats(100.0, 2000.0),
+        Ts=st.floats(0.1, 2.0),
+    )
+    def test_matches_whole_sequence_oracle(self, N, M, L, coding, Q, Ts):
+        # the per-position digit windows against every whole symbol
+        # sequence; L is cut so the oracle enumerates at most 2^14 of them
+        cfg = MrskConfig(N=N, M=M, Q=Q, coding=coding)
+        ch = ChannelParams(Ts=Ts, L=min(L, 14 // (M * (N - 1))))
+        got, want = ftd_ber(cfg, ch).ber, ftd_ber_oracle(cfg, ch)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert format(got, ".10g") == format(want, ".10g")
 
     def test_sequence_cap_refusal(self):
+        # the cap counts whole sequences, symbol_count^L, whatever the
+        # windows of the earlier ratio positions
         cfg = MrskConfig(N=4, M=3)
-        space = SequenceSpace(L=5, symbol_count=cfg.symbol_count)
-        with pytest.raises(CapacityError, match=str(space.total)):
+        total = cfg.symbol_count**5
+        with pytest.raises(CapacityError, match=str(total)):
             ftd_ber(cfg, ChannelParams(Ts=0.5, L=5))
+        small, ch = MrskConfig(N=3, M=1), ChannelParams(Ts=0.5, L=3)
+        with pytest.raises(CapacityError, match="64"):
+            ftd_ber(small, ch, sequence_cap=63)
+        assert ftd_ber(small, ch, sequence_cap=64).ber == ftd_ber(small, ch).ber
 
     def test_matches_monte_carlo(self):
         from mrsk.simulate import SimConfig, run_link

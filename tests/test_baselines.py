@@ -155,7 +155,7 @@ class TestRtsk:
         assert ks < 0.05
 
     def test_identical_hypotheses_are_coin_flips(self):
-        ber = rtsk_ber(RtskConfig(Delta=1e-9), CH, TB, n_symbols=100_000, seed=2)
+        ber = rtsk_ber(RtskConfig(Delta=1e-9), CH, TB)
         assert ber == pytest.approx(0.5, abs=0.01)
 
     def test_flat_in_molecule_count(self):
@@ -171,13 +171,30 @@ class TestRtsk:
         assert abs(res.slope) < 2.0 * res.stderr + 1e-12
 
     def test_ml_at_least_as_good_as_linear(self):
-        ml = rtsk_ber(RtskConfig(Delta=TB / 2, detector="ml"), CH, TB, 200_000, seed=5)
-        lin = rtsk_ber(RtskConfig(Delta=TB / 2, detector="linear"), CH, TB, 200_000, seed=5)
+        ml = rtsk_ber(RtskConfig(Delta=TB / 2, detector="ml"), CH, TB)
+        lin = rtsk_ber(RtskConfig(Delta=TB / 2, detector="linear"), CH, TB)
         assert ml <= lin
 
     def test_offset_must_fit_interval(self):
         with pytest.raises(ValueError):
-            rtsk_ber(RtskConfig(Delta=2.0), CH, TB, 1000, seed=0)
+            rtsk_ber(RtskConfig(Delta=2.0), CH, TB)
+        with pytest.raises(ValueError):
+            rtsk_error_counts(RtskConfig(Delta=2.0), CH, TB, 1000, seed=0)
+
+    @pytest.mark.parametrize("detector", ["ml", "linear"])
+    @pytest.mark.parametrize("t_b", [0.25, 0.5, 1.0, 2.0])
+    def test_closed_form_matches_monte_carlo(self, detector, t_b):
+        # 20 seeded Monte Carlo runs: each within 4 standard errors of the
+        # closed form, and their z-scores centred on zero
+        config = RtskConfig(Delta=t_b / 2, detector=detector)
+        exact = rtsk_ber(config, CH, t_b)
+        n = 100_000
+        se = math.sqrt(exact * (1 - exact) / n)
+        z = np.array(
+            [(rtsk_error_counts(config, CH, t_b, n, seed)[0] / n - exact) / se for seed in range(20)]
+        )
+        assert np.all(np.abs(z) < 4.0)
+        assert abs(z.mean()) < 0.5
 
 
 class TestComparison:
@@ -187,7 +204,7 @@ class TestComparison:
             ook_ber(OokConfig(), CH, TB),
             csk_ber(CskConfig(), CH, TB),
             mosk_ber(MoskConfig(), CH, TB),
-            rtsk_ber(RtskConfig(Delta=TB / 2), CH, TB, n, seed=1),
+            rtsk_ber(RtskConfig(Delta=TB / 2), CH, TB),
         ]
         slack = 3.0 * math.sqrt(0.25 / n)
         assert all(r <= 0.5 + slack for r in rates)

@@ -95,6 +95,19 @@ class TestCompareCommand:
         by_scheme = {r[2]: float(r[5]) for r in rows}
         assert by_scheme["mrsk"] < by_scheme["mosk"] < max(by_scheme["ook"], by_scheme["csk"])
 
+    def test_rtsk_rows_are_exact(self, tmp_path):
+        # every scheme is closed form: trials 0, a collapsed interval, and
+        # the rows do not depend on --bits (only the spec line does)
+        texts = []
+        for bits in ("20000", "400000"):
+            rc, out = run(tmp_path, f"cmp{bits}.csv", ["compare", "--t-b", "1.0", "--bits", bits])
+            assert rc == 0
+            texts.append(out.read_text())
+        rows = [l.split(",") for l in data_lines(texts[0])[1:]]
+        rtsk = [r for r in rows if r[2] == "rtsk"]
+        assert len(rtsk) == 1 and rtsk[0][5] == rtsk[0][6] == rtsk[0][7] and rtsk[0][8] == "0"
+        assert data_lines(texts[0])[1:] == data_lines(texts[1])[1:]
+
     def test_q_sweep_rows(self, tmp_path):
         rc, out = run(
             tmp_path,
@@ -177,6 +190,15 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert "PARTICLE_POPULATION_CAP" in err and str(simulate.PARTICLE_POPULATION_CAP) in err
+        assert not out.exists()
+
+    def test_symbol_count_refusal_exit_two(self, tmp_path, capsys, monkeypatch):
+        # refused before any per-link table is built
+        monkeypatch.setattr(simulate, "symbol_quantities", refuse_call)
+        rc, out = run(tmp_path, "x.csv", ["ber-sim", "--N", "40", "--bits", "1000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "SYMBOL_COUNT_CAP" in err and str(simulate.SYMBOL_COUNT_CAP) in err
         assert not out.exists()
 
     def test_unknown_flag_exit_one(self, capsys):

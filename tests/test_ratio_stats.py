@@ -227,6 +227,27 @@ class TestSampleRatio:
         assert sample.redraws > 0
         assert np.all(np.abs(sample.values) < 10.0 / 0.1 + 1000)
 
+    def test_redraws_match_the_abs_form(self):
+        # the sampler's blocked denominators, two-sided test and in-place
+        # quotient against whole-array draws, the |y| <= eps loop and x / y,
+        # on a seed that forces redraws and a size spanning several blocks
+        pair = GaussPair(10.0, 0.5, 1.0, 1.0)
+        n, eps = 150_001, 0.2
+        sample = sample_ratio(pair, n, np.random.default_rng(3), denom_eps=eps)
+        rng = np.random.default_rng(3)
+        x = rng.normal(pair.mu_x, pair.sigma_x, size=n)
+        y = rng.normal(pair.mu_y, pair.sigma_y, size=n)
+        redraws = 0
+        bad = np.abs(y) <= eps
+        while np.any(bad):
+            k = int(bad.sum())
+            redraws += k
+            x[bad] = rng.normal(pair.mu_x, pair.sigma_x, size=k)
+            y[bad] = rng.normal(pair.mu_y, pair.sigma_y, size=k)
+            bad = np.abs(y) <= eps
+        assert redraws > n // 10 and sample.redraws == redraws
+        assert np.array_equal(sample.values, x / y)
+
     def test_seeded_replay(self):
         pair = pair_for_ratio(np.e)
         a = sample_ratio(pair, 100, np.random.default_rng(9)).values

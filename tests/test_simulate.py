@@ -246,7 +246,8 @@ class TestStatisticalEngine:
             assert np.array_equal(got, expected)
 
     def test_import_leaves_scipy_signal_out(self):
-        code = "import sys, mrsk; print('scipy.signal' in sys.modules)"
+        # neither is used, and each would add to every process's start-up
+        code = "import sys, mrsk; print('scipy.signal' in sys.modules or 'scipy.optimize' in sys.modules)"
         src = str(Path(mrsk.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", code],
@@ -299,6 +300,14 @@ class TestFrameRunner:
         links = [(CFG, CH, ok), (CFG, CH, ok), (CFG, CH, replace(ok, trials_cap=1_500))]
         with pytest.raises(CapacityError, match="trials_cap=1500"):
             simulate._run_links(links, workers=1)
+
+    def test_symbol_count_refusal_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(simulate, "symbol_quantities", refuse_frame)
+        monkeypatch.setattr(simulate, "symbol_index_combos", refuse_frame)
+        big = MrskConfig(N=2 + simulate.SYMBOL_COUNT_CAP.bit_length() - 1)
+        assert big.symbol_count == 2 * simulate.SYMBOL_COUNT_CAP
+        with pytest.raises(CapacityError, match="SYMBOL_COUNT_CAP"):
+            run_link(big, ChannelParams(Ts=1.0, L=1), SimConfig(n_bits=2000))
 
     def test_trellis_refusal_before_any_arrival(self, monkeypatch):
         monkeypatch.setattr(simulate, "_arrivals_statistical", refuse_frame)
