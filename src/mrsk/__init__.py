@@ -10,7 +10,7 @@ detectors), :mod:`mrsk.analysis` (closed-form BER), :mod:`mrsk.simulate`
 """
 
 from .analysis import BerResult, ftd_ber
-from .channel import ChannelParams, Cir, arrival_moments, cir, hit_fraction
+from .channel import ChannelParams, arrival_moments, cir, hit_fraction
 from .errors import CapacityError
 from .modem import MrskConfig, detect_admc, detect_ftd, detect_mlsd
 from .ratio_stats import GaussPair, SolidParams
@@ -22,7 +22,6 @@ __all__ = [
     "BerResult",
     "CapacityError",
     "ChannelParams",
-    "Cir",
     "GaussPair",
     "MrskConfig",
     "SimConfig",

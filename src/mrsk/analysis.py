@@ -17,7 +17,8 @@ Monte Carlo oracles whenever the expected ratio differs from one.
 
 The last ratio position needs all symbol_count^L windows, so the
 sequence cap counts that: ``ftd_ber`` refuses exactly when
-symbol_count^L exceeds it.
+symbol_count^L exceeds ``SEQUENCE_CAP``, after the taps (refused above
+``channel.MEMORY_CAP``) and the alphabet refusal of :func:`check_alphabet`.
 
 Error rates for adaptive memory cancellation are deliberately not
 derived here: the conditioning on past decisions makes the exact
@@ -39,10 +40,17 @@ from .modem import MrskConfig, codewords, ratio_alphabet, thresholds
 __all__ = [
     "BerResult",
     "hamming_table",
+    "check_alphabet",
     "ftd_ber",
+    "ALPHABET_CAP",
+    "SEQUENCE_CAP",
 ]
 
-DEFAULT_SEQUENCE_CAP = 1 << 24
+# symbol sequences ftd_ber may average over: symbol_count^L
+SEQUENCE_CAP = 1 << 24
+# ratio alphabet entries, 2^M: the (2^M, 2^M) int64 Hamming table, and a
+# block of bucket temporaries, take 128 MiB each at the cap
+ALPHABET_CAP = 1 << 12
 # windows per block are (2^M)^t with t * M <= _BLOCK_BITS: about a MiB of
 # bucket temporaries
 _BLOCK_BITS = 12
@@ -59,7 +67,17 @@ def hamming_table(M: int, coding: str) -> np.ndarray:
     """(2^M, 2^M) table of codeword bit differences, 0-based indices."""
     codes = codewords(M, coding)
     x = codes[:, None] ^ codes[None, :]
-    return np.vectorize(lambda v: bin(v).count("1"))(x).astype(np.int64)
+    return sum((x >> b) & 1 for b in range(M))
+
+
+def check_alphabet(config: MrskConfig) -> None:
+    """Refuse, with :class:`CapacityError`, an alphabet above ``ALPHABET_CAP`` entries."""
+    # 2^M is compared by its exponent, never built
+    if config.M >= ALPHABET_CAP.bit_length():
+        raise CapacityError(
+            f"M={config.M} gives 2^{config.M} alphabet entries, exceeding "
+            f"ALPHABET_CAP = {ALPHABET_CAP} (M <= {ALPHABET_CAP.bit_length() - 1}); reduce M"
+        )
 
 
 def _bucket_probs(
@@ -129,27 +147,25 @@ def _position_errors(config: MrskConfig, taps: np.ndarray, j: int, ham: np.ndarr
     return total / k**digits
 
 
-def ftd_ber(
-    config: MrskConfig,
-    channel: ChannelParams,
-    sequence_cap: int = DEFAULT_SEQUENCE_CAP,
-) -> BerResult:
+def ftd_ber(config: MrskConfig, channel: ChannelParams) -> BerResult:
     """Exact BER of fixed-threshold detection under the FIR channel model.
 
     The per-bit error probability of the newest symbol, averaged over all
     symbol_count^L equally likely transmit sequences, one ratio position
     at a time over the digit windows that position reads.  Refuses with
-    :class:`CapacityError` when symbol_count^L exceeds ``sequence_cap``.
+    :class:`CapacityError` when L exceeds ``channel.MEMORY_CAP``, 2^M
+    exceeds ``ALPHABET_CAP`` or symbol_count^L exceeds ``SEQUENCE_CAP``.
     """
-    total = config.symbol_count**channel.L
-    if total > sequence_cap:
+    taps = cir(channel)
+    check_alphabet(config)
+    # symbol_count = 2^bits_per_symbol, so symbol_count^L is compared by its exponent
+    exponent = config.bits_per_symbol * channel.L
+    if exponent >= SEQUENCE_CAP.bit_length():
         raise CapacityError(
-            f"enumerating {total} symbol sequences "
-            f"(symbol_count={config.symbol_count}, L={channel.L}) exceeds the "
-            f"configured cap of {sequence_cap}; raise the cap to at least "
-            f"{total} or use the simulation path"
+            f"enumerating S^L = 2^{exponent} symbol sequences "
+            f"(S = 2^{config.bits_per_symbol} symbols, L = {channel.L}) exceeds "
+            f"SEQUENCE_CAP = {SEQUENCE_CAP}; use the simulation path"
         )
-    taps = cir(channel).array
     ham = hamming_table(config.M, config.coding)
     errors = sum(_position_errors(config, taps, j, ham) for j in range(config.N - 1))
     return BerResult(ber=errors / config.bits_per_symbol)

@@ -139,7 +139,7 @@ def ook_ber(config: OokConfig, channel: ChannelParams, t_b: float) -> float:
     Averages the Gaussian tail against the threshold over every bit
     history of length L (one bit per symbol interval t_b).
     """
-    taps = cir(replace(channel, Ts=t_b)).array
+    taps = cir(replace(channel, Ts=t_b))
     hist = _histories(channel.L)
     mu, var = arrival_moments(config.Q * hist[..., None], taps)
     p1 = _p_above(config.alpha * config.Q, mu[:, 0], var[:, 0])
@@ -154,7 +154,7 @@ def csk_ber(config: CskConfig, channel: ChannelParams, t_b: float) -> float:
     Amplitudes are Q (bit 0) and Gamma*Q (bit 1); the threshold is the
     geometric mean of the two expected isolated-pulse counts.
     """
-    taps = cir(replace(channel, Ts=t_b)).array
+    taps = cir(replace(channel, Ts=t_b))
     hist = _histories(channel.L)
     levels = config.Q * np.where(hist == 1.0, config.Gamma, 1.0)
     mu, var = arrival_moments(levels[..., None], taps)
@@ -173,7 +173,7 @@ def mosk_ber(config: MoskConfig, channel: ChannelParams, t_b: float) -> float:
     when neither or both clear it the receiver guesses, contributing a
     half error, and when only the wrong type clears it the bit is lost.
     """
-    taps = cir(replace(channel, Ts=t_b)).array
+    taps = cir(replace(channel, Ts=t_b))
     hist = _histories(channel.L)
     # type emissions follow the history bits: type 0 encodes bit 0, type 1 bit 1
     mu, var = arrival_moments(config.Q * np.stack([1.0 - hist, hist], axis=-1), taps)

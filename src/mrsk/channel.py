@@ -15,13 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .errors import CapacityError
+
 __all__ = [
     "ChannelParams",
-    "Cir",
     "hit_fraction",
     "cir",
     "arrival_moments",
+    "MEMORY_CAP",
 ]
+
+# taps a channel may keep: one frame of symbols, since no engine reads an
+# interval further back than its frame start
+MEMORY_CAP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -52,26 +58,6 @@ class ChannelParams:
             raise ValueError(f"channel memory must be >= 1, got {self.L}")
 
 
-@dataclass(frozen=True)
-class Cir:
-    """Per-interval hit probabilities p_hit[k], k = 1..L."""
-
-    p_hit: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.p_hit) < 1:
-            raise ValueError("impulse response must have at least one tap")
-        if any(not 0.0 <= p < 1.0 for p in self.p_hit):
-            raise ValueError(f"hit probabilities must lie in [0, 1), got {self.p_hit}")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.p_hit, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.p_hit)
-
-
 def hit_fraction(t, params: ChannelParams):
     """Fraction of emitted molecules absorbed by time ``t`` after release.
 
@@ -89,14 +75,18 @@ def hit_fraction(t, params: ChannelParams):
     return out if out.ndim else float(out)
 
 
-def cir(params: ChannelParams) -> Cir:
-    """Channel impulse response: absorption probability per symbol interval.
+def cir(params: ChannelParams) -> np.ndarray:
+    """Channel impulse response: the L absorption probabilities per symbol interval.
 
-    p_hit[k] = F(k*Ts) - F((k-1)*Ts) where F is the hit-time CDF, so the
-    taps telescope back to hit_fraction(L*Ts) exactly.
+    Tap k is F(k*Ts) - F((k-1)*Ts), k = 1..L, where F is the hit-time CDF,
+    so the taps telescope back to hit_fraction(L*Ts) exactly.  Refused
+    with :class:`CapacityError` when L exceeds ``MEMORY_CAP``.
     """
-    edges = hit_fraction(np.arange(params.L + 1) * params.Ts, params)
-    return Cir(tuple(float(p) for p in np.diff(edges)))
+    if params.L > MEMORY_CAP:
+        raise CapacityError(
+            f"channel memory L={params.L} exceeds MEMORY_CAP = {MEMORY_CAP} intervals; reduce L"
+        )
+    return np.diff(hit_fraction(np.arange(params.L + 1) * params.Ts, params))
 
 
 def arrival_moments(emissions, taps) -> tuple[np.ndarray, np.ndarray]:

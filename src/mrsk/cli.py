@@ -10,7 +10,8 @@ worker count never enters the spec because it never changes a result.
 Flags override keys from an optional flat ``key=value`` config file.
 When no output path is given, files land in ``$MRSK_OUT_DIR`` (or the
 working directory).  Exit codes: 0 success, 1 usage or I/O error,
-2 capability refusal (sequence, trellis, pdf size or worker cap exceeded).
+2 capability refusal, printed as one ``mrsk: refused:`` line naming the
+violated cap (a module constant; the README lists them all).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import DEFAULT_SEQUENCE_CAP, ftd_ber
+from .analysis import ftd_ber
 from .baselines import (
     CskConfig,
     MoskConfig,
@@ -61,6 +62,8 @@ PDF_SAMPLES_CAP = 10_000_000
 PDF_GRID_POINTS_CAP = 100_000
 # a larger --workers is a typo: the pool never exceeds the frame or core count
 WORKERS_CAP = 256
+# points a start:step:stop range may expand to
+VALUES_CAP = 10_000
 
 _SUBCOMMANDS = ("pdf", "ber-analytic", "ber-sim", "ber-particle", "compare", "sweep")
 
@@ -192,23 +195,15 @@ def _estimate_row(
 def render_curve(curve: BerCurve, spec_line: str) -> str:
     lines = [spec_line, CSV_HEADER]
     for value, est in zip(curve.param_values, curve.estimates):
-        lines.append(
-            _estimate_row(curve.param_name, value, curve.scheme, curve.detector, curve.coding, est)
-        )
+        lines.append(_estimate_row(curve.param_name, value, "mrsk", curve.detector, curve.coding, est))
     return "\n".join(lines) + "\n"
 
 
-def write_csv(text_or_curve, path, spec_line: str | None = None) -> None:
-    """Write a rendered table or a BerCurve to ``path``.
+def write_csv(text: str, path) -> None:
+    """Write rendered CSV text to ``path``.
 
     IO failures surface as CliError (exit 1) with the path in the message.
     """
-    if isinstance(text_or_curve, BerCurve):
-        if spec_line is None:
-            raise ValueError("writing a curve needs the serialized spec line")
-        text = render_curve(text_or_curve, spec_line)
-    else:
-        text = text_or_curve
     try:
         Path(path).write_text(text)
     except OSError as exc:
@@ -265,30 +260,10 @@ def _run_pdf(spec: ExperimentSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_ber_analytic(spec: ExperimentSpec) -> str:
-    est = BerEstimate.exact(ftd_ber(spec.mrsk, spec.channel, DEFAULT_SEQUENCE_CAP).ber)
-    curve = BerCurve(
-        param_name="t_b",
-        param_values=(spec.t_b,),
-        estimates=(est,),
-        scheme="mrsk",
-        detector="ftd",
-        coding=spec.coding,
-    )
-    return render_curve(curve, spec.serialize())
-
-
-def _run_ber_sim(spec: ExperimentSpec, workers: int) -> str:
-    est = run_link(spec.mrsk, spec.channel, spec.sim(workers))
-    curve = BerCurve(
-        param_name="t_b",
-        param_values=(spec.t_b,),
-        estimates=(est,),
-        scheme="mrsk",
-        detector=spec.detector,
-        coding=spec.coding,
-    )
-    return render_curve(curve, spec.serialize())
+def _render_point(spec: ExperimentSpec, detector: str, est: BerEstimate) -> str:
+    """The CSV of one ratio-scheme estimate at the spec's bit time."""
+    row = _estimate_row("t_b", spec.t_b, "mrsk", detector, spec.coding, est)
+    return "\n".join([spec.serialize(), CSV_HEADER, row]) + "\n"
 
 
 def _run_sweep(spec: ExperimentSpec, workers: int) -> str:
@@ -341,11 +316,9 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> str:
     if spec.subcommand == "pdf":
         return _run_pdf(spec)
     if spec.subcommand == "ber-analytic":
-        return _run_ber_analytic(spec)
-    if spec.subcommand == "ber-sim":
-        return _run_ber_sim(spec, workers)
-    if spec.subcommand == "ber-particle":
-        return _run_ber_sim(spec, workers)
+        return _render_point(spec, "ftd", BerEstimate.exact(ftd_ber(spec.mrsk, spec.channel).ber))
+    if spec.subcommand in ("ber-sim", "ber-particle"):
+        return _render_point(spec, spec.detector, run_link(spec.mrsk, spec.channel, spec.sim(workers)))
     if spec.subcommand == "compare":
         return _run_compare(spec)
     if spec.subcommand == "sweep":
@@ -380,8 +353,10 @@ def _parse_values(raw: str) -> tuple[float, ...]:
         start, step, stop = (float(p) for p in parts)
         if step <= 0:
             raise CliError("range step must be positive")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + k * step for k in range(n))
+        span = (stop - start) / step + 1e-9
+        if span >= VALUES_CAP:
+            raise CapacityError(f"range {raw!r} exceeds VALUES_CAP = {VALUES_CAP} points")
+        return tuple(start + k * step for k in range(math.floor(span) + 1))
     return tuple(float(p) for p in raw.split(","))
 
 
@@ -456,10 +431,7 @@ def run_cli(argv=None) -> int:
         text = run_spec(spec, workers=args.workers)
         out = Path(args.output) if args.output else _default_output(args.subcommand)
         write_csv(text, out)
-    except CliError as exc:
-        print(f"mrsk: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"mrsk: error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:

@@ -10,10 +10,11 @@ The three detectors take (K, N) received counts and return (K,) symbol
 ids plus their diagnostic counters: FTD buckets each received ratio
 against the geometric-mean thresholds, ADMC first subtracts the
 estimated one-tap interference of the previous decision, and MLSD runs
-a Viterbi search of the ratio log-likelihood over windows of symbols.
+one Viterbi search of the ratio log-likelihood over all K symbols.
 The Viterbi search works on arrays: branch metrics for every S^L symbol
-window over a block of frames in one expression, add-compare-select over
-(S^(L-1), S) score arrays and an integer traceback.
+window over a block of rows in one expression, add-compare-select over
+(S^(L-1), S) score arrays and an integer traceback.  The trellis caps
+and the degeneracy epsilon ``DENOM_EPS_SCALE * Q`` are module constants.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ __all__ = [
     "detect_admc",
     "detect_mlsd",
     "trellis_states",
+    "DENOM_EPS_SCALE",
+    "TRELLIS_STATE_CAP",
+    "TRELLIS_WINDOW_CAP",
 ]
 
 _CODINGS = ("binary", "gray")
@@ -50,6 +54,13 @@ _DETECTORS = ("ftd", "admc", "mlsd")
 _MLSD_METRICS = ("solid", "gaussian")
 # working-set budget of one block of the vectorised sequential detectors
 _BLOCK_BYTES = 1 << 20
+# ratio denominators at or below DENOM_EPS_SCALE * Q mark a symbol degenerate
+DENOM_EPS_SCALE = 1e-6
+# sequence detection over S symbols and L taps keeps S^(L-1) Viterbi states
+# (a frame's traceback holds one byte or two per state and symbol) and
+# tabulates S^L branch windows (tens of floats each)
+TRELLIS_STATE_CAP = 1 << 16
+TRELLIS_WINDOW_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,14 +73,7 @@ class MrskConfig:
     Q: reference molecule count of the first type
     coding: bit-to-index mapping, "binary" or "gray"
     detector: "ftd", "admc" or "mlsd"
-    mlsd_window: chunk length of the sequence detector (each chunk of
-        symbols is searched on its own, starting cold)
     mlsd_metric: branch metric, "solid" or "gaussian"
-    rotate_roles: cyclically shift molecule roles by (symbol position
-        mod N) so reservoir usage balances; both ends apply the same
-        deterministic schedule (off by default)
-    denom_eps_scale: ratio denominators at or below denom_eps_scale * Q
-        mark a frame degenerate
     """
 
     N: int = 2
@@ -78,10 +82,7 @@ class MrskConfig:
     Q: float = 1000.0
     coding: str = "gray"
     detector: str = "ftd"
-    mlsd_window: int = 1 << 20
     mlsd_metric: str = "solid"
-    rotate_roles: bool = False
-    denom_eps_scale: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.N < 2:
@@ -98,8 +99,6 @@ class MrskConfig:
             raise ValueError(f"detector must be one of {_DETECTORS}, got {self.detector!r}")
         if self.mlsd_metric not in _MLSD_METRICS:
             raise ValueError(f"mlsd_metric must be one of {_MLSD_METRICS}, got {self.mlsd_metric!r}")
-        if self.mlsd_window < 1:
-            raise ValueError("mlsd_window must be positive")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -115,7 +114,7 @@ class MrskConfig:
 
     @property
     def denom_eps(self) -> float:
-        return self.denom_eps_scale * self.Q
+        return DENOM_EPS_SCALE * self.Q
 
 
 # ---------------------------------------------------------------------------
@@ -353,40 +352,34 @@ def _branch_metrics(z: np.ndarray, consts: np.ndarray, config: MrskConfig) -> np
     return total
 
 
-def trellis_states(config: MrskConfig, L: int, state_cap: int = 1 << 16) -> int:
-    """Viterbi states of sequence detection over L taps; refused above ``state_cap``."""
-    n_states = config.symbol_count ** (L - 1)
-    if n_states > state_cap:
+def trellis_states(config: MrskConfig, L: int) -> int:
+    """Viterbi states S^(L-1) of sequence detection over L taps.
+
+    Refused with :class:`CapacityError` when the states exceed
+    ``TRELLIS_STATE_CAP`` or the S^L branch windows ``TRELLIS_WINDOW_CAP``.
+    """
+    # S = 2^bits_per_symbol, so powers of S are compared by their exponents, never built
+    bits = config.bits_per_symbol
+    states, windows = bits * (L - 1), bits * L
+    if states >= TRELLIS_STATE_CAP.bit_length() or windows >= TRELLIS_WINDOW_CAP.bit_length():
         raise CapacityError(
-            f"sequence detection needs {n_states} trellis states "
-            f"(2^(M(N-1)(L-1))), exceeding the configured cap of {state_cap}; "
-            f"raise state_cap to at least {n_states} or reduce N, M or L"
+            f"sequence detection needs S^(L-1) = 2^{states} trellis states and S^L = 2^{windows} "
+            f"branch windows (S = 2^{bits} symbols, L = {L}), exceeding TRELLIS_STATE_CAP = "
+            f"{TRELLIS_STATE_CAP} or TRELLIS_WINDOW_CAP = {TRELLIS_WINDOW_CAP}; reduce N, M or L"
         )
-    return n_states
+    return 1 << states
 
 
-def _trellis_constants(config: MrskConfig, taps: np.ndarray, state_cap: int = 1 << 16) -> list:
-    """The window constants for n = 1..L ids, after the trellis-size refusal."""
-    trellis_states(config, len(taps), state_cap)
-    return [_window_constants(config, taps, n) for n in range(1, len(taps) + 1)]
-
-
-def _viterbi_symbol_ids(
-    ratios: np.ndarray,
-    config: MrskConfig,
-    taps: np.ndarray,
-    consts: list[np.ndarray] | None = None,
-) -> list[int]:
+def _viterbi_symbol_ids(ratios: np.ndarray, config: MrskConfig, taps: np.ndarray) -> list[int]:
     """Viterbi search over symbol ids for a (T, N-1) ratio array.
 
     A state is the mixed-radix index of the last L-1 ids, oldest most
     significant, so window w = state * S + id.  Ties go to the lowest
-    predecessor and, at the end, to the lowest state.  ``consts`` are the
-    :func:`_trellis_constants`, built here when not given.
+    predecessor and, at the end, to the lowest state.
     """
-    consts = consts or _trellis_constants(config, taps)
     L, S, T = len(taps), config.symbol_count, ratios.shape[0]
-    n_states = S ** (L - 1)
+    n_states = trellis_states(config, L)
+    consts = [_window_constants(config, taps, n) for n in range(1, L + 1)]
     mem = min(L - 1, T)
     scores = np.zeros(1)
     for k in range(mem):  # cold start: k ids so far, so S^k states
@@ -411,25 +404,14 @@ def _viterbi_symbol_ids(
     return detected[::-1]
 
 
-def detect_mlsd(
-    counts: np.ndarray,
-    config: MrskConfig,
-    taps: np.ndarray,
-    state_cap: int = 1 << 16,
-) -> tuple[np.ndarray, int]:
+def detect_mlsd(counts: np.ndarray, config: MrskConfig, taps: np.ndarray) -> tuple[np.ndarray, int]:
     """Maximum-likelihood sequence detection: (symbol ids, degenerate symbols).
 
-    The (K, N) counts are cut into chunks of ``mlsd_window`` symbols, each
-    searched by a Viterbi trellis whose states are the last L-1 symbols;
-    the branch metric is the log ratio-density (solid approximation by
-    default, Gaussian behind ``mlsd_metric``) under the signal-dependent
-    moments of each candidate window.  Every chunk starts cold: intervals
-    before its first symbol carry zero emissions.
+    One Viterbi trellis, whose states are the last L-1 symbols, searches
+    the (K, N) counts; the branch metric is the log ratio-density (solid
+    approximation by default, Gaussian behind ``mlsd_metric``) under the
+    signal-dependent moments of each candidate window.  The search starts
+    cold: intervals before the first symbol carry zero emissions.
     """
     ratios, degenerate = _ratios(counts, config)
-    consts = _trellis_constants(config, taps, state_cap)
-    ids: list[int] = []
-    for start in range(0, counts.shape[0], config.mlsd_window):
-        chunk = ratios[start : start + config.mlsd_window]
-        ids += _viterbi_symbol_ids(chunk, config, taps, consts)
-    return np.array(ids, dtype=np.int64), int(degenerate.sum())
+    return np.array(_viterbi_symbol_ids(ratios, config, taps), dtype=np.int64), int(degenerate.sum())

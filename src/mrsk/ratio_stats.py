@@ -36,10 +36,13 @@ __all__ = [
     "gaussian_ratio_params",
     "gaussian_ratio_pdf",
     "sample_ratio",
+    "SAMPLE_DENOM_EPS",
 ]
 
 # denominators drawn per block of the sampler (512 KiB of float64)
 _SAMPLE_BLOCK = 1 << 16
+# the sampler redraws denominators of at most this magnitude
+SAMPLE_DENOM_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,15 +153,10 @@ def gaussian_ratio_pdf(eta, pair: GaussPair):
     return out if out.ndim else float(out)
 
 
-def sample_ratio(
-    pair: GaussPair,
-    n: int,
-    rng: np.random.Generator,
-    denom_eps: float = 1e-12,
-) -> RatioSample:
+def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator) -> RatioSample:
     """Draw n independent ratios X/Y.
 
-    Draws whose denominator magnitude falls at or below ``denom_eps`` are
+    Draws whose denominator magnitude is at most ``SAMPLE_DENOM_EPS`` are
     redrawn (both coordinates) so the sample matches the conditional law
     the analytic forms approximate; the redraw count is reported.  All n
     numerators come first, then the n denominators, then the redraws of
@@ -168,11 +166,12 @@ def sample_ratio(
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    eps = SAMPLE_DENOM_EPS
     x = rng.normal(pair.mu_x, pair.sigma_x, size=n)
     bad = []
     for start in range(0, n, _SAMPLE_BLOCK):
         y = rng.normal(pair.mu_y, pair.sigma_y, size=min(_SAMPLE_BLOCK, n - start))
-        small = (y <= denom_eps) & (y >= -denom_eps)
+        small = (y <= eps) & (y >= -eps)
         np.divide(x[start : start + y.size], y, out=x[start : start + y.size], where=~small)
         bad.append(start + np.flatnonzero(small))
     bad = np.concatenate(bad)
@@ -181,7 +180,7 @@ def sample_ratio(
         redraws += bad.size
         xb = rng.normal(pair.mu_x, pair.sigma_x, size=bad.size)
         yb = rng.normal(pair.mu_y, pair.sigma_y, size=bad.size)
-        small = (yb <= denom_eps) & (yb >= -denom_eps)
+        small = (yb <= eps) & (yb >= -eps)
         x[bad] = np.divide(xb, yb, out=xb, where=~small)  # the still-small ones go again
         bad = bad[small]
     return RatioSample(values=x, redraws=redraws)

@@ -5,15 +5,17 @@ draws Gaussian counts from the FIR moments, ``binomial`` draws the
 per-tap binomial counts, and ``particle`` steps every molecule's Brownian
 path against the absorbing receiver in blocks inside each symbol interval,
 retiring it at age L intervals (the FIR truncation of the other engines).
-A frame encodes random bits to symbol ids, emits them (optionally
-rotating molecule roles), draws arrivals, hands the (K, N) counts to a
-:mod:`mrsk.modem` detector and counts bit errors per ratio position.
+A frame encodes random bits to symbol ids, emits them, draws arrivals,
+hands the (K, N) counts to a :mod:`mrsk.modem` detector and counts bit
+errors per ratio position.
 Bit streams are split into fixed-size frames with independently
 derived random streams.  One call of :func:`run_link` or a simulated
 :func:`sweep` builds each link's tables once and queues the frames of all
 its points together on one process pool (in-process at one worker);
 per-link sums in frame order make the results bit-for-bit reproducible
-for a seed at any worker count.
+for a seed at any worker count.  Each size cap (``TRIALS_CAP``,
+``SYMBOL_COUNT_CAP``, ``PARTICLE_POPULATION_CAP`` and those of the other
+modules) is a module constant, checked before any frame runs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .modem import (
     symbol_quantities,
     trellis_states,
 )
-from .analysis import ftd_ber, hamming_table
+from .analysis import check_alphabet, ftd_ber, hamming_table
 
 __all__ = [
     "SimConfig",
@@ -56,10 +58,13 @@ __all__ = [
     "SWEEPABLE_PARAMS",
     "PARTICLE_POPULATION_CAP",
     "SYMBOL_COUNT_CAP",
+    "TRIALS_CAP",
 ]
 
 SWEEPABLE_PARAMS = ("t_b", "Q", "d", "Omega", "N", "M")
 _Z95 = 1.959963984540054
+# bits one link may simulate
+TRIALS_CAP = 10**9
 # live molecules a particle link may hold: L intervals of its largest symbol
 PARTICLE_POPULATION_CAP = 10**6
 # symbols a link may tabulate: its (S, N) emissions and (S, N-1) index rows
@@ -79,7 +84,6 @@ class SimConfig:
     seed: master seed; every frame derives its own child stream
     engine: "statistical", "binomial" or "particle"
     particle_dt: Brownian time step (particle engine only)
-    trials_cap: refusal bound on the requested bit count
     frame_symbols: symbols per independent frame (fixed partitioning
         keeps results worker-count independent)
     workers: process count for frame execution
@@ -89,7 +93,6 @@ class SimConfig:
     seed: int = 0
     engine: str = "statistical"
     particle_dt: float = 1e-3
-    trials_cap: int = 10**9
     frame_symbols: int = 8192
     workers: int = 1
 
@@ -141,7 +144,6 @@ class BerCurve:
     param_name: str
     param_values: tuple[float, ...]
     estimates: tuple[BerEstimate, ...]
-    scheme: str = "mrsk"
     detector: str = "ftd"
     coding: str = "gray"
 
@@ -192,7 +194,6 @@ class ParticleState:
     types: np.ndarray
     ages: np.ndarray
     interval_counts: np.ndarray
-    time: float = 0.0
     bridge_absorption: bool = True
 
     @property
@@ -248,7 +249,6 @@ def particle_step(
         raise ValueError("dt must be positive and n_steps nonnegative")
     ch = state.channel
     scale = math.sqrt(2.0 * ch.D * dt)
-    state.time += n_steps * dt
     while n_steps and state.alive:
         n = state.alive
         b = min(n_steps, max(1, _PARTICLE_BLOCK_STEPS // n))
@@ -349,11 +349,6 @@ def _simulate_frame(
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
     idx0 = encode_bits_to_indices(bits, mrsk)
     emissions = np.take(quantities, symbol_ids(idx0, mrsk), axis=0)
-    if mrsk.rotate_roles:
-        shifts = np.arange(n_symbols) % mrsk.N
-        for s in range(1, mrsk.N):
-            rows = shifts == s
-            emissions[rows] = np.roll(emissions[rows], s, axis=1)
 
     if sim.engine == "statistical":
         counts = _arrivals_statistical(emissions, taps, rng)
@@ -361,11 +356,6 @@ def _simulate_frame(
         counts = _arrivals_binomial(emissions, taps, rng)
     else:
         counts = _arrivals_particle(emissions, channel, sim.particle_dt, rng)
-
-    if mrsk.rotate_roles:
-        for s in range(1, mrsk.N):
-            rows = shifts == s
-            counts[rows] = np.roll(counts[rows], -s, axis=1)
 
     clamps = 0
     if mrsk.detector == "ftd":
@@ -387,16 +377,17 @@ def _run_links(
     """One estimate per (mrsk, channel, sim) link; all their frames share one queue."""
     owners, jobs = [], []
     for link, (mrsk, channel, sim) in enumerate(links):
-        if sim.n_bits > sim.trials_cap:
+        if sim.n_bits > TRIALS_CAP:
             raise CapacityError(
-                f"requested {sim.n_bits} bits exceeds trials_cap={sim.trials_cap}; "
-                f"raise the cap to at least {sim.n_bits}"
+                f"requested {sim.n_bits} bits exceeds TRIALS_CAP = {TRIALS_CAP}; request fewer bits"
             )
-        if mrsk.symbol_count > SYMBOL_COUNT_CAP:
+        # symbol_count = 2^bits_per_symbol is compared by its exponent, never built
+        if mrsk.bits_per_symbol >= SYMBOL_COUNT_CAP.bit_length():
             raise CapacityError(
-                f"N={mrsk.N}, M={mrsk.M} gives {mrsk.symbol_count} symbols, exceeding "
+                f"N={mrsk.N}, M={mrsk.M} gives 2^{mrsk.bits_per_symbol} symbols, exceeding "
                 f"SYMBOL_COUNT_CAP = {SYMBOL_COUNT_CAP}; reduce N or M"
             )
+        check_alphabet(mrsk)
         if mrsk.detector == "mlsd":
             trellis_states(mrsk, channel.L)
         quantities = symbol_quantities(mrsk)
@@ -408,7 +399,7 @@ def _run_links(
             )
         tables = (
             quantities,
-            cir(channel).array,
+            cir(channel),
             symbol_index_combos(mrsk),
             hamming_table(mrsk.M, mrsk.coding).ravel(),
         )
@@ -534,7 +525,6 @@ def sweep(
         param_name=param_name,
         param_values=tuple(float(v) for v in values),
         estimates=tuple(estimates),
-        scheme="mrsk",
         detector=mrsk.detector,
         coding=mrsk.coding,
     )

@@ -47,7 +47,7 @@ def sequence_error_probs(sequences: np.ndarray, config: MrskConfig, taps: np.nda
 
 def ftd_ber_oracle(config: MrskConfig, channel: ChannelParams) -> float:
     """Mean of :func:`sequence_error_probs` over all symbol_count^L sequences, in chunks."""
-    taps = cir(channel).array
+    taps = cir(channel)
     total = config.symbol_count**channel.L
     acc = 0.0
     for start in range(0, total, _CHUNK):

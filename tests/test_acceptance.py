@@ -246,7 +246,7 @@ def test_detector_ordering():
     ok_mlsd = mlsd.ber <= ftd3.ber
 
     cfg = MrskConfig(detector="mlsd")
-    taps = cir(ch3).array
+    taps = cir(ch3)
     rng = np.random.default_rng(5)
     metric = ScalarMlsdMetric(cfg, taps)
 

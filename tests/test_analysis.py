@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ftd_oracle import ftd_ber_oracle, ftd_detection_prob
+from mrsk import analysis
 from mrsk.analysis import (
     BerResult,
     _bucket_probs,
@@ -22,6 +23,10 @@ from mrsk.modem import (
 from mrsk.ratio_stats import GaussPair, SolidParams, solid_ratio_cdf
 
 CH = ChannelParams(Ts=0.5, L=5)
+
+
+def refuse_call(*args, **kwargs):
+    raise AssertionError("called after a refusal")
 
 
 def random_sequence(config, L, rng):
@@ -42,12 +47,14 @@ class TestHamming:
             assert table[i, i + 1] == 1
 
     def test_table_matches_scalar(self):
-        for coding in ("binary", "gray"):
-            table = hamming_table(3, coding)
-            codes = codewords(3, coding)
-            for a in range(8):
-                for b in range(8):
-                    assert table[a, b] == bin(int(codes[a]) ^ int(codes[b])).count("1")
+        for M in (1, 3, 6):
+            for coding in ("binary", "gray"):
+                table = hamming_table(M, coding)
+                codes = codewords(M, coding)
+                assert table.dtype == np.int64
+                for a in range(1 << M):
+                    for b in range(1 << M):
+                        assert table[a, b] == bin(int(codes[a]) ^ int(codes[b])).count("1")
 
     def test_range_check(self):
         # the table covers exactly the 2^M alphabet indices, symmetric with a zero diagonal
@@ -88,7 +95,7 @@ class TestBucketProbs:
             cfg = MrskConfig(N=N, M=M)
             taps = cir(CH)
             seqs = np.stack([random_sequence(cfg, CH.L, rng) for _ in range(34)])
-            probs = ftd_detection_prob(seqs, taps.array, cfg)
+            probs = ftd_detection_prob(seqs, taps, cfg)
             assert probs.shape == (34, N - 1, cfg.alphabet_size)
             assert np.all(np.abs(probs.sum(axis=-1) - 1.0) < 1e-10)
 
@@ -97,7 +104,7 @@ class TestDetectionProb:
     def test_high_snr_concentrates(self):
         cfg = MrskConfig(N=2, M=1, Q=1e6)
         ch = ChannelParams(Ts=0.5, L=1)
-        assert ftd_detection_prob([1], cir(ch).array, cfg)[0, 1] > 1.0 - 1e-12
+        assert ftd_detection_prob([1], cir(ch), cfg)[0, 1] > 1.0 - 1e-12
 
     def test_matches_monte_carlo_frequency(self):
         # fixed random sequence; empirical bucket frequencies from Gaussian
@@ -109,7 +116,7 @@ class TestDetectionProb:
         qty = symbol_quantities(cfg)
         k = cfg.alphabet_size
         emissions = qty[seq]
-        p = taps.array
+        p = taps
         mu = p[::-1] @ emissions
         var = (p * (1 - p))[::-1] @ emissions
         n = 300_000
@@ -148,7 +155,7 @@ class TestFtdBer:
         # computation straight from the solid CDF at the threshold
         cfg = MrskConfig(N=2, M=1, Q=1000.0)
         ch = ChannelParams(Ts=0.5, L=1)
-        p1 = cir(ch).p_hit[0]
+        p1 = cir(ch)[0]
         err = 0.0
         for x in (math.e, math.exp(-1)):
             pair = GaussPair(
@@ -180,17 +187,35 @@ class TestFtdBer:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert format(got, ".10g") == format(want, ".10g")
 
-    def test_sequence_cap_refusal(self):
+    def test_sequence_cap_refusal(self, monkeypatch):
         # the cap counts whole sequences, symbol_count^L, whatever the
         # windows of the earlier ratio positions
         cfg = MrskConfig(N=4, M=3)
-        total = cfg.symbol_count**5
-        with pytest.raises(CapacityError, match=str(total)):
+        with pytest.raises(CapacityError, match=r"S\^L = 2\^45 .*\(S = 2\^9 symbols, L = 5\)"):
             ftd_ber(cfg, ChannelParams(Ts=0.5, L=5))
         small, ch = MrskConfig(N=3, M=1), ChannelParams(Ts=0.5, L=3)
-        with pytest.raises(CapacityError, match="64"):
-            ftd_ber(small, ch, sequence_cap=63)
-        assert ftd_ber(small, ch, sequence_cap=64).ber == ftd_ber(small, ch).ber
+        expected = ftd_ber(small, ch).ber
+        monkeypatch.setattr(analysis, "SEQUENCE_CAP", 63)
+        with pytest.raises(CapacityError, match="2\\^6 symbol sequences .*SEQUENCE_CAP = 63"):
+            ftd_ber(small, ch)
+        monkeypatch.setattr(analysis, "SEQUENCE_CAP", 64)
+        assert ftd_ber(small, ch).ber == expected
+
+    def test_alphabet_cap_refusal_before_any_table(self, monkeypatch):
+        top = analysis.ALPHABET_CAP.bit_length() - 1
+        assert top == 12
+        analysis.check_alphabet(MrskConfig(M=top))
+        monkeypatch.setattr(analysis, "hamming_table", refuse_call)
+        monkeypatch.setattr(analysis, "_position_errors", refuse_call)
+        for M in (top + 1, 20, 10**6):
+            with pytest.raises(CapacityError, match=f"M={M} gives 2\\^{M} alphabet entries.*ALPHABET_CAP = 4096"):
+                ftd_ber(MrskConfig(M=M), ChannelParams(L=1))
+
+    def test_memory_cap_refusal_before_counting(self, monkeypatch):
+        # the taps come first, so a huge L is refused without a sequence count
+        monkeypatch.setattr(analysis, "hamming_table", refuse_call)
+        with pytest.raises(CapacityError, match="MEMORY_CAP"):
+            ftd_ber(MrskConfig(N=10**6), ChannelParams(L=1 << 40))
 
     def test_matches_monte_carlo(self):
         from mrsk.simulate import SimConfig, run_link

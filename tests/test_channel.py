@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from mrsk import channel
 from mrsk.channel import (
     ChannelParams,
-    Cir,
     arrival_moments,
     cir,
     hit_fraction,
 )
+from mrsk.errors import CapacityError
 from mrsk.simulate import _arrivals_binomial, _arrivals_statistical
 
 DEFAULTS = ChannelParams(d=10.0, r=5.0, D=79.4, Ts=1.0, L=5)
@@ -71,33 +73,48 @@ class TestChannelParams:
 class TestCir:
     def test_first_tap_equals_hit_fraction(self):
         taps = cir(DEFAULTS)
-        assert taps.p_hit[0] == pytest.approx(hit_fraction(DEFAULTS.Ts, DEFAULTS), abs=1e-15)
+        assert taps[0] == pytest.approx(hit_fraction(DEFAULTS.Ts, DEFAULTS), abs=1e-15)
 
     def test_telescoping_sum(self):
         taps = cir(DEFAULTS)
         total = hit_fraction(DEFAULTS.L * DEFAULTS.Ts, DEFAULTS)
-        assert abs(sum(taps.p_hit) - total) < 1e-12
+        assert abs(sum(taps) - total) < 1e-12
         assert total == pytest.approx(0.4295800755520416, abs=1e-12)
 
     def test_second_tap_value(self):
         # F(2) - F(1) for the default geometry
-        assert cir(DEFAULTS).p_hit[1] == pytest.approx(0.0437564, abs=1e-6)
+        assert cir(DEFAULTS)[1] == pytest.approx(0.0437564, abs=1e-6)
 
     def test_total_bounded_by_geometry(self):
         for Ts in (0.05, 0.5, 2.0):
             taps = cir(ChannelParams(Ts=Ts, L=50))
-            assert sum(taps.p_hit) <= DEFAULTS.r / DEFAULTS.d + 1e-12
+            assert sum(taps) <= DEFAULTS.r / DEFAULTS.d + 1e-12
 
     def test_first_tap_dominates_at_defaults(self):
         # Ts = 1 s far exceeds the mode of the hitting-rate density (~0.05 s)
-        taps = cir(DEFAULTS).p_hit
+        taps = cir(DEFAULTS)
         assert all(taps[0] > p for p in taps[1:])
 
-    def test_invalid_probabilities_rejected(self):
-        with pytest.raises(ValueError):
-            Cir((0.3, 1.0))
-        with pytest.raises(ValueError):
-            Cir(())
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        d_over_r=st.floats(1.0 + 1e-6, 1e3),
+        r=st.floats(1e-3, 1e3),
+        D=st.floats(1e-3, 1e4),
+        log_ts=st.floats(-6.0, 12.0),
+        L=st.integers(1, 24),
+    )
+    def test_taps_are_probabilities_that_telescope(self, d_over_r, r, D, log_ts, L):
+        params = ChannelParams(d=d_over_r * r, r=r, D=D, Ts=10.0**log_ts, L=L)
+        taps = cir(params)
+        assert taps.shape == (L,) and taps.dtype == np.float64
+        assert np.all((taps >= 0.0) & (taps < 1.0))
+        assert abs(taps.sum() - hit_fraction(L * params.Ts, params)) <= 1e-12
+
+    def test_memory_cap_refusal(self, monkeypatch):
+        monkeypatch.setattr(channel, "MEMORY_CAP", 7)
+        assert cir(ChannelParams(L=7)).shape == (7,)
+        with pytest.raises(CapacityError, match="L=8 exceeds MEMORY_CAP = 7"):
+            cir(ChannelParams(L=8))
 
 
 def column(history) -> np.ndarray:
@@ -107,23 +124,23 @@ def column(history) -> np.ndarray:
 
 class TestArrivalMoments:
     def test_all_zero_history(self):
-        mu, var = arrival_moments(np.zeros((5, 1)), cir(DEFAULTS).array)
+        mu, var = arrival_moments(np.zeros((5, 1)), cir(DEFAULTS))
         assert mu.tolist() == [0.0] and var.tolist() == [0.0]
 
     def test_single_emission_current_slot(self):
-        taps = cir(DEFAULTS).array
+        taps = cir(DEFAULTS)
         mu, _ = arrival_moments(column([0, 0, 0, 0, 1000]), taps)
         assert mu[0] == pytest.approx(1000 * taps[0], rel=1e-12)
         assert mu[0] == pytest.approx(345.766540633907, abs=1e-6)
 
     def test_two_tap_history(self):
-        taps = cir(DEFAULTS).array
+        taps = cir(DEFAULTS)
         mu, _ = arrival_moments(column([1000, 1000]), taps[:2])
         assert mu[0] == pytest.approx(1000 * (taps[0] + taps[1]), rel=1e-12)
         assert mu[0] == pytest.approx(389.52, abs=0.01)
 
     def test_linearity(self):
-        taps = cir(DEFAULTS).array
+        taps = cir(DEFAULTS)
         rng = np.random.default_rng(0)
         s1 = rng.uniform(0, 2000, (20, 5, 3))
         s2 = rng.uniform(0, 2000, (20, 5, 3))
@@ -136,17 +153,17 @@ class TestArrivalMoments:
         assert var == pytest.approx(a[:, 0] * var1 + b[:, 0] * var2, rel=1e-10)
 
     def test_variance_below_mean(self):
-        taps = cir(DEFAULTS).array
+        taps = cir(DEFAULTS)
         mu, var = arrival_moments(np.random.default_rng(1).uniform(0, 5000, (20, 5, 2)), taps)
         assert np.all(0.0 <= var) and np.all(var <= mu)
 
     def test_negative_emission_rejected(self):
         with pytest.raises(ValueError):
-            arrival_moments(column([0, 0, 0, 0, -5]), cir(DEFAULTS).array)
+            arrival_moments(column([0, 0, 0, 0, -5]), cir(DEFAULTS))
 
     def test_length_mismatch_rejected(self):
         # a history may be shorter than the memory (cold start), never longer
-        taps = cir(DEFAULTS).array
+        taps = cir(DEFAULTS)
         for n in (0, 6):
             with pytest.raises(ValueError):
                 arrival_moments(np.zeros((n, 1)), taps)
@@ -169,11 +186,11 @@ class TestSampling:
     def test_degenerate_gaussian(self):
         # zero emissions: zero mean and variance, so the draw is exactly the mean
         rng = np.random.default_rng(0)
-        draws = _arrivals_statistical(np.zeros((10, 2)), cir(DEFAULTS).array, rng)
+        draws = _arrivals_statistical(np.zeros((10, 2)), cir(DEFAULTS), rng)
         assert not draws.any()
 
     def test_law_of_large_numbers(self):
-        taps = cir(DEFAULTS).array
+        taps = cir(DEFAULTS)
         mu, var = arrival_moments(np.full((5, 1), 1000.0), taps)
         draws = stationary_rows(_arrivals_statistical, 1000.0, taps, 100_000, 7)
         se = np.sqrt(var[0] / draws.size)
@@ -181,7 +198,7 @@ class TestSampling:
 
     def test_seeded_replay(self):
         emissions = np.full((50, 2), 100.0)
-        taps = cir(DEFAULTS).array
+        taps = cir(DEFAULTS)
         for engine in (_arrivals_statistical, _arrivals_binomial):
             a = engine(emissions, taps, np.random.default_rng(3))
             b = engine(emissions, taps, np.random.default_rng(3))
@@ -189,7 +206,7 @@ class TestSampling:
 
     def test_binomial_zero_history(self):
         rng = np.random.default_rng(0)
-        assert not _arrivals_binomial(np.zeros((5, 1)), cir(DEFAULTS).array, rng).any()
+        assert not _arrivals_binomial(np.zeros((5, 1)), cir(DEFAULTS), rng).any()
 
     def test_binomial_single_molecule_is_bernoulli(self):
         draws = stationary_rows(_arrivals_binomial, 1.0, np.array([0.3]), 20_000, 2)
@@ -197,7 +214,7 @@ class TestSampling:
         assert np.mean(draws) == pytest.approx(0.3, abs=0.01)
 
     def test_binomial_matches_moments(self):
-        taps = cir(DEFAULTS).array
+        taps = cir(DEFAULTS)
         mu, var = arrival_moments(np.full((5, 1), 1000.0), taps)
         draws = stationary_rows(_arrivals_binomial, 1000.0, taps, 100_000, 11)
         se_mean = np.sqrt(var[0] / draws.size)
@@ -208,7 +225,7 @@ class TestSampling:
 
     def test_gaussian_binomial_distribution_agreement(self):
         # same first two moments within tight tolerances at Q >= 500
-        taps = cir(DEFAULTS).array
+        taps = cir(DEFAULTS)
         mu, var = arrival_moments(np.full((5, 1), 500.0), taps)
         gauss = stationary_rows(_arrivals_statistical, 500.0, taps, 100_000, 5)
         binom = stationary_rows(_arrivals_binomial, 500.0, taps, 100_000, 6)

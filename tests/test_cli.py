@@ -1,11 +1,18 @@
+import contextlib
 import dataclasses
+import io
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mrsk import cli, simulate
+from mrsk import analysis, channel, cli, simulate
 from mrsk.cli import (
     CSV_HEADER,
     ExperimentSpec,
@@ -136,7 +143,7 @@ class TestWriteCsv:
         est = BerEstimate.from_counts(1234, 987_654)
         curve = BerCurve(param_name="Q", param_values=(1000.0 / 3.0,), estimates=(est,))
         path = tmp_path / "r.csv"
-        write_csv(curve, path, "# spec: x")
+        write_csv(render_curve(curve, "# spec: x"), path)
         row = data_lines(path.read_text())[1].split(",")
         for emitted, original in [
             (row[1], 1000.0 / 3.0),
@@ -181,7 +188,7 @@ class TestErrors:
         argv = ["ber-sim", "--N", "3", "--M", "2", "--L", "6", "--detector", "mlsd", "--bits", "2000"]
         rc, out = run(tmp_path, "x.csv", argv)
         assert rc == 2
-        assert "1048576 trellis states" in capsys.readouterr().err
+        assert "2^20 trellis states" in capsys.readouterr().err
         assert not out.exists()
 
     def test_particle_population_refusal_exit_two(self, tmp_path, capsys, monkeypatch):
@@ -244,6 +251,14 @@ class TestErrors:
         # the cap itself is admitted
         rc, _ = run(tmp_path, "y.csv", ["ber-analytic", "--workers", str(cli.WORKERS_CAP)])
         assert rc == 0
+
+    def test_values_range_cap_exit_two(self, tmp_path, capsys):
+        # the range is refused before it is expanded
+        assert len(cli._parse_values(f"1:1:{cli.VALUES_CAP}")) == cli.VALUES_CAP
+        for values in (f"1:1:{cli.VALUES_CAP + 1}", "0:1e-12:1", "0:1:inf"):
+            rc, out = run(tmp_path, "x.csv", ["sweep", "--engine", "analytic", "--values", values])
+            assert rc == 2 and not out.exists()
+            assert "VALUES_CAP = 10000" in capsys.readouterr().err
 
     def test_pdf_caps_admit_the_largest_recipe(self):
         assert cli.PDF_SAMPLES_CAP >= 1_000_000 and cli.PDF_GRID_POINTS_CAP >= 4001
@@ -355,3 +370,112 @@ class TestSpecSerialization:
         )
         spec = ExperimentSpec(**kwargs)
         assert ExperimentSpec.deserialize(spec.serialize()) == spec
+
+
+# Flag pools for the exit-code totality check: (valid values, then
+# invalid ones: NaN, negative, zero, unknown and over-cap).  Valid work
+# sizes are small enough that any run they allow takes tens of milliseconds.
+NAN = "nan"
+FLAG_POOLS = {
+    "--d": (["10", "12"], ["0", "-1", NAN]),
+    "--r": (["5"], ["20", "0", NAN]),
+    "--D": (["79.4"], ["0", "-1", NAN]),
+    "--L": (["1", "2", "3"], ["0", "-1", "8000", str(channel.MEMORY_CAP + 1), NAN]),
+    "--t-b": (["0.5", "0.05"], ["0", "-1", NAN]),
+    "--N": (["2", "3"], ["0", "-1", "40", str(10**6)]),
+    "--M": (["1", "2"], ["0", "-1", "13", "20"]),
+    "--omega": (["2.718281828459045", "1.5"], ["1", "0", NAN]),
+    "--Q": (["50", "100"], ["0", "-1", NAN, "1e7"]),
+    "--coding": (["gray", "binary"], ["bogus"]),
+    "--detector": (["ftd", "admc", "mlsd"], ["bogus"]),
+    "--mlsd-metric": (["solid", "gaussian"], ["bogus"]),
+    "--engine": (["statistical", "binomial", "particle", "analytic"], ["bogus"]),
+    "--bits": (["1000", "2000"], ["999", "0", "-5", str(simulate.TRIALS_CAP + 1), NAN]),
+    "--dt": (["0.25"], ["0", "-1", NAN]),
+    "--seed": (["0", "7"], ["-1"]),
+    "--param": (["t_b", "Q", "d", "Omega", "N", "M"], ["bogus"]),
+    "--values": (["0.5", "2", "0.25,0.5", "1:1:2"], [NAN, "", "1:2", "0:1e-9:1", "0:1:inf", "x"]),
+    "--ratio": (["2.718281828459045", "1"], ["0", "-1", NAN]),
+    "--grid-points": (["11"], ["0", "-1", str(cli.PDF_GRID_POINTS_CAP + 1)]),
+    "--samples": (["100"], ["0", "-1", str(cli.PDF_SAMPLES_CAP + 1)]),
+    "--ook-alpha": (["0.78"], ["0", "-1", NAN]),
+    "--csk-gamma": (["2"], ["1", "0", NAN]),
+    "--mosk-lambda-frac": (["0.34"], ["0", NAN]),
+    "--rtsk-detector": (["ml", "linear"], ["bogus"]),
+    "--workers": (["1"], ["0", "-3", str(cli.WORKERS_CAP + 1)]),
+}
+# flags whose defaults are full-size runs, so they are always given
+WORK_SIZE_FLAGS = ("--bits", "--samples", "--grid-points", "--dt", "--L", "--Q")
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand and every flag, up to two of them from their invalid pools."""
+    argv = [draw(st.sampled_from(cli._SUBCOMMANDS))]
+    spoiled = draw(st.lists(st.sampled_from(list(FLAG_POOLS)), min_size=1, max_size=2, unique=True))
+    for flag, (valid, invalid) in FLAG_POOLS.items():
+        if flag in WORK_SIZE_FLAGS or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(valid + invalid if flag in spoiled else valid))]
+    return argv
+
+
+REFUSED_ARGV = [
+    ["ber-analytic", "--M", "20", "--L", "1"],
+    ["ber-sim", "--M", "16", "--bits", "1000"],
+    ["ber-analytic", "--L", "1099511627776"],
+    ["ber-sim", "--L", "100000000", "--bits", "1000"],
+    ["ber-analytic", "--N", "20", "--L", "8000"],
+    ["ber-sim", "--detector", "mlsd", "--N", "3", "--L", "8000", "--bits", "1000"],
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", REFUSED_ARGV, ids=" ".join)
+    def test_oversized_requests_refused_in_one_line(self, argv, tmp_path, capsys, monkeypatch):
+        # refused before any table: neither Hamming table nor taps-sized work is built
+        monkeypatch.setattr(simulate, "hamming_table", refuse_call)
+        monkeypatch.setattr(analysis, "hamming_table", refuse_call)
+        started = time.perf_counter()
+        rc, out = run(tmp_path, "x.csv", argv)
+        assert time.perf_counter() - started < 1.0
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("mrsk: refused: ") and err.count("\n") == 1
+
+    def test_oversized_requests_refused_within_two_gigabytes(self):
+        # each request in a fresh interpreter whose address space is capped
+        # at 2e9 bytes: a table built before its refusal would fail there
+        resource = pytest.importorskip("resource")
+        limit = 2_000_000 * 1024
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        code = (
+            "import sys, time; from mrsk.cli import run_cli\n"
+            "t = time.perf_counter(); rc = run_cli(sys.argv[1:])\n"
+            "print(rc, time.perf_counter() - t)"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for argv in REFUSED_ARGV:
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv, "-o", os.devnull],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                timeout=120, preexec_fn=cap_address_space,
+            )
+            rc, seconds = done.stdout.split()
+            assert rc == "2" and float(seconds) < 1.0, (argv, done.stdout, done.stderr)
+            assert done.stderr.startswith("mrsk: refused: ") and done.stderr.count("\n") == 1
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(argv=cli_argv())
+    @example(argv=REFUSED_ARGV[0])
+    @example(argv=REFUSED_ARGV[1])
+    @example(argv=REFUSED_ARGV[2])
+    @example(argv=REFUSED_ARGV[3])
+    @example(argv=REFUSED_ARGV[4])
+    @example(argv=REFUSED_ARGV[5])
+    def test_any_argv_exits_zero_one_or_two(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = run_cli(argv + ["-o", os.devnull])
+        assert rc in (0, 1, 2)

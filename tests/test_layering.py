@@ -2,7 +2,8 @@
 
 Modules use each other only through public names, so every concept has
 one implementation that other modules call instead of reaching into
-its helpers; and every name a module exports in ``__all__`` exists.
+its helpers; every name a module exports in ``__all__`` exists; and
+size caps are module constants, not parameters or config fields.
 """
 
 import ast
@@ -74,3 +75,33 @@ def test_every_export_exists(path):
     missing = sorted(set(exported) - top_level_names(tree))
     assert not missing, f"{path.name} exports undefined names {missing}"
     assert len(exported) == len(set(exported)), f"{path.name} lists a name twice in __all__"
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+            isinstance(target, ast.Attribute) and target.attr == "dataclass"
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_caps_are_module_constants(path):
+    # a size cap is a module constant, never a parameter or a config field
+    names = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if arg is not None:
+                    names.append(arg.arg)
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+            names += [
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    capped = sorted(name for name in names if name.endswith("_cap"))
+    assert not capped, f"{path.name} takes caps as parameters or fields: {capped}"

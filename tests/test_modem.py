@@ -25,6 +25,7 @@ from mrsk.modem import (
     symbol_index_combos,
     symbol_quantities,
     thresholds,
+    trellis_states,
 )
 
 CH = ChannelParams(Ts=1.0, L=5)
@@ -255,7 +256,7 @@ class TestAdmc:
     def test_first_symbol_equals_ftd(self):
         cfg = MrskConfig(N=2, M=1)
         counts = np.array([[400.0, 380.0]])
-        ids, _, _ = detect_admc(counts, cfg, cir(CH).array)
+        ids, _, _ = detect_admc(counts, cfg, cir(CH))
         assert ids.tolist() == detect_ftd(counts, cfg)[0].tolist()
 
     def test_exact_interference_cancellation(self):
@@ -263,7 +264,7 @@ class TestAdmc:
         # from the row before) carried ratio e, the current carries 1/e; the
         # adjusted ratio recovers 1/e exactly
         cfg = MrskConfig(N=2, M=1, Q=1000.0)
-        taps = cir(CH).array
+        taps = cir(CH)
         p1, p2 = taps[0], taps[1]
         prev_qty, cur_qty = emission([1], cfg), emission([0], cfg)
         counts = p1 * cur_qty + p2 * prev_qty
@@ -276,7 +277,7 @@ class TestAdmc:
 
     def test_clamp_counted(self):
         cfg = MrskConfig(N=2, M=1, Q=1000.0)
-        taps = cir(CH).array
+        taps = cir(CH)
         counts = np.vstack([taps[0] * emission([1], cfg), [10.0, 10.0]])
         ids, _, clamps = detect_admc(counts, cfg, taps)
         assert ids[0] == 1 and clamps > 0
@@ -291,7 +292,7 @@ class TestAdmc:
         # memory must not widen the spread of (received - transmitted) ratio
         cfg = MrskConfig(N=2, M=1, Q=1000.0)
         ch = ChannelParams(Ts=0.5, L=5)
-        taps = cir(ch).array
+        taps = cir(ch)
         rng = np.random.default_rng(31)
         n = 10_000
         alphabet = ratio_alphabet(cfg)
@@ -314,7 +315,7 @@ class TestAdmc:
 class TestMlsd:
     def test_memoryless_equals_ftd_on_exact_means(self):
         cfg = MrskConfig(N=2, M=1, mlsd_metric="gaussian")
-        taps = cir(ChannelParams(Ts=1.0, L=1)).array
+        taps = cir(ChannelParams(Ts=1.0, L=1))
         for hist in itertools.product(range(2), repeat=4):
             z = exact_mean_ratios(list(hist), cfg, taps)
             ids = _viterbi_symbol_ids(z, cfg, taps)
@@ -323,7 +324,7 @@ class TestMlsd:
 
     def test_noiseless_recovery_all_histories(self):
         cfg = MrskConfig(N=2, M=1)
-        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        taps = cir(ChannelParams(Ts=0.5, L=3))
         for hist in itertools.product(range(2), repeat=3):
             z = exact_mean_ratios(list(hist), cfg, taps)
             assert _viterbi_symbol_ids(z, cfg, taps) == list(hist)
@@ -331,7 +332,7 @@ class TestMlsd:
     @pytest.mark.parametrize("metric", ["solid", "gaussian"])
     def test_trellis_equals_exhaustive(self, metric):
         cfg = MrskConfig(N=2, M=1, mlsd_metric=metric)
-        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        taps = cir(ChannelParams(Ts=0.5, L=3))
         rng = np.random.default_rng(5)
         for _ in range(100):
             z = np.exp(rng.normal(0.0, 1.2, size=(6, 1)))
@@ -349,7 +350,7 @@ class TestMlsd:
         # includes windows shorter than the channel memory (T < L - 1)
         cfg = MrskConfig(N=N, M=1, mlsd_metric=metric)
         T = min(T, 4) if N == 3 else T
-        taps = cir(ChannelParams(Ts=0.5, L=L)).array
+        taps = cir(ChannelParams(Ts=0.5, L=L))
         z = np.exp(np.random.default_rng(seed).normal(0.0, 1.2, size=(T, N - 1)))
         assert _viterbi_symbol_ids(z, cfg, taps) == mlsd_exhaustive(z, cfg, taps)
 
@@ -357,7 +358,7 @@ class TestMlsd:
         # a negative ratio zeroes the solid density of some windows (metric
         # -1e300); the trellis must still find the exhaustive optimum
         cfg = MrskConfig(N=2, M=1)
-        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        taps = cir(ChannelParams(Ts=0.5, L=3))
         metric = ScalarMlsdMetric(cfg, taps)
         windows = list(itertools.product(range(2), repeat=3))
         z_dead = next(
@@ -373,36 +374,37 @@ class TestMlsd:
 
     def test_all_dead_ties_go_to_lowest_ids(self):
         cfg = MrskConfig(N=2, M=1)
-        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        taps = cir(ChannelParams(Ts=0.5, L=3))
         z = np.full((5, 1), -1e6)
         assert _viterbi_symbol_ids(z, cfg, taps) == mlsd_exhaustive(z, cfg, taps) == [0] * 5
 
     def test_returns_ratio_symbols(self):
         cfg = MrskConfig(N=2, M=1)
-        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        taps = cir(ChannelParams(Ts=0.5, L=3))
         ids, degenerate = detect_mlsd(np.tile([300.0, 900.0], (4, 1)), cfg, taps)
         assert ids.shape == (4,) and ids.dtype.kind == "i" and degenerate == 0
         assert set(ids.tolist()) <= set(range(cfg.symbol_count))
 
-    def test_state_cap_refusal_names_requirement(self):
+    def test_state_cap_refusal_names_requirement(self, monkeypatch):
         cfg = MrskConfig(N=4, M=3)
-        taps = cir(ChannelParams(Ts=0.5, L=5)).array
+        taps = cir(ChannelParams(Ts=0.5, L=5))
         counts = np.ones((2, 4))
-        with pytest.raises(CapacityError, match=str(cfg.symbol_count ** 4)):
-            detect_mlsd(counts, cfg, taps, state_cap=1 << 16)
-
-    def test_window_chunks_are_independent_searches(self):
-        # mlsd_window is the chunk length: each chunk of rows is its own
-        # cold-start trellis search
-        taps = cir(ChannelParams(Ts=0.5, L=3)).array
-        counts = np.random.default_rng(61).uniform(50.0, 1500.0, size=(23, 2))
-        ratios = counts[:, 1:] / counts[:, :-1]
-        for window in (1, 2, 5, 7, 23, 40, 1 << 20):
-            cfg = MrskConfig(N=2, M=1, mlsd_window=window)
-            expected = []
-            for start in range(0, len(counts), window):
-                expected += _viterbi_symbol_ids(ratios[start : start + window], cfg, taps)
-            assert detect_mlsd(counts, cfg, taps)[0].tolist() == expected
+        with pytest.raises(CapacityError, match=r"2\^36 trellis states .*\(S = 2\^9 symbols, L = 5\)"):
+            detect_mlsd(counts, cfg, taps)
+        # within the state cap, but 2^32 branch windows
+        with pytest.raises(CapacityError, match=r"S\^L = 2\^32 branch windows"):
+            trellis_states(MrskConfig(N=17, M=1), 2)
+        # both caps are exact: 2^4 states and 2^6 windows pass at caps 16 and 64
+        small, taps3 = MrskConfig(N=3, M=1), cir(ChannelParams(Ts=0.5, L=3))
+        monkeypatch.setattr(modem, "TRELLIS_STATE_CAP", 16)
+        monkeypatch.setattr(modem, "TRELLIS_WINDOW_CAP", 64)
+        assert trellis_states(small, 3) == 16
+        assert detect_mlsd(counts[:, :3], small, taps3)[0].shape == (2,)
+        for name, cap in (("TRELLIS_STATE_CAP", 15), ("TRELLIS_WINDOW_CAP", 63)):
+            with monkeypatch.context() as patch:
+                patch.setattr(modem, name, cap)
+                with pytest.raises(CapacityError, match=f"{name} = {cap}"):
+                    detect_mlsd(counts[:, :3], small, taps3)
 
     def test_window_constants_built_once_per_call(self, monkeypatch):
         built = []
@@ -410,9 +412,9 @@ class TestMlsd:
         monkeypatch.setattr(
             modem, "_window_constants", lambda *a: built.append(a[2]) or original(*a)
         )
-        taps = cir(ChannelParams(Ts=0.5, L=3)).array
+        taps = cir(ChannelParams(Ts=0.5, L=3))
         counts = np.random.default_rng(62).uniform(50.0, 1500.0, size=(23, 2))
-        detect_mlsd(counts, MrskConfig(N=2, M=1, mlsd_window=2), taps)
+        detect_mlsd(counts, MrskConfig(N=2, M=1), taps)
         assert built == [1, 2, 3]
 
 
@@ -421,7 +423,7 @@ class TestEndToEnd:
         # encode -> symbol ids -> emissions -> exact arrival means -> detect -> decode
         rng = np.random.default_rng(77)
         ch = ChannelParams(Ts=1.0, L=1)
-        p1 = cir(ch).p_hit[0]
+        p1 = cir(ch)[0]
         for N in (2, 3, 4):
             for M in (1, 2, 3):
                 cfg = MrskConfig(N=N, M=M)

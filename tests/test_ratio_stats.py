@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from mrsk import ratio_stats
 from mrsk.channel import ChannelParams, hit_fraction
 from mrsk.ratio_stats import (
     GaussPair,
@@ -221,19 +222,21 @@ class TestSampleRatio:
         assert pair.mu_y / pair.sigma_y > 8
         assert sample_ratio(pair, 50_000, np.random.default_rng(5)).redraws == 0
 
-    def test_redraws_counted_near_zero_denominator(self):
+    def test_redraws_counted_near_zero_denominator(self, monkeypatch):
+        monkeypatch.setattr(ratio_stats, "SAMPLE_DENOM_EPS", 0.1)
         pair = GaussPair(10.0, 0.5, 1.0, 1.0)
-        sample = sample_ratio(pair, 20_000, np.random.default_rng(1), denom_eps=0.1)
+        sample = sample_ratio(pair, 20_000, np.random.default_rng(1))
         assert sample.redraws > 0
         assert np.all(np.abs(sample.values) < 10.0 / 0.1 + 1000)
 
-    def test_redraws_match_the_abs_form(self):
+    def test_redraws_match_the_abs_form(self, monkeypatch):
         # the sampler's blocked denominators, two-sided test and in-place
         # quotient against whole-array draws, the |y| <= eps loop and x / y,
         # on a seed that forces redraws and a size spanning several blocks
         pair = GaussPair(10.0, 0.5, 1.0, 1.0)
         n, eps = 150_001, 0.2
-        sample = sample_ratio(pair, n, np.random.default_rng(3), denom_eps=eps)
+        monkeypatch.setattr(ratio_stats, "SAMPLE_DENOM_EPS", eps)
+        sample = sample_ratio(pair, n, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         x = rng.normal(pair.mu_x, pair.sigma_x, size=n)
         y = rng.normal(pair.mu_y, pair.sigma_y, size=n)
