@@ -45,6 +45,12 @@ __all__ = [
 ]
 
 
+def _check_count(Q: float) -> None:
+    # NaN fails the comparison, inf the upper bound
+    if not 0 < Q < math.inf:
+        raise ValueError(f"Q must be positive and finite, got {Q}")
+
+
 @dataclass(frozen=True)
 class OokConfig:
     """On-off keying: Q molecules for bit 1, none for bit 0; threshold alpha*Q."""
@@ -53,8 +59,7 @@ class OokConfig:
     alpha: float = 0.78
 
     def __post_init__(self) -> None:
-        if self.Q <= 0:
-            raise ValueError("Q must be positive")
+        _check_count(self.Q)
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"threshold fraction must lie in [0, 1), got {self.alpha}")
 
@@ -67,10 +72,9 @@ class CskConfig:
     Gamma: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.Q <= 0:
-            raise ValueError("Q must be positive")
-        if self.Gamma <= 1.0:
-            raise ValueError(f"amplitude ratio must exceed 1, got {self.Gamma}")
+        _check_count(self.Q)
+        if not 1.0 < self.Gamma < math.inf:
+            raise ValueError(f"amplitude ratio must be finite and exceed 1, got {self.Gamma}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,9 @@ class MoskConfig:
     Lambda: float = 340.0
 
     def __post_init__(self) -> None:
-        if self.Q <= 0:
-            raise ValueError("Q must be positive")
-        if self.Lambda <= 0:
-            raise ValueError(f"per-type threshold must be positive, got {self.Lambda}")
+        _check_count(self.Q)
+        if not 0 < self.Lambda < math.inf:
+            raise ValueError(f"per-type threshold must be positive and finite, got {self.Lambda}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,8 @@ class RtskConfig:
     detector: str = "ml"
 
     def __post_init__(self) -> None:
-        if self.Delta <= 0:
-            raise ValueError("release offset must be positive")
+        if not 0 < self.Delta < math.inf:
+            raise ValueError(f"release offset must be positive and finite, got {self.Delta}")
         if self.detector not in ("ml", "linear"):
             raise ValueError(f"detector must be 'ml' or 'linear', got {self.detector!r}")
 

@@ -10,6 +10,7 @@ schemes share one physics implementation.  The arrival samplers are the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,13 @@ class ChannelParams:
     L: int = 5
 
     def __post_init__(self) -> None:
-        if not self.d > self.r > 0:
-            raise ValueError(f"need d > r > 0, got d={self.d}, r={self.r}")
-        if self.D <= 0:
-            raise ValueError(f"diffusion coefficient must be positive, got {self.D}")
-        if self.Ts <= 0:
-            raise ValueError(f"symbol interval must be positive, got {self.Ts}")
+        # written so that NaN fails each comparison and inf fails the upper bound
+        if not math.inf > self.d > self.r > 0:
+            raise ValueError(f"need finite d > r > 0, got d={self.d}, r={self.r}")
+        if not 0 < self.D < math.inf:
+            raise ValueError(f"diffusion coefficient must be positive and finite, got {self.D}")
+        if not 0 < self.Ts < math.inf:
+            raise ValueError(f"symbol interval must be positive and finite, got {self.Ts}")
         if self.L < 1:
             raise ValueError(f"channel memory must be >= 1, got {self.L}")
 

@@ -35,10 +35,12 @@ __all__ = [
     "codewords",
     "encode_bits_to_indices",
     "decode_indices_to_bits",
+    "bit_values",
     "average_molecules_per_bit",
     "radix_digits",
     "symbol_ids",
     "symbol_index_combos",
+    "symbol_values",
     "symbol_quantities",
     "detect_ftd",
     "detect_admc",
@@ -56,10 +58,14 @@ _MLSD_METRICS = ("solid", "gaussian")
 _BLOCK_BYTES = 1 << 20
 # ratio denominators at or below DENOM_EPS_SCALE * Q mark a symbol degenerate
 DENOM_EPS_SCALE = 1e-6
+# up to this many ascending thresholds are counted, one comparison pass
+# each (M <= 5); beyond it a binary search is faster
+_COUNTED_THRESHOLDS = 31
 # sequence detection over S symbols and L taps keeps S^(L-1) Viterbi states
-# (a frame's traceback holds one byte or two per state and symbol) and
-# tabulates S^L branch windows (tens of floats each)
-TRELLIS_STATE_CAP = 1 << 16
+# and tabulates S^L branch windows (tens of floats each); a frame's traceback
+# holds a byte per state and symbol (two above S = 256, where the window cap
+# leaves at most 2^10 states), so at most 64 MiB for 8192 symbols
+TRELLIS_STATE_CAP = 1 << 13
 TRELLIS_WINDOW_CAP = 1 << 20
 
 
@@ -89,10 +95,11 @@ class MrskConfig:
             raise ValueError(f"need at least two molecule types, got N={self.N}")
         if self.M < 1:
             raise ValueError(f"need at least one bit per ratio, got M={self.M}")
-        if self.Omega <= 1.0:
-            raise ValueError(f"ratio-range base must exceed 1, got {self.Omega}")
-        if self.Q <= 0:
-            raise ValueError(f"reference count must be positive, got {self.Q}")
+        # NaN fails each comparison, inf the upper bound
+        if not 1.0 < self.Omega < math.inf:
+            raise ValueError(f"ratio-range base must be finite and exceed 1, got {self.Omega}")
+        if not 0 < self.Q < math.inf:
+            raise ValueError(f"reference count must be positive and finite, got {self.Q}")
         if self.coding not in _CODINGS:
             raise ValueError(f"coding must be one of {_CODINGS}, got {self.coding!r}")
         if self.detector not in _DETECTORS:
@@ -180,10 +187,7 @@ def encode_bits_to_indices(bits, config: MrskConfig) -> np.ndarray:
         raise ValueError(
             f"bit count {b.size} is not a positive multiple of {bps} bits per symbol"
         )
-    groups = b.astype(np.int64).reshape(-1, config.M)
-    weights = 1 << np.arange(config.M - 1, -1, -1)
-    values = groups @ weights
-    indices = _value_to_index(config.M, config.coding)[values]
+    indices = _value_to_index(config.M, config.coding)[bit_values(b, config.M)]
     return indices.reshape(-1, config.N - 1)
 
 
@@ -198,6 +202,16 @@ def decode_indices_to_bits(indices, config: MrskConfig) -> np.ndarray:
     shifts = np.arange(config.M - 1, -1, -1)
     bits = (values[:, None] >> shifts) & 1
     return bits.reshape(-1).astype(np.uint8)
+
+
+def bit_values(bits, width: int) -> np.ndarray:
+    """Each consecutive ``width``-bit group of a 0/1 array as an integer, first bit most significant."""
+    groups = np.asarray(bits).reshape(-1, width)
+    values = groups[:, 0].astype(np.int64)
+    for j in range(1, width):  # Horner's rule: integer matmul is several times slower here
+        values <<= 1
+        values |= groups[:, j]
+    return values
 
 
 def average_molecules_per_bit(config: MrskConfig) -> float:
@@ -238,6 +252,17 @@ def symbol_index_combos(config: MrskConfig) -> np.ndarray:
     return radix_digits(np.arange(config.symbol_count), config.alphabet_size, config.N - 1)
 
 
+def symbol_values(config: MrskConfig) -> np.ndarray:
+    """The bits_per_symbol-bit value each symbol id carries, shape (symbol_count,).
+
+    The bits are those :func:`decode_indices_to_bits` gives for the id's
+    index row, so the Gray and binary mappings keep one implementation;
+    the values are a permutation of 0..symbol_count-1.
+    """
+    bits = decode_indices_to_bits(symbol_index_combos(config), config)
+    return bit_values(bits, config.bits_per_symbol)
+
+
 def symbol_quantities(config: MrskConfig) -> np.ndarray:
     """Emission quantities for every symbol id, shape (symbol_count, N)."""
     alphabet = ratio_alphabet(config)
@@ -260,6 +285,20 @@ def _ratios(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, np.ndar
     return counts[:, 1:] / np.maximum(den, eps), np.any(den <= eps, axis=1)
 
 
+def _buckets(edges: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Bucket of each r among ascending ``edges``: ``np.searchsorted(edges, r, side="right")``.
+
+    Small alphabets count the edges that r is not below, so ties go
+    upward and NaN lands in the last bucket, exactly as in the search.
+    """
+    if edges.size > _COUNTED_THRESHOLDS:
+        return np.searchsorted(edges, r, side="right")
+    out = np.full(r.shape, edges.size, dtype=np.uint8)
+    for e in edges:
+        out -= r < e
+    return out
+
+
 def detect_ftd(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, int]:
     """Fixed-threshold detection of (K, N) counts: (symbol ids, degenerate symbols).
 
@@ -268,7 +307,7 @@ def detect_ftd(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, int]
     degeneracy epsilon decodes as id 0 and is counted.
     """
     ratios, degenerate = _ratios(counts, config)
-    ids = symbol_ids(np.searchsorted(thresholds(config), ratios, side="right"), config)
+    ids = symbol_ids(_buckets(thresholds(config), ratios), config)
     ids[degenerate] = 0
     return ids, int(degenerate.sum())
 
@@ -297,7 +336,7 @@ def detect_admc(
         low = (c <= eps).sum(axis=2)
         c = np.maximum(c, eps)
         ratios = c[..., 1:] / c[..., :-1]
-        table = symbol_ids(np.searchsorted(thresholds(config), ratios, side="right"), config)
+        table = symbol_ids(_buckets(thresholds(config), ratios), config)
         flat, path = table.ravel().tolist(), [d]
         for row in range(0, len(flat), S + 1):
             d = flat[row + d]

@@ -20,6 +20,7 @@ tests/test_ratio_stats.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,9 +61,10 @@ class GaussPair:
     sigma_y: float
 
     def __post_init__(self) -> None:
-        if self.sigma_x <= 0 or self.sigma_y <= 0:
+        # NaN fails every comparison, inf the upper bounds
+        if not (0 < self.sigma_x < math.inf and 0 < self.sigma_y < math.inf):
             raise ValueError(
-                f"standard deviations must be positive, got {self.sigma_x}, {self.sigma_y}"
+                f"standard deviations must be positive and finite, got {self.sigma_x}, {self.sigma_y}"
             )
 
 

@@ -5,17 +5,21 @@ draws Gaussian counts from the FIR moments, ``binomial`` draws the
 per-tap binomial counts, and ``particle`` steps every molecule's Brownian
 path against the absorbing receiver in blocks inside each symbol interval,
 retiring it at age L intervals (the FIR truncation of the other engines).
-A frame encodes random bits to symbol ids, emits them, draws arrivals,
-hands the (K, N) counts to a :mod:`mrsk.modem` detector and counts bit
-errors per ratio position.
+A frame draws random bits and packs each symbol's bits_per_symbol bits
+into one integer value, takes its emissions from a per-link table indexed
+by that value, draws arrivals, hands the (K, N) counts to a
+:mod:`mrsk.modem` detector and counts bit errors as the popcount of
+sent_value ^ value[detected_id], the value of each symbol id being a
+second per-link table (:func:`mrsk.modem.symbol_values`).
 Bit streams are split into fixed-size frames with independently
 derived random streams.  One call of :func:`run_link` or a simulated
 :func:`sweep` builds each link's tables once and queues the frames of all
 its points together on one process pool (in-process at one worker);
 per-link sums in frame order make the results bit-for-bit reproducible
 for a seed at any worker count.  Each size cap (``TRIALS_CAP``,
-``SYMBOL_COUNT_CAP``, ``PARTICLE_POPULATION_CAP`` and those of the other
-modules) is a module constant, checked before any frame runs.
+``SYMBOL_COUNT_CAP``, ``PARTICLE_POPULATION_CAP``, ``PARTICLE_STEP_CAP``
+and those of the other modules) is a module constant, checked before any
+frame runs.
 """
 
 from __future__ import annotations
@@ -31,16 +35,15 @@ from .channel import ChannelParams, cir
 from .errors import CapacityError
 from .modem import (
     MrskConfig,
+    bit_values,
     detect_admc,
     detect_ftd,
     detect_mlsd,
-    encode_bits_to_indices,
-    symbol_ids,
-    symbol_index_combos,
     symbol_quantities,
+    symbol_values,
     trellis_states,
 )
-from .analysis import check_alphabet, ftd_ber, hamming_table
+from .analysis import check_alphabet, ftd_ber
 
 __all__ = [
     "SimConfig",
@@ -57,6 +60,7 @@ __all__ = [
     "child_seed",
     "SWEEPABLE_PARAMS",
     "PARTICLE_POPULATION_CAP",
+    "PARTICLE_STEP_CAP",
     "SYMBOL_COUNT_CAP",
     "TRIALS_CAP",
 ]
@@ -67,8 +71,12 @@ _Z95 = 1.959963984540054
 TRIALS_CAP = 10**9
 # live molecules a particle link may hold: L intervals of its largest symbol
 PARTICLE_POPULATION_CAP = 10**6
-# symbols a link may tabulate: its (S, N) emissions and (S, N-1) index rows
-# take 8 (2N - 1) S bytes, about 160 MB at the cap (M = 1, N = 20)
+# Brownian steps a particle link may take, symbols times round(Ts / dt): a
+# block step costs at least ~0.3 us even in a near-empty medium
+PARTICLE_STEP_CAP = 10**8
+# symbols a link may tabulate: its two (S, N) emission tables and the (S, N-1)
+# index rows its (S,) values decode from take 8 (3N - 1) S bytes, about
+# 250 MB at the cap (M = 1, N = 20)
 SYMBOL_COUNT_CAP = 1 << 19
 # molecule-steps per particle block: ~1 MiB of float64 temporaries at 7 per
 # molecule-step (paths 3, distances 1, bridge test 3)
@@ -87,6 +95,11 @@ class SimConfig:
     frame_symbols: symbols per independent frame (fixed partitioning
         keeps results worker-count independent)
     workers: process count for frame execution
+
+    Frames are cold-start bursts: each starts with an empty channel, so its
+    first L-1 symbols see less intersymbol interference than the stationary
+    link of :func:`mrsk.analysis.ftd_ber`.  Those are (L-1)/F of the symbols
+    of F-symbol frames, so they move the BER by at most (L-1)/F.
     """
 
     n_bits: int = 100_000
@@ -101,8 +114,8 @@ class SimConfig:
             raise ValueError(f"need at least 1000 bits for interval reporting, got {self.n_bits}")
         if self.engine not in ("statistical", "binomial", "particle"):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.particle_dt <= 0:
-            raise ValueError("particle_dt must be positive")
+        if not 0 < self.particle_dt < math.inf:  # NaN fails too
+            raise ValueError(f"particle_dt must be positive and finite, got {self.particle_dt}")
         if self.frame_symbols < 1 or self.workers < 1:
             raise ValueError("frame_symbols and workers must be positive")
 
@@ -316,10 +329,20 @@ def _arrivals_particle(
 def _arrivals_statistical(
     emissions: np.ndarray, taps: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    def fir(b):  # cold-start FIR per molecule column, bit for bit lfilter(b, [1.0], ., axis=0)
-        return np.stack([np.convolve(b, col)[: len(emissions)] for col in emissions.T], axis=1)
-    mu, var = fir(taps), fir(taps * (1.0 - taps))
-    return mu + np.sqrt(var) * rng.standard_normal(emissions.shape)
+    """Gaussian counts mu + sqrt(var) z of the cold-start FIR moments of (K, N) emissions.
+
+    Each moment column is bit for bit ``lfilter(b, [1.0], ., axis=0)``.
+    """
+    k_symbols = len(emissions)
+    mu, var = np.empty(emissions.shape), np.empty(emissions.shape)
+    taps_var = taps * (1.0 - taps)
+    for j, col in enumerate(emissions.T):
+        mu[:, j] = np.convolve(taps, col)[:k_symbols]
+        var[:, j] = np.convolve(taps_var, col)[:k_symbols]
+    counts = rng.standard_normal(emissions.shape)
+    counts *= np.sqrt(var, out=var)
+    counts += mu
+    return counts
 
 
 def _arrivals_binomial(
@@ -339,16 +362,20 @@ def _simulate_frame(
     mrsk: MrskConfig,
     channel: ChannelParams,
     sim: SimConfig,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
     frame_index: int,
     n_symbols: int,
 ) -> tuple[int, int, int, int]:
-    """Simulate one independent frame; returns (errors, bits, degenerate, ADMC clamps)."""
-    quantities, taps, combos, hamming = tables
+    """Simulate one independent frame; returns (errors, bits, degenerate, ADMC clamps).
+
+    A sent symbol is the bits_per_symbol-bit value of its drawn bits, so the
+    link tables hold the emissions by value and the value of each symbol id.
+    """
+    emissions_by_value, taps, values = tables
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
-    idx0 = encode_bits_to_indices(bits, mrsk)
-    emissions = np.take(quantities, symbol_ids(idx0, mrsk), axis=0)
+    sent = bit_values(bits, mrsk.bits_per_symbol)
+    emissions = np.take(emissions_by_value, sent, axis=0)
 
     if sim.engine == "statistical":
         counts = _arrivals_statistical(emissions, taps, rng)
@@ -365,9 +392,7 @@ def _simulate_frame(
     else:
         det_ids, degenerate = detect_mlsd(counts, mrsk, taps)
 
-    # bit errors per ratio position, as flat takes (2-D fancy indexing is slower)
-    pairs = idx0 * mrsk.alphabet_size + np.take(combos, det_ids, axis=0)
-    errors = int(np.take(hamming, pairs).sum())
+    errors = int(np.bitwise_count(sent ^ np.take(values, det_ids)).sum())
     return errors, bits.size, degenerate, clamps
 
 
@@ -390,6 +415,17 @@ def _run_links(
         check_alphabet(mrsk)
         if mrsk.detector == "mlsd":
             trellis_states(mrsk, channel.L)
+        n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
+        # rounded as _arrivals_particle rounds, in floats so a huge Ts / dt stays comparable
+        steps = n_symbols * max(1.0, round(channel.Ts / sim.particle_dt, 0))
+        if sim.engine == "particle" and steps > PARTICLE_STEP_CAP:
+            raise CapacityError(
+                f"a particle link of {n_symbols} symbols at round(Ts/dt) steps each takes "
+                f"{steps:.4g} steps, exceeding PARTICLE_STEP_CAP = {PARTICLE_STEP_CAP:.0e}; "
+                "raise dt or request fewer bits"
+            )
+        taps = cir(channel)
+        values = symbol_values(mrsk)  # before the quantities, whose table would add to its peak
         quantities = symbol_quantities(mrsk)
         population = channel.L * float(quantities.sum(axis=1).max())  # retirement bounds it
         if sim.engine == "particle" and population > PARTICLE_POPULATION_CAP:
@@ -397,13 +433,9 @@ def _run_links(
                 f"a particle link may hold {population:.4g} live molecules (L times the largest symbol), "
                 f"exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; reduce Q, Omega, N, M or L"
             )
-        tables = (
-            quantities,
-            cir(channel),
-            symbol_index_combos(mrsk),
-            hamming_table(mrsk.M, mrsk.coding).ravel(),
-        )
-        n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
+        emissions_by_value = np.empty_like(quantities)
+        emissions_by_value[values] = quantities
+        tables = (emissions_by_value, taps, values)
         for index, start in enumerate(range(0, n_symbols, sim.frame_symbols)):
             owners.append(link)
             jobs.append((mrsk, channel, sim, tables, index, min(sim.frame_symbols, n_symbols - start)))

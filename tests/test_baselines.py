@@ -217,3 +217,20 @@ class TestComparison:
         ook = ook_ber(OokConfig(), CH, TB)
         csk = csk_ber(CskConfig(), CH, TB)
         assert mrsk < mosk < max(ook, csk)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: OokConfig(Q=bad),
+        lambda bad: CskConfig(Q=bad),
+        lambda bad: CskConfig(Gamma=bad),
+        lambda bad: MoskConfig(Q=bad),
+        lambda bad: MoskConfig(Lambda=bad),
+        lambda bad: RtskConfig(Delta=bad),
+    ],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_settings_rejected(make, bad):
+    with pytest.raises(ValueError):
+        make(bad)

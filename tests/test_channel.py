@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,12 @@ class TestChannelParams:
             {"D": 0.0},
             {"Ts": 0.0},
             {"L": 0},
+            {"d": math.inf},
+            {"r": math.nan},
+            {"D": math.nan},
+            {"D": math.inf},
+            {"Ts": math.nan},
+            {"Ts": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):

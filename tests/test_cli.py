@@ -199,6 +199,26 @@ class TestErrors:
         assert "PARTICLE_POPULATION_CAP" in err and str(simulate.PARTICLE_POPULATION_CAP) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ber-analytic", "--t-b", "nan"],
+            ["ber-sim", "--omega", "nan", "--bits", "1000"],
+            ["ber-analytic", "--Q", "inf"],
+            ["ber-analytic", "--d", "inf"],
+            ["ber-analytic", "--D=-inf"],
+            ["ber-sim", "--dt", "nan", "--bits", "1000"],
+            ["compare", "--csk-gamma", "inf"],
+            ["compare", "--mosk-lambda-frac", "nan"],
+            ["pdf", "--ratio", "inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_settings_exit_one(self, argv, tmp_path, capsys):
+        rc, out = run(tmp_path, "x.csv", argv)
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("mrsk: error: ")
+
     def test_symbol_count_refusal_exit_two(self, tmp_path, capsys, monkeypatch):
         # refused before any per-link table is built
         monkeypatch.setattr(simulate, "symbol_quantities", refuse_call)
@@ -319,8 +339,8 @@ class TestDocumentedRecipes:
 
     def test_particle_recipes_within_population_cap(self, tmp_path, monkeypatch):
         # every documented and benchmarked particle recipe passes the
-        # population refusal (frames stubbed: only the refusals run; the
-        # -o that run() appends overrides a recipe's own)
+        # population and step refusals (frames stubbed: only the refusals
+        # run; the -o that run() appends overrides a recipe's own)
         import pathlib
         import re
 
@@ -426,14 +446,16 @@ REFUSED_ARGV = [
     ["ber-sim", "--L", "100000000", "--bits", "1000"],
     ["ber-analytic", "--N", "20", "--L", "8000"],
     ["ber-sim", "--detector", "mlsd", "--N", "3", "--L", "8000", "--bits", "1000"],
+    ["ber-sim", "--N", "5", "--detector", "mlsd", "--L", "5", "--bits", "1000"],
+    ["ber-particle", "--dt", "1e-9", "--bits", "1000", "--Q", "50"],
 ]
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", REFUSED_ARGV, ids=" ".join)
     def test_oversized_requests_refused_in_one_line(self, argv, tmp_path, capsys, monkeypatch):
-        # refused before any table: neither Hamming table nor taps-sized work is built
-        monkeypatch.setattr(simulate, "hamming_table", refuse_call)
+        # refused before any table: neither a symbol or Hamming table nor taps-sized work is built
+        monkeypatch.setattr(simulate, "symbol_values", refuse_call)
         monkeypatch.setattr(analysis, "hamming_table", refuse_call)
         started = time.perf_counter()
         rc, out = run(tmp_path, "x.csv", argv)
@@ -475,6 +497,8 @@ class TestExitCodes:
     @example(argv=REFUSED_ARGV[3])
     @example(argv=REFUSED_ARGV[4])
     @example(argv=REFUSED_ARGV[5])
+    @example(argv=REFUSED_ARGV[6])
+    @example(argv=REFUSED_ARGV[7])
     def test_any_argv_exits_zero_one_or_two(self, argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = run_cli(argv + ["-o", os.devnull])

@@ -14,6 +14,7 @@ from mrsk.modem import (
     MrskConfig,
     _viterbi_symbol_ids,
     average_molecules_per_bit,
+    bit_values,
     codewords,
     decode_indices_to_bits,
     detect_admc,
@@ -24,6 +25,7 @@ from mrsk.modem import (
     symbol_ids,
     symbol_index_combos,
     symbol_quantities,
+    symbol_values,
     thresholds,
     trellis_states,
 )
@@ -446,3 +448,62 @@ class TestEndToEnd:
         assert np.all(alphabet[combos[0]] == alphabet[0])
         assert combos[6].tolist() == [1, 2]  # first ratio position most significant
         assert np.array_equal(symbol_ids(combos, cfg), np.arange(16))
+
+
+class TestBitValues:
+    def test_symbol_values_are_the_decoded_bits(self):
+        for N, M, coding in itertools.product((2, 3, 4), (1, 2, 3), ("binary", "gray")):
+            cfg = MrskConfig(N=N, M=M, coding=coding)
+            values = symbol_values(cfg)
+            assert sorted(values.tolist()) == list(range(cfg.symbol_count))
+            bits = decode_indices_to_bits(symbol_index_combos(cfg), cfg).reshape(cfg.symbol_count, -1)
+            weights = 1 << np.arange(cfg.bits_per_symbol - 1, -1, -1)
+            assert np.array_equal(values, bits.astype(np.int64) @ weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(2, 5), M=st.integers(1, 4), coding=st.sampled_from(["binary", "gray"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_value_of_encoded_bits_names_their_symbol(self, N, M, coding, seed):
+        # the value packed from a symbol's bits is the value table's entry at its id
+        cfg = MrskConfig(N=N, M=M, coding=coding)
+        bits = np.random.default_rng(seed).integers(0, 2, size=cfg.bits_per_symbol * 9, dtype=np.uint8)
+        ids = symbol_ids(encode_bits_to_indices(bits, cfg), cfg)
+        assert np.array_equal(symbol_values(cfg)[ids], bit_values(bits, cfg.bits_per_symbol))
+
+    def test_bit_values_first_bit_most_significant(self):
+        assert bit_values([1, 0, 0, 1, 1, 1], 3).tolist() == [4, 7]
+        assert bit_values(np.array([1, 0], dtype=np.uint8), 1).tolist() == [1, 0]
+
+
+class TestBuckets:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        M=st.integers(1, 12),
+        omega=st.floats(1.0001, 1e3),
+        picks=st.lists(st.tuples(st.integers(0, 2**12), st.sampled_from(["edge", "below", "above", "any"])),
+                       min_size=1, max_size=40),
+        extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=10),
+    )
+    def test_buckets_equal_searchsorted(self, M, omega, picks, extra):
+        # ties at every threshold, their float neighbours, arbitrary floats, NaN and inf
+        edges = thresholds(MrskConfig(M=M, Omega=omega))
+        r = []
+        for i, how in picks:
+            e = edges[i % edges.size]
+            r.append({"edge": e, "below": np.nextafter(e, -np.inf), "above": np.nextafter(e, np.inf),
+                      "any": e * (1 + (i % 7 - 3) * 0.1)}[how])
+        r = np.array(r + extra).reshape(-1, 1)
+        assert np.array_equal(modem._buckets(edges, r), np.searchsorted(edges, r, side="right"))
+
+    def test_counting_and_search_both_exercised(self):
+        # the counted path covers the small alphabets in use, the search the large ones
+        assert thresholds(MrskConfig(M=5)).size <= modem._COUNTED_THRESHOLDS
+        assert thresholds(MrskConfig(M=6)).size > modem._COUNTED_THRESHOLDS
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"Omega": math.nan}, {"Omega": math.inf}, {"Q": math.nan}, {"Q": math.inf}, {"Q": -math.inf}]
+)
+def test_non_finite_settings_rejected(kwargs):
+    with pytest.raises(ValueError):
+        MrskConfig(**kwargs)

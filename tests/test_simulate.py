@@ -8,14 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import signal
 
 from mlsd_oracle import mlsd_exhaustive
 
 import mrsk
 from mrsk import modem, simulate
-from mrsk.analysis import ftd_ber
+from mrsk.analysis import ftd_ber, hamming_table
 from mrsk.channel import ChannelParams, arrival_moments, cir
 from mrsk.errors import CapacityError
 from mrsk.modem import (
@@ -23,8 +23,11 @@ from mrsk.modem import (
     detect_admc,
     detect_ftd,
     detect_mlsd,
+    encode_bits_to_indices,
     ratio_alphabet,
+    symbol_ids,
     symbol_index_combos,
+    symbol_quantities,
     thresholds,
 )
 from mrsk.simulate import (
@@ -226,6 +229,18 @@ class TestEngines:
         assert mlsd.ber <= ftd.ber
 
 
+class TestColdStart:
+    def test_short_frames_bias_within_bound(self):
+        # the first L-1 symbols of each frame see less ISI: at F = 16 and L = 5
+        # the BER falls visibly below the stationary one, by at most (L-1)/F
+        ch, frame, n_bits = ChannelParams(Ts=0.2, L=5), 16, 40_000
+        stationary = ftd_ber(CFG, ch).ber
+        est = run_link(CFG, ch, SimConfig(n_bits=n_bits, seed=3, frame_symbols=frame))
+        se = math.sqrt(stationary * (1.0 - stationary) / n_bits)
+        assert abs(est.ber - stationary) <= (ch.L - 1) / frame + 4.0 * se
+        assert est.ber < stationary - 4.0 * se
+
+
 class TestStatisticalEngine:
     def test_moments_equal_lfilter(self):
         # the engine's FIR moments are the sums lfilter computes, bit for bit
@@ -298,7 +313,7 @@ class TestFrameRunner:
 
     def test_symbol_count_refusal_before_any_table(self, monkeypatch):
         monkeypatch.setattr(simulate, "symbol_quantities", refuse_frame)
-        monkeypatch.setattr(simulate, "symbol_index_combos", refuse_frame)
+        monkeypatch.setattr(simulate, "symbol_values", refuse_frame)
         big = MrskConfig(N=2 + simulate.SYMBOL_COUNT_CAP.bit_length() - 1)
         assert big.symbol_count == 2 * simulate.SYMBOL_COUNT_CAP
         with pytest.raises(CapacityError, match="SYMBOL_COUNT_CAP"):
@@ -465,6 +480,29 @@ class TestParticle:
         # the same link on another engine holds no molecules
         run_link(big, ChannelParams(L=2), replace(sim, engine="statistical"))
 
+    def test_step_cap_refused_before_any_frame(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_arrivals_particle", refuse_frame)
+        cfg, ch = MrskConfig(Q=50.0), ChannelParams(Ts=0.5, L=2)
+        # 1000 symbols of round(0.5 / dt) steps, the last too many for an integer count
+        for dt in (1e-6, 1e-9, 1e-320):
+            with pytest.raises(CapacityError, match="PARTICLE_STEP_CAP"):
+                run_link(cfg, ch, SimConfig(n_bits=1_000, engine="particle", particle_dt=dt))
+        # the same link on another engine takes no steps
+        run_link(cfg, ch, SimConfig(n_bits=1_000, particle_dt=1e-9))
+        # the cap is exact: 1000 symbols of 50 steps pass at a cap of 50,000
+        monkeypatch.setattr(simulate, "_simulate_frame", lambda *job: (0, 1, 0, 0))
+        sim = SimConfig(n_bits=1_000, engine="particle", particle_dt=0.01)
+        monkeypatch.setattr(simulate, "PARTICLE_STEP_CAP", 1000 * 50)
+        run_link(cfg, ch, sim)
+        monkeypatch.setattr(simulate, "PARTICLE_STEP_CAP", 1000 * 50 - 1)
+        with pytest.raises(CapacityError, match="PARTICLE_STEP_CAP"):
+            run_link(cfg, ch, sim)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    def test_particle_dt_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="particle_dt"):
+            SimConfig(particle_dt=dt)
+
     def test_release_validation(self):
         state = new_particle_state(CH, 1)
         with pytest.raises(ValueError):
@@ -555,3 +593,67 @@ class TestSweep:
         a = sweep("Q", [200.0, 800.0], CFG, CH, SimConfig(n_bits=1000), engine="analytic")
         b = sweep("Q", [200.0, 800.0], CFG, CH, SimConfig(n_bits=1000), engine="analytic")
         assert a == b
+
+
+def reference_frame(mrsk, channel, sim, frame_index, n_symbols):
+    """A frame through alphabet-index rows, symbol ids and the Hamming table, with
+    stacked FIR moments and searchsorted buckets: the path before bit-value tables."""
+    taps = cir(channel)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
+    bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
+    idx0 = encode_bits_to_indices(bits, mrsk)
+    emissions = symbol_quantities(mrsk)[symbol_ids(idx0, mrsk)]
+    if sim.engine == "statistical":
+        def fir(b):
+            return np.stack([np.convolve(b, col)[: len(emissions)] for col in emissions.T], axis=1)
+        mu, var = fir(taps), fir(taps * (1.0 - taps))
+        counts = mu + np.sqrt(var) * rng.standard_normal(emissions.shape)
+    else:
+        counts = simulate._arrivals_binomial(emissions, taps, rng)
+    clamps = 0
+    with mock.patch.object(modem, "_buckets", lambda e, r: np.searchsorted(e, r, side="right")):
+        if mrsk.detector == "ftd":
+            det_ids, degenerate = detect_ftd(counts, mrsk)
+        elif mrsk.detector == "admc":
+            det_ids, degenerate, clamps = detect_admc(counts, mrsk, taps)
+        else:
+            det_ids, degenerate = detect_mlsd(counts, mrsk, taps)
+    errors = int(hamming_table(mrsk.M, mrsk.coding)[idx0, symbol_index_combos(mrsk)[det_ids]].sum())
+    return errors, bits.size, degenerate, clamps
+
+
+@st.composite
+def frame_links(draw):
+    """A link whose frames are 1, 7 or 8192 symbols long."""
+    detector = draw(st.sampled_from(["ftd", "admc", "mlsd"]))
+    length = draw(st.sampled_from([1, 7, 8192]))
+    N, M = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    L = draw(st.integers(2 if detector == "admc" else 1, 5))
+    bits = M * (N - 1)
+    # per symbol ADMC tabulates S + 1 rows and MLSD S^L windows: keep long frames small
+    if detector == "admc":
+        assume(length < 8192 or bits <= 6)
+    if detector == "mlsd":
+        assume(bits * L <= (12 if length < 8192 else 6))
+    config = MrskConfig(
+        N=N, M=M, coding=draw(st.sampled_from(["binary", "gray"])), detector=detector,
+        Q=draw(st.sampled_from([0.5, 30.0, 1000.0])),
+    )
+    channel = ChannelParams(Ts=draw(st.sampled_from([0.05, 0.2, 0.5])) * bits, L=L)
+    sim = SimConfig(
+        n_bits=max(1000, 2 * length * bits), seed=draw(st.integers(0, 2**32 - 1)),
+        engine=draw(st.sampled_from(["statistical", "binomial"])), frame_symbols=length,
+    )
+    return config, channel, sim
+
+
+class TestFrameEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(link=frame_links(), which=st.integers(0, 1))
+    def test_frame_equals_index_row_reference(self, link, which):
+        jobs = []
+        with mock.patch.object(simulate, "_simulate_frame", lambda *job: jobs.append(job) or (0, 1, 0, 0)):
+            simulate._run_links([link], workers=1)
+        mrsk, channel, sim, tables, index, n_symbols = jobs[which]
+        got = simulate._simulate_frame(mrsk, channel, sim, tables, index, n_symbols)
+        assert got == reference_frame(mrsk, channel, sim, index, n_symbols)
