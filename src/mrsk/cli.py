@@ -17,6 +17,7 @@ violated cap (a module constant; the README lists them all).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -377,7 +378,9 @@ def _load_config(path) -> dict[str, str]:
     return out
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser, built on first use; it keeps no state between parses."""
     parser = _Parser(prog="mrsk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     for name in _SUBCOMMANDS:

@@ -14,12 +14,13 @@ second per-link table (:func:`mrsk.modem.symbol_values`).
 Bit streams are split into fixed-size frames with independently
 derived random streams.  One call of :func:`run_link` or a simulated
 :func:`sweep` builds each link's tables once and queues the frames of all
-its points together on one process pool (in-process at one worker);
-per-link sums in frame order make the results bit-for-bit reproducible
-for a seed at any worker count.  Each size cap (``TRIALS_CAP``,
-``SYMBOL_COUNT_CAP``, ``PARTICLE_POPULATION_CAP``, ``PARTICLE_STEP_CAP``
-and those of the other modules) is a module constant, checked before any
-frame runs.
+its points together on the process's one frame pool (in-process at one
+worker), which lives until exit and is replaced only when the worker
+bound changes; per-link sums in frame order make the results bit-for-bit
+reproducible for a seed at any worker count.  Each size cap
+(``TRIALS_CAP``, ``SYMBOL_COUNT_CAP``, ``PARTICLE_POPULATION_CAP``,
+``PARTICLE_MOLECULE_STEP_CAP`` and those of the other modules) is a module
+constant, checked before any frame runs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +62,7 @@ __all__ = [
     "child_seed",
     "SWEEPABLE_PARAMS",
     "PARTICLE_POPULATION_CAP",
-    "PARTICLE_STEP_CAP",
+    "PARTICLE_MOLECULE_STEP_CAP",
     "SYMBOL_COUNT_CAP",
     "TRIALS_CAP",
 ]
@@ -71,9 +73,10 @@ _Z95 = 1.959963984540054
 TRIALS_CAP = 10**9
 # live molecules a particle link may hold: L intervals of its largest symbol
 PARTICLE_POPULATION_CAP = 10**6
-# Brownian steps a particle link may take, symbols times round(Ts / dt): a
-# block step costs at least ~0.3 us even in a near-empty medium
-PARTICLE_STEP_CAP = 10**8
+# molecule-steps a particle link may take, symbols times round(Ts / dt) times
+# its population bound (at least 1: a block step costs ~0.3 us even in a
+# near-empty medium); about 50 ns each, so ~1 min at the cap
+PARTICLE_MOLECULE_STEP_CAP = 10**9
 # symbols a link may tabulate: its two (S, N) emission tables and the (S, N-1)
 # index rows its (S,) values decode from take 8 (3N - 1) S bytes, about
 # 250 MB at the cap (M = 1, N = 20)
@@ -396,6 +399,51 @@ def _simulate_frame(
     return errors, bits.size, degenerate, clamps
 
 
+# the process's frame pool, kept between calls: (executor, workers, creator pid)
+_POOL: tuple[ProcessPoolExecutor, int, int] | None = None
+
+
+def _pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
+    """The process's frame pool of ``workers`` processes, and whether it was just created.
+
+    A pool of another size is shut down and joined before the new one forks,
+    so no executor thread is alive at fork time; a pool inherited across a
+    fork belongs to the parent and is left alone.  Idle workers live until
+    the interpreter exits, when ``concurrent.futures`` joins them.  The pool
+    is shared by the whole process, so calls from several threads must not
+    ask for different sizes at once.
+    """
+    global _POOL
+    if _POOL is not None and _POOL[2] != os.getpid():
+        _POOL = None
+    elif _POOL is not None and _POOL[1] != workers:
+        _POOL[0].shutdown(wait=True)
+        _POOL = None
+    if _POOL is not None:
+        return _POOL[0], False
+    _POOL = (ProcessPoolExecutor(max_workers=workers), workers, os.getpid())
+    return _POOL[0], True
+
+
+def _map_frames(jobs: list[tuple], workers: int) -> list[tuple[int, int, int, int]]:
+    """Every frame's counts in job order, on the frame pool of ``workers`` processes.
+
+    A broken pool is dropped, so the next call starts a fresh one.  A reused
+    pool may have lost a worker while idle, so its frames run once more on a
+    fresh pool; frames are pure, so the counts are the same.
+    """
+    global _POOL
+    chunk = max(1, len(jobs) // (8 * workers))  # ~8 chunks a worker: balance vs IPC
+    while True:
+        pool, fresh = _pool(workers)
+        try:
+            return list(pool.map(_simulate_frame, *zip(*jobs), chunksize=chunk))
+        except BrokenProcessPool:
+            _POOL = None
+            if fresh:
+                raise
+
+
 def _run_links(
     links: list[tuple[MrskConfig, ChannelParams, SimConfig]], workers: int
 ) -> list[BerEstimate]:
@@ -416,23 +464,32 @@ def _run_links(
         if mrsk.detector == "mlsd":
             trellis_states(mrsk, channel.L)
         n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
-        # rounded as _arrivals_particle rounds, in floats so a huge Ts / dt stays comparable
-        steps = n_symbols * max(1.0, round(channel.Ts / sim.particle_dt, 0))
-        if sim.engine == "particle" and steps > PARTICLE_STEP_CAP:
-            raise CapacityError(
-                f"a particle link of {n_symbols} symbols at round(Ts/dt) steps each takes "
-                f"{steps:.4g} steps, exceeding PARTICLE_STEP_CAP = {PARTICLE_STEP_CAP:.0e}; "
-                "raise dt or request fewer bits"
-            )
+        if sim.engine == "particle":
+            # retirement bounds the population by L intervals of the largest symbol,
+            # Q (1 + Omega + ... + Omega^(N-1)): every ratio at the top of the alphabet
+            with np.errstate(over="ignore"):  # an infinite bound is refused below
+                largest = mrsk.Q * float(np.sum(mrsk.Omega ** np.arange(mrsk.N, dtype=float)))
+            population = channel.L * largest
+            if population > PARTICLE_POPULATION_CAP:
+                raise CapacityError(
+                    f"a particle link may hold {population:.4g} live molecules (L times the largest "
+                    f"symbol), exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; "
+                    "reduce Q, Omega, N, M or L"
+                )
+            # steps rounded as _arrivals_particle rounds, in floats so a huge Ts / dt stays
+            # comparable; a step costs a block step even with under one molecule alive
+            steps = n_symbols * max(1.0, round(channel.Ts / sim.particle_dt, 0))
+            molecule_steps = steps * max(1.0, population)
+            if molecule_steps > PARTICLE_MOLECULE_STEP_CAP:
+                raise CapacityError(
+                    f"a particle link of {n_symbols} symbols at round(Ts/dt) steps each, holding up "
+                    f"to {population:.4g} live molecules, takes up to {molecule_steps:.4g} "
+                    f"molecule-steps, exceeding PARTICLE_MOLECULE_STEP_CAP = "
+                    f"{PARTICLE_MOLECULE_STEP_CAP:.0e}; raise dt, request fewer bits or reduce Q"
+                )
         taps = cir(channel)
         values = symbol_values(mrsk)  # before the quantities, whose table would add to its peak
         quantities = symbol_quantities(mrsk)
-        population = channel.L * float(quantities.sum(axis=1).max())  # retirement bounds it
-        if sim.engine == "particle" and population > PARTICLE_POPULATION_CAP:
-            raise CapacityError(
-                f"a particle link may hold {population:.4g} live molecules (L times the largest symbol), "
-                f"exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; reduce Q, Omega, N, M or L"
-            )
         emissions_by_value = np.empty_like(quantities)
         emissions_by_value[values] = quantities
         tables = (emissions_by_value, taps, values)
@@ -443,9 +500,7 @@ def _run_links(
     # results do not depend on the worker count: start no more processes than frames or cores
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(jobs) // (8 * workers))  # ~8 chunks a worker: balance vs IPC
-            results = list(pool.map(_simulate_frame, *zip(*jobs), chunksize=chunk))
+        results = _map_frames(jobs, workers)
     else:
         results = [_simulate_frame(*job) for job in jobs]
 

@@ -166,6 +166,14 @@ class TestErrors:
         assert rc == 1
         assert "valid names" in capsys.readouterr().err
 
+    def test_parser_built_once_reports_to_current_stderr(self, capsys):
+        parser = cli._build_parser()
+        for _ in range(2):  # each call's usage reaches the stream captured at that call
+            assert run_cli(["ber-sim", "--bogus"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: mrsk ") and "unrecognized arguments: --bogus" in err
+        assert cli._build_parser() is parser
+
     def test_bad_values_string_exit_one(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "x.csv", ["sweep", "--param", "Q", "--values", "1:2"])
         assert rc == 1
@@ -339,22 +347,22 @@ class TestDocumentedRecipes:
 
     def test_particle_recipes_within_population_cap(self, tmp_path, monkeypatch):
         # every documented and benchmarked particle recipe passes the
-        # population and step refusals (frames stubbed: only the refusals
-        # run; the -o that run() appends overrides a recipe's own)
+        # population and molecule-step refusals (frames stubbed: only the
+        # refusals run; the -o that run() appends overrides a recipe's own)
         import pathlib
         import re
 
         root = pathlib.Path(__file__).resolve().parents[1]
-        recipes = [
+        readme = [
             line.split()[1:]
             for line in (root / "README.md").read_text().splitlines()
             if line.strip().startswith("mrsk ber-particle ")
         ]
         bench = (root / "perfbench" / "workloads.py").read_text()
-        recipes += [r.split() for r in re.findall(r'"(ber-particle [^"]*)"', bench)]
-        assert len(recipes) >= 2
+        benchmarked = [r.split() for r in re.findall(r'"(ber-particle [^"]*)"', bench)]
+        assert readme and benchmarked
         monkeypatch.setattr(simulate, "_simulate_frame", lambda *job: (0, 1, 0, 0))
-        for args in recipes:
+        for args in readme + benchmarked:
             assert run(tmp_path, "x.csv", args)[0] == 0, args
 
 
@@ -448,6 +456,7 @@ REFUSED_ARGV = [
     ["ber-sim", "--detector", "mlsd", "--N", "3", "--L", "8000", "--bits", "1000"],
     ["ber-sim", "--N", "5", "--detector", "mlsd", "--L", "5", "--bits", "1000"],
     ["ber-particle", "--dt", "1e-9", "--bits", "1000", "--Q", "50"],
+    ["ber-particle"],  # 10^5 symbols of 500 steps among up to ~18,600 molecules
 ]
 
 

@@ -92,14 +92,19 @@ class RecordingPool:
     def __init__(self, max_workers: int):
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
+
+    def shutdown(self, wait=True):
+        pass
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Pools are RecordingPools for one test; the process's own pool is set aside and restored."""
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(simulate, "_POOL", None)
 
 
 def refuse_frame(*args, **kwargs):
@@ -159,9 +164,7 @@ class TestDeterminism:
         parallel = run_link(CFG, CH, replace(base, workers=3))
         assert serial == parallel
 
-    def test_pool_bounded_by_frames_and_cores(self, monkeypatch):
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(RecordingPool, "sizes", [])
+    def test_pool_bounded_by_frames_and_cores(self, monkeypatch, recording_pool):
         sim = SimConfig(n_bits=3000, seed=1, frame_symbols=1000, workers=100_000)
         serial = run_link(CFG, CH, replace(sim, workers=1))
         for cores, expected in ((64, [3]), (2, [3, 2]), (None, [3, 2])):
@@ -182,6 +185,100 @@ class TestDeterminism:
         a = run_link(CFG, CH, SimConfig(n_bits=40_000, seed=1))
         b = run_link(CFG, CH, SimConfig(n_bits=40_000, seed=2))
         assert a.errors != b.errors
+
+
+def exit_worker(*job):
+    os._exit(3)
+
+
+class TestFramePool:
+    """The process keeps one real frame pool between calls."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        # start without a cached pool; shut down the pools the test leaves
+        monkeypatch.setattr(simulate, "_POOL", None)
+        yield
+        if simulate._POOL is not None:
+            simulate._POOL[0].shutdown(wait=True)
+
+    def test_pool_reused_until_its_size_changes(self, monkeypatch, no_pool):
+        created, shut = [], []
+
+        class CountingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                created.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+            def shutdown(self, wait=True, **kwargs):
+                shut.append(self._max_workers)
+                super().shutdown(wait=wait, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)  # so 3 workers means 3 processes
+        # 3 points of 6 frames each
+        sim = SimConfig(n_bits=6_000, seed=8, frame_symbols=1000)
+        serial = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, sim)
+        for workers in (2, 2, 3, 1, 2):
+            assert sweep("Q", [200.0, 500.0, 900.0], CFG, CH, replace(sim, workers=workers)) == serial
+        # one worker runs in-process and leaves the pool of 3 alone
+        assert created == [2, 3, 2] and shut == [2, 3]
+        assert simulate._POOL[1:] == (2, os.getpid())
+
+    def test_inherited_pool_left_alone(self, recording_pool):
+        # a forked child sees its parent's pool under the parent's pid
+        inherited = mock.Mock()
+        simulate._POOL = (inherited, 2, os.getpid() + 1)
+        pool, fresh = simulate._pool(2)
+        assert fresh and isinstance(pool, RecordingPool) and RecordingPool.sizes == [2]
+        inherited.shutdown.assert_not_called()
+
+    def test_interpreter_exit_joins_pool_workers(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from mrsk import simulate\n"
+            "from mrsk.cli import run_cli\n"
+            "simulate.os.cpu_count = lambda: 2\n"
+            "argv = ['sweep', '--param', 'Q', '--values', '200,500', '--bits', '20000']\n"
+            "rc = run_cli(argv + ['--workers', '2', '-o', sys.argv[1]])\n"
+            "print(rc, *simulate._POOL[0]._processes)\n"
+        )
+        src = str(Path(mrsk.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "s.csv")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        rc, *pids = done.stdout.splitlines()[-1].split()
+        assert rc == "0" and len(pids) == 2
+        for pid in map(int, pids):  # joined, so not even a zombie is left
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_pool_replaced_after_a_worker_dies(self, monkeypatch, no_pool):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        sim = SimConfig(n_bits=20_000, seed=9, frame_symbols=2000, workers=2)
+        serial = run_link(CFG, CH, replace(sim, workers=1))
+        assert run_link(CFG, CH, sim) == serial
+        pool = simulate._POOL[0]
+        victim = next(iter(pool._processes.values()))
+        victim.kill()
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        assert run_link(CFG, CH, sim) == serial
+        assert simulate._POOL[0] is not pool
+
+    def test_pool_broken_by_its_frames_is_dropped(self, monkeypatch, no_pool):
+        # the pool forks after the patch, so its workers run exit_worker
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        frame = simulate._simulate_frame
+        monkeypatch.setattr(simulate, "_simulate_frame", exit_worker)
+        sim = SimConfig(n_bits=4_000, seed=9, frame_symbols=1000, workers=2)
+        with pytest.raises(simulate.BrokenProcessPool):
+            run_link(CFG, CH, sim)
+        assert simulate._POOL is None
+        monkeypatch.setattr(simulate, "_simulate_frame", frame)
+        assert run_link(CFG, CH, sim) == run_link(CFG, CH, replace(sim, workers=1))
 
 
 class TestEngines:
@@ -291,9 +388,7 @@ class TestFrameRunner:
         if config.detector == "admc":
             assert all(est.admc_clamps > 0 for est in serial.estimates)
 
-    def test_sweep_opens_one_pool(self, monkeypatch):
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(RecordingPool, "sizes", [])
+    def test_sweep_opens_one_pool(self, monkeypatch, recording_pool):
         # 3 points of 2 frames each: 6 frames in the one queue
         sim = SimConfig(n_bits=2_000, seed=6, frame_symbols=1000)
         serial = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, sim)
@@ -481,22 +576,29 @@ class TestParticle:
         run_link(big, ChannelParams(L=2), replace(sim, engine="statistical"))
 
     def test_step_cap_refused_before_any_frame(self, monkeypatch):
+        # the cap counts molecule-steps: symbols x round(Ts / dt) x the population bound
         monkeypatch.setattr(simulate, "_arrivals_particle", refuse_frame)
+        monkeypatch.setattr(simulate, "symbol_values", refuse_frame)
         cfg, ch = MrskConfig(Q=50.0), ChannelParams(Ts=0.5, L=2)
         # 1000 symbols of round(0.5 / dt) steps, the last too many for an integer count
-        for dt in (1e-6, 1e-9, 1e-320):
-            with pytest.raises(CapacityError, match="PARTICLE_STEP_CAP"):
-                run_link(cfg, ch, SimConfig(n_bits=1_000, engine="particle", particle_dt=dt))
+        for dt in (1e-3, 1e-6, 1e-9, 1e-320):
+            with pytest.raises(CapacityError, match="PARTICLE_MOLECULE_STEP_CAP"):
+                run_link(cfg, ch, SimConfig(n_bits=20_000, engine="particle", particle_dt=dt))
+        monkeypatch.undo()
+        monkeypatch.setattr(simulate, "_arrivals_particle", refuse_frame)
         # the same link on another engine takes no steps
         run_link(cfg, ch, SimConfig(n_bits=1_000, particle_dt=1e-9))
-        # the cap is exact: 1000 symbols of 50 steps pass at a cap of 50,000
+        # the cap is exact: 1000 symbols of 50 steps among up to L Q (1 + Omega) molecules;
+        # below one molecule a step still counts once
         monkeypatch.setattr(simulate, "_simulate_frame", lambda *job: (0, 1, 0, 0))
         sim = SimConfig(n_bits=1_000, engine="particle", particle_dt=0.01)
-        monkeypatch.setattr(simulate, "PARTICLE_STEP_CAP", 1000 * 50)
-        run_link(cfg, ch, sim)
-        monkeypatch.setattr(simulate, "PARTICLE_STEP_CAP", 1000 * 50 - 1)
-        with pytest.raises(CapacityError, match="PARTICLE_STEP_CAP"):
-            run_link(cfg, ch, sim)
+        for q, molecule_steps in ((50.0, 1000 * 50 * 2 * 50.0 * (1 + math.e)), (0.1, 1000 * 50)):
+            link = replace(cfg, Q=q)
+            monkeypatch.setattr(simulate, "PARTICLE_MOLECULE_STEP_CAP", math.ceil(molecule_steps))
+            run_link(link, ch, sim)
+            monkeypatch.setattr(simulate, "PARTICLE_MOLECULE_STEP_CAP", math.ceil(molecule_steps) - 1)
+            with pytest.raises(CapacityError, match="PARTICLE_MOLECULE_STEP_CAP"):
+                run_link(link, ch, sim)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
     def test_particle_dt_positive_and_finite(self, dt):
