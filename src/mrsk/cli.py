@@ -20,6 +20,7 @@ import argparse
 import functools
 import math
 import os
+import signal
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -50,15 +51,16 @@ from .ratio_stats import (
     sample_ratio,
     solid_ratio_pdf,
 )
-from .simulate import BerCurve, BerEstimate, SimConfig, run_link, sweep
+from .simulate import BerCurve, BerEstimate, SimConfig, close_pool, run_link, sweep
 
 __all__ = ["run_cli", "main", "write_csv", "replay_csv", "ExperimentSpec"]
 
 CSV_HEADER = "param,value,scheme,detector,coding,ber,ci_low,ci_high,trials"
 PDF_HEADER = "eta,exact,solid,gaussian,empirical"
 OUT_DIR_ENV = "MRSK_OUT_DIR"
-# pdf refuses larger requests before allocating: the sample arrays and the
-# per-point CSV rows grow linearly (about 50 bytes per sample, 200 per point)
+# pdf refuses larger requests before any draw: the samples are binned a block
+# at a time, so only the draw time grows with them; the per-point arrays and
+# CSV rows take about 200 bytes per point
 PDF_SAMPLES_CAP = 10_000_000
 PDF_GRID_POINTS_CAP = 100_000
 # a larger --workers is a typo: the pool never exceeds the frame or core count
@@ -247,18 +249,20 @@ def _run_pdf(spec: ExperimentSpec) -> str:
     edges = np.linspace(lo, hi, spec.grid_points + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(0,)))
-    samples = sample_ratio(pair, spec.samples, rng).values
-    empirical, _ = np.histogram(samples, bins=edges, density=True)
-    lines = [spec.serialize(), PDF_HEADER]
-    for eta, fe, fs, fg, fh in zip(
-        centers,
-        exact_ratio_pdf(centers, pair),
-        solid_ratio_pdf(centers, sp),
-        gaussian_ratio_pdf(centers, pair),
-        empirical,
-    ):
-        lines.append(",".join(_fmt(v) for v in (eta, fe, fs, fg, fh)))
-    return "\n".join(lines) + "\n"
+    counts = sample_ratio(pair, spec.samples, rng, edges=edges).counts
+    empirical = counts / np.diff(edges) / counts.sum()  # np.histogram's density
+    table = np.column_stack(
+        [
+            centers,
+            exact_ratio_pdf(centers, pair),
+            solid_ratio_pdf(centers, sp),
+            gaussian_ratio_pdf(centers, pair),
+            empirical,
+        ]
+    )
+    # "%.10g" % x is _fmt(x) for every float
+    rows = ["%.10g,%.10g,%.10g,%.10g,%.10g" % tuple(row) for row in table.tolist()]
+    return "\n".join([spec.serialize(), PDF_HEADER, *rows]) + "\n"
 
 
 def _render_point(spec: ExperimentSpec, detector: str, est: BerEstimate) -> str:
@@ -445,4 +449,23 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    """Console entry point: ``run_cli`` on ``sys.argv``, then exit with its code.
+
+    SIGTERM ends the run as an exception would, exit code 143, so the frame
+    pool is shut down and no pool worker outlives the run.  Pool workers
+    forked from this process inherit the handler but die of the signal.
+    """
+    pid = os.getpid()
+
+    def terminate(signum, frame):
+        if os.getpid() != pid:
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, terminate)
+    try:
+        code = run_cli()
+    finally:
+        close_pool()
+    sys.exit(code)

@@ -20,6 +20,7 @@ tests/test_ratio_stats.py.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -92,8 +93,11 @@ class SolidParams:
 
 
 class RatioSample(NamedTuple):
-    values: np.ndarray
+    """Ratios drawn by :func:`sample_ratio`: their values, or only their bin counts."""
+
+    values: np.ndarray | None
     redraws: int
+    counts: np.ndarray | None = None
 
 
 def exact_ratio_pdf(eta, pair: GaussPair):
@@ -155,7 +159,7 @@ def gaussian_ratio_pdf(eta, pair: GaussPair):
     return out if out.ndim else float(out)
 
 
-def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator) -> RatioSample:
+def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator, edges=None) -> RatioSample:
     """Draw n independent ratios X/Y.
 
     Draws whose denominator magnitude is at most ``SAMPLE_DENOM_EPS`` are
@@ -165,9 +169,16 @@ def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator) -> RatioSamp
     each round (numerators, then denominators).  The denominators are
     drawn in blocks of the same stream and divide the numerators in place,
     so no n-length denominator array is held.
+
+    With increasing bin ``edges`` the ratios are not kept: ``values`` is
+    None and ``counts`` holds what ``np.histogram(values, edges)`` counts,
+    from the same draws, in memory of a few blocks (see
+    :func:`_count_ratios`).
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if edges is not None:
+        return _count_ratios(pair, n, rng, np.asarray(edges, dtype=float))
     eps = SAMPLE_DENOM_EPS
     x = rng.normal(pair.mu_x, pair.sigma_x, size=n)
     bad = []
@@ -186,3 +197,51 @@ def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator) -> RatioSamp
         x[bad] = np.divide(xb, yb, out=xb, where=~small)  # the still-small ones go again
         bad = bad[small]
     return RatioSample(values=x, redraws=redraws)
+
+
+def _count_ratios(pair: GaussPair, n: int, rng: np.random.Generator, edges: np.ndarray) -> RatioSample:
+    """The bin counts of :func:`sample_ratio`'s draws, a block at a time.
+
+    The denominators start where the n numerators end, and the ziggurat
+    takes a varying number of raw draws per normal, so the numerators are
+    drawn twice: once into one reused block to pass them, and once more,
+    a block at a time beside their denominators, from a copy of the
+    generator taken before them.  Bin counts add over blocks, and the
+    values a redraw replaces are never counted, so the counts are those of
+    the whole sample.
+    """
+    numerators = copy.deepcopy(rng)
+    passed = np.empty(min(n, _SAMPLE_BLOCK))
+    for start in range(0, n, _SAMPLE_BLOCK):
+        rng.standard_normal(out=passed[: min(_SAMPLE_BLOCK, n - start)])
+    del passed
+    counts = np.zeros(edges.size - 1, dtype=np.intp)
+    bad = 0
+    for start in range(0, n, _SAMPLE_BLOCK):
+        size = min(_SAMPLE_BLOCK, n - start)
+        block, small = _bin_ratios(
+            numerators.normal(pair.mu_x, pair.sigma_x, size=size),
+            rng.normal(pair.mu_y, pair.sigma_y, size=size),
+            edges,
+        )
+        counts += block
+        bad += small
+    redraws = 0
+    while bad:  # the still-small ones go again
+        redraws += bad
+        block, bad = _bin_ratios(
+            rng.normal(pair.mu_x, pair.sigma_x, size=bad),
+            rng.normal(pair.mu_y, pair.sigma_y, size=bad),
+            edges,
+        )
+        counts += block
+    return RatioSample(values=None, redraws=redraws, counts=counts)
+
+
+def _bin_ratios(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, int]:
+    """Bin counts of the ratios x/y whose denominators are not small, and how many are."""
+    small = (y <= SAMPLE_DENOM_EPS) & (y >= -SAMPLE_DENOM_EPS)
+    bad = int(np.count_nonzero(small))
+    if bad:
+        x, y = x[~small], y[~small]
+    return np.histogram(np.divide(x, y, out=x), edges)[0], bad

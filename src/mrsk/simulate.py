@@ -2,9 +2,9 @@
 
 Three arrival engines share one transmit/detect pipeline: ``statistical``
 draws Gaussian counts from the FIR moments, ``binomial`` draws the
-per-tap binomial counts, and ``particle`` steps every molecule's Brownian
-path against the absorbing receiver in blocks inside each symbol interval,
-retiring it at age L intervals (the FIR truncation of the other engines).
+per-tap binomial counts, and ``particle`` steps every molecule's distance
+to the absorbing receiver in blocks inside each symbol interval, retiring
+it at age L intervals (the FIR truncation of the other engines).
 A frame draws random bits and packs each symbol's bits_per_symbol bits
 into one integer value, takes its emissions from a per-link table indexed
 by that value, draws arrivals, hands the (K, N) counts to a
@@ -60,6 +60,7 @@ __all__ = [
     "particle_hit_fraction",
     "ber_confidence",
     "child_seed",
+    "close_pool",
     "SWEEPABLE_PARAMS",
     "PARTICLE_POPULATION_CAP",
     "PARTICLE_MOLECULE_STEP_CAP",
@@ -75,15 +76,16 @@ TRIALS_CAP = 10**9
 PARTICLE_POPULATION_CAP = 10**6
 # molecule-steps a particle link may take, symbols times round(Ts / dt) times
 # its population bound (at least 1: a block step costs ~0.3 us even in a
-# near-empty medium); about 50 ns each, so ~1 min at the cap
+# near-empty medium); about 30 ns each, so ~30 s at the cap
 PARTICLE_MOLECULE_STEP_CAP = 10**9
 # symbols a link may tabulate: its two (S, N) emission tables and the (S, N-1)
 # index rows its (S,) values decode from take 8 (3N - 1) S bytes, about
 # 250 MB at the cap (M = 1, N = 20)
 SYMBOL_COUNT_CAP = 1 << 19
-# molecule-steps per particle block: ~1 MiB of float64 temporaries at 7 per
-# molecule-step (paths 3, distances 1, bridge test 3)
-_PARTICLE_BLOCK_STEPS = (1 << 20) // (7 * 8)
+# molecule-steps per particle block: ~1 MiB of float64 temporaries at 4 per
+# molecule-step (radii, distances to the surface, normals reused for the
+# bridge's exponentials, step exponentials reused for its products)
+_PARTICLE_BLOCK_STEPS = (1 << 20) // (4 * 8)
 
 
 @dataclass(frozen=True)
@@ -199,10 +201,12 @@ def ber_confidence(errors: int, bits: int) -> tuple[float, float]:
 class ParticleState:
     """Mutable Brownian-dynamics state.
 
-    The receiver sphere sits at the origin; the transmitter point is at
-    (d, 0, 0).  ``ages`` counts the steps each live molecule has taken and
-    ``interval_counts`` accumulates absorptions per molecule type since the
-    last reset.
+    The receiver sphere sits at the origin and the transmitter point at
+    distance d from it.  Absorption reads nothing but a molecule's distance
+    from the receiver centre, so ``positions`` holds only that distance,
+    one float per live molecule.  ``ages`` counts the steps each live
+    molecule has taken and ``interval_counts`` accumulates absorptions per
+    molecule type since the last reset.
     """
 
     channel: ChannelParams
@@ -210,7 +214,6 @@ class ParticleState:
     types: np.ndarray
     ages: np.ndarray
     interval_counts: np.ndarray
-    bridge_absorption: bool = True
 
     @property
     def alive(self) -> int:
@@ -222,30 +225,25 @@ class ParticleState:
         self.types, self.ages = self.types[mask], self.ages[mask]
 
 
-def new_particle_state(
-    channel: ChannelParams, n_types: int, bridge_absorption: bool = True
-) -> ParticleState:
+def new_particle_state(channel: ChannelParams, n_types: int) -> ParticleState:
     return ParticleState(
         channel=channel,
-        positions=np.empty((0, 3)),
+        positions=np.empty(0),
         types=np.empty(0, dtype=np.int64),
         ages=np.empty(0, dtype=np.int64),
         interval_counts=np.zeros(n_types, dtype=np.int64),
-        bridge_absorption=bridge_absorption,
     )
 
 
 def release_molecules(state: ParticleState, counts_by_type) -> None:
-    """Release molecules of each type at the transmitter point."""
+    """Release molecules of each type at the transmitter point, distance d from the receiver centre."""
     counts = np.asarray(counts_by_type, dtype=np.int64)
     if np.any(counts < 0):
         raise ValueError("release counts must be nonnegative")
     n = int(counts.sum())
     if n == 0:
         return
-    pos = np.zeros((n, 3))
-    pos[:, 0] = state.channel.d
-    state.positions = np.concatenate([state.positions, pos])
+    state.positions = np.concatenate([state.positions, np.full(n, state.channel.d)])
     state.types = np.concatenate([state.types, np.repeat(np.arange(counts.size), counts)])
     state.ages = np.concatenate([state.ages, np.zeros(n, dtype=np.int64)])
 
@@ -255,34 +253,43 @@ def particle_step(
 ) -> ParticleState:
     """Advance every molecule by ``n_steps`` Brownian steps and absorb hits.
 
-    Each coordinate gains an independent N(0, 2 D dt) increment per step; a
-    molecule ending a step within the receiver radius is absorbed, and with
-    ``bridge_absorption`` so is one whose straddling Brownian bridge crosses
-    it, w.p. exp(-delta0*delta1 / (D dt)).  Steps run in blocks of (b, n, 3)
-    draws; a molecule absorbed at any step of a block is tallied once.
+    A molecule's distance R from the receiver centre is a 3-dimensional
+    Bessel process, stepped exactly: with s^2 = 2 D dt, Z ~ N(0, 1) and
+    E ~ Exp(1), R' = sqrt((R + s Z)^2 + 2 s^2 E), the radial and the two
+    tangential components of an N(0, s^2) kick per axis.  A molecule ending
+    a step within the receiver radius is absorbed, and so is one whose
+    straddling Brownian bridge crosses it, w.p. exp(-g0*g1 / (D dt)) for
+    its distances g0, g1 to the surface.  Steps run in blocks of (b, n)
+    draws, normals then exponentials; a molecule absorbed at any step of a
+    block is tallied once.
     """
     if dt <= 0 or n_steps < 0:
         raise ValueError("dt must be positive and n_steps nonnegative")
     ch = state.channel
-    scale = math.sqrt(2.0 * ch.D * dt)
+    var = 2.0 * ch.D * dt
     while n_steps and state.alive:
         n = state.alive
         b = min(n_steps, max(1, _PARTICLE_BLOCK_STEPS // n))
-        paths = np.empty((b + 1, n, 3))
-        paths[0] = state.positions
-        rng.standard_normal(out=paths[1:])
-        paths[1:] *= scale
-        for j in range(b):  # in-place cumsum over axis 0, faster than np.cumsum at small b
-            paths[j + 1] += paths[j]
-        gap = np.sqrt(np.einsum("bij,bij->bi", paths, paths))
-        gap -= ch.r  # (b + 1, n) distances to the receiver surface
+        radii = np.empty((b + 1, n))
+        radii[0] = state.positions
+        kick = rng.standard_normal((b, n))
+        kick *= math.sqrt(var)
+        spread = rng.standard_exponential((b, n))
+        spread *= 2.0 * var
+        for before, r, k, c in zip(radii[:-1], radii[1:], kick, spread):  # R' in place
+            np.add(before, k, r)
+            np.square(r, r)
+            np.add(r, c, r)
+            np.sqrt(r, r)
+        gap = radii - ch.r  # (b + 1, n) distances to the receiver surface
         hit = gap[1:] <= 0.0
-        if state.bridge_absorption:
-            # the bridge crosses w.p. exp(-x) exactly when an Exp(1) draw exceeds x
-            hit |= gap[:-1] * gap[1:] < (ch.D * dt) * rng.standard_exponential(hit.shape)
+        # the bridge crosses w.p. exp(-x) exactly when an Exp(1) draw exceeds x
+        bridge = rng.standard_exponential(out=kick)
+        bridge *= ch.D * dt
+        hit |= np.multiply(gap[:-1], gap[1:], out=spread) < bridge
         absorbed = hit.any(axis=0)
         state.interval_counts += np.bincount(state.types[absorbed], minlength=len(state.interval_counts))
-        state.positions = paths[-1]
+        state.positions = radii[-1]
         state.keep(~absorbed)  # copies, so the block is freed
         state.ages += b
         n_steps -= b
@@ -290,15 +297,10 @@ def particle_step(
 
 
 def particle_hit_fraction(
-    n_molecules: int,
-    t: float,
-    channel: ChannelParams,
-    dt: float,
-    rng: np.random.Generator,
-    bridge_absorption: bool = True,
+    n_molecules: int, t: float, channel: ChannelParams, dt: float, rng: np.random.Generator
 ) -> float:
     """Absorbed fraction of a single burst after time t (particle oracle)."""
-    state = new_particle_state(channel, 1, bridge_absorption)
+    state = new_particle_state(channel, 1)
     release_molecules(state, [n_molecules])
     particle_step(state, dt, rng, int(round(t / dt)))
     return float(state.interval_counts[0]) / n_molecules
@@ -423,6 +425,18 @@ def _pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
         return _POOL[0], False
     _POOL = (ProcessPoolExecutor(max_workers=workers), workers, os.getpid())
     return _POOL[0], True
+
+
+def close_pool() -> None:
+    """Shut the process's frame pool down: queued frames are cancelled, running ones finish.
+
+    Its workers are joined, so none outlives the call; the next pooled call
+    starts a fresh pool.  A pool inherited across a fork is only dropped.
+    """
+    global _POOL
+    if _POOL is not None and _POOL[2] == os.getpid():
+        _POOL[0].shutdown(wait=True, cancel_futures=True)
+    _POOL = None
 
 
 def _map_frames(jobs: list[tuple], workers: int) -> list[tuple[int, int, int, int]]:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -90,6 +91,12 @@ class TestPdfCommand:
     def test_header(self, tmp_path):
         _, out = run(tmp_path, "pdf.csv", ["pdf", "--grid-points", "31"])
         assert data_lines(out.read_text())[0] == "eta,exact,solid,gaussian,empirical"
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 1e-300])
+    def test_row_format_is_fmt(self, x):
+        # pdf formats a whole row with one "%.10g" format string
+        assert "%.10g" % x == cli._fmt(x)
+        assert "%.10g" % -x == cli._fmt(-x)
 
 
 class TestCompareCommand:
@@ -317,6 +324,61 @@ class TestOutputDir:
         rc = run_cli(["ber-analytic"])
         assert rc == 0
         assert (tmp_path / "ber-analytic.csv").exists()
+
+
+def child_pids(pid: int) -> list[int]:
+    """The pids whose parent is ``pid``, read from /proc."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except OSError:  # exited while listed
+            continue
+        if stat and int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry.name))
+    return children
+
+
+class TestMain:
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="finds pool workers in /proc")
+    def test_sigterm_mid_sweep_shuts_the_pool_down(self, tmp_path):
+        # a killed CLI run must not leave its pool workers blocked on the call queue
+        code = (
+            "import sys\n"
+            "from mrsk import cli, simulate\n"
+            "simulate.os.cpu_count = lambda: 2\n"
+            "sys.argv = ['mrsk', 'sweep', '--param', 'Q', '--values', '100:100:4000',\n"
+            "            '--bits', '1000000', '--workers', '2', '-o', sys.argv[1]]\n"
+            "cli.main()\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = tmp_path / "s.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(out)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = child_pids(proc.pid)
+            assert len(workers) == 2, "the sweep never started its pool of two"
+            time.sleep(0.5)  # the 40-point sweep takes seconds: this is mid-sweep
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+            assert not out.exists()
+            for pid in workers:  # joined, so not even a zombie is left
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        finally:
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            proc.kill()
+            proc.wait()
 
 
 class TestDocumentedRecipes:

@@ -65,7 +65,7 @@ DIGESTS = {
     "ftd_n4_gray": "f1f86d3fddd860d2b6af61fab426fb3c472ec44b90c7a37e657f81099fc506bb",
     "mlsd_gaussian": "3af909d42e8e414bf39fa6c3146dd638f57179ddd272b616447f98dfa131bce8",
     "mlsd_solid": "0b957e91fa3787dcf4f2776d7f241959b8722fec3b2676e8e3bf75b11059db0c",
-    "particle": "bea75177d06f93d479b38b52442c5dd94040c5c7a5cb2379cd9bbfcaab0b557b",
+    "particle": "c561d98fb5662f9344d21586d249c6e1782953efa786ae2895dc90635ea4a470",
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -250,6 +252,40 @@ class TestSampleRatio:
             bad = np.abs(y) <= eps
         assert redraws > n // 10 and sample.redraws == redraws
         assert np.array_equal(sample.values, x / y)
+
+    @pytest.mark.parametrize(
+        "pair, eps, edges",
+        [
+            (pair_for_ratio(np.e), ratio_stats.SAMPLE_DENOM_EPS, np.linspace(2.0, 3.5, 802)),
+            # redraws forced, and many ratios outside the edges
+            (GaussPair(10.0, 0.5, 1.0, 1.0), 0.2, np.linspace(-40.0, 60.0, 401)),
+        ],
+    )
+    def test_binned_counts_equal_histogram_of_values(self, monkeypatch, pair, eps, edges):
+        # the counts streamed over three blocks and a partial one against
+        # np.histogram of the whole sample, bit for bit, densities included
+        monkeypatch.setattr(ratio_stats, "SAMPLE_DENOM_EPS", eps)
+        n = 3 * ratio_stats._SAMPLE_BLOCK + 1
+        sample = sample_ratio(pair, n, np.random.default_rng(3))
+        binned = sample_ratio(pair, n, np.random.default_rng(3), edges=edges)
+        assert binned.values is None and binned.redraws == sample.redraws
+        assert (sample.redraws > n // 10) == (eps == 0.2)
+        counts, _ = np.histogram(sample.values, edges)
+        assert np.array_equal(binned.counts, counts)
+        density, _ = np.histogram(sample.values, edges, density=True)
+        assert np.array_equal(binned.counts / np.diff(edges) / binned.counts.sum(), density)
+
+    def test_binned_sample_memory_is_a_few_blocks(self):
+        # 10^6 samples into the pdf recipe's 4001 bins: the values (8 MB) are never held
+        pair = pair_for_ratio(np.e)
+        edges = np.linspace(1.5, 4.5, 4002)
+        tracemalloc.start()
+        try:
+            sample_ratio(pair, 1_000_000, np.random.default_rng(0), edges=edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_seeded_replay(self):
         pair = pair_for_ratio(np.e)

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import signal
+from scipy import signal, stats
 
 from mlsd_oracle import mlsd_exhaustive
 
@@ -492,34 +492,52 @@ class TestDetectorPathEquivalence:
 
 class TestParticle:
     def test_frozen_medium_keeps_positions(self):
-        # vanishing diffusion: the kick scale collapses and nothing moves,
-        # in one-step and in multi-step blocks
+        # vanishing diffusion: the kick scale collapses and nothing moves
+        # from the release distance d, in one-step and in multi-step blocks
         ch = ChannelParams(d=10.0, r=5.0, D=1e-15, Ts=1.0, L=1)
         for n_steps in (1, 7):
             state = new_particle_state(ch, 1)
             release_molecules(state, [100])
-            before = state.positions.copy()
+            assert state.positions.tolist() == [ch.d] * 100
             particle_step(state, 1e-3, np.random.default_rng(0), n_steps)
-            assert np.allclose(state.positions, before, atol=1e-6)
+            assert state.positions.shape == (100,)
+            assert np.allclose(state.positions, ch.d, atol=1e-6)
             assert state.interval_counts[0] == 0
             assert state.ages.tolist() == [n_steps] * 100
 
+    def test_one_step_is_the_norm_of_a_3d_step(self):
+        # at a fixed distance R one step's R' is |(R, 0, 0) + s Z_3|, s^2 = 2 D dt:
+        # two-sample KS against Cartesian draws; the radial kick alone, |R + s Z|,
+        # misses the tangential spread and fails the same test
+        dt = 1e-3
+        ch = ChannelParams(d=2.0, r=1e-3, D=79.4, Ts=1.0, L=1)  # d is 5 s: none absorbed
+        s = math.sqrt(2.0 * ch.D * dt)
+        state = new_particle_state(ch, 1)
+        release_molecules(state, [50_000])
+        particle_step(state, dt, np.random.default_rng(0), 1)
+        assert state.alive == 50_000
+        kicks = s * np.random.default_rng(100).standard_normal((50_000, 3))
+        kicks[:, 0] += ch.d
+        assert stats.ks_2samp(state.positions, np.linalg.norm(kicks, axis=1)).pvalue > 1e-3
+        assert stats.ks_2samp(state.positions, np.abs(ch.d + s * kicks[:, 1])).pvalue < 1e-3
+
     def test_mean_squared_displacement(self):
-        # free diffusion: per-axis displacement variance is 2 D t, however
+        # free diffusion far from a pinhead receiver: E[R'^2 - R^2] = 6 D t, and
+        # R'^2 is 2 D t times a noncentral chi-square(3, R^2 / (2 D t)), however
         # the 50 steps are split into calls
-        ch = ChannelParams(d=1e6, r=1e-3, D=79.4, Ts=1.0, L=1)
+        ch = ChannelParams(d=10.0, r=1e-3, D=79.4, Ts=1.0, L=1)
         t = 0.05
+        law = stats.ncx2(3, ch.d**2 / (2 * ch.D * t), scale=2 * ch.D * t)
         for n_steps in (1, 10, 50):
-            state = new_particle_state(ch, 1, bridge_absorption=False)
+            state = new_particle_state(ch, 1)
             release_molecules(state, [100_000])
-            start = state.positions.copy()
             rng = np.random.default_rng(3)
             for _ in range(50 // n_steps):
                 particle_step(state, 1e-3, rng, n_steps)
-            assert np.all(state.ages == 50)
-            disp = state.positions - start
-            for axis in range(3):
-                assert disp[:, axis].var() == pytest.approx(2 * ch.D * t, rel=0.01)
+            assert state.alive == 100_000 and np.all(state.ages == 50)
+            squared = state.positions**2
+            assert (squared - ch.d**2).mean() == pytest.approx(6 * ch.D * t, rel=0.01)
+            assert stats.kstest(squared, law.cdf).pvalue > 1e-3
 
     def test_absorbed_fraction_matches_hit_fraction(self):
         from mrsk.channel import hit_fraction
