@@ -6,7 +6,9 @@ histories and integrating Gaussian arrival tails.  Release-time shift
 keying rides a first-arrival timing channel whose delay is Levy
 distributed; both of its detectors threshold the arrival time, so its
 error rate is exact too, from the Levy CDF at the threshold and at the
-bit interval (:func:`rtsk_error_counts` is its Monte Carlo oracle).
+bit interval (tests/rtsk_oracle.py is its Monte Carlo check).  The
+OOK and MoSK thresholds are the reference settings; the sweeps that
+find their optima are in tests/test_baselines.py.
 All four consume :mod:`mrsk.channel`, so the comparison against the
 ratio scheme shares one physics implementation.
 
@@ -35,13 +37,9 @@ __all__ = [
     "csk_ber",
     "mosk_ber",
     "rtsk_ber",
-    "rtsk_error_counts",
-    "optimize_ook_alpha",
-    "optimize_mosk_lambda",
     "levy_scale",
     "levy_cdf",
     "levy_median",
-    "sample_levy",
 ]
 
 
@@ -190,30 +188,6 @@ def mosk_ber(config: MoskConfig, channel: ChannelParams, t_b: float) -> float:
     return float((wrong_only + 0.5 * ambiguous).mean())
 
 
-def optimize_ook_alpha(
-    channel: ChannelParams,
-    t_b: float,
-    Q: float = 1000.0,
-    grid=None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Sweep the OOK threshold fraction; returns (best alpha, grid, BERs)."""
-    alphas = np.asarray(grid if grid is not None else np.arange(0.02, 0.99, 0.02))
-    bers = np.array([ook_ber(OokConfig(Q=Q, alpha=float(a)), channel, t_b) for a in alphas])
-    return float(alphas[int(np.argmin(bers))]), alphas, bers
-
-
-def optimize_mosk_lambda(
-    channel: ChannelParams,
-    t_b: float,
-    Q: float = 1000.0,
-    grid=None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Sweep the MoSK per-type threshold; returns (best Lambda, grid, BERs)."""
-    lambdas = np.asarray(grid if grid is not None else Q * np.arange(0.02, 0.99, 0.02))
-    bers = np.array([mosk_ber(MoskConfig(Q=Q, Lambda=float(l)), channel, t_b) for l in lambdas])
-    return float(lambdas[int(np.argmin(bers))]), lambdas, bers
-
-
 # ---------------------------------------------------------------------------
 # release-time shift keying
 # ---------------------------------------------------------------------------
@@ -236,55 +210,6 @@ def levy_cdf(t, c: float):
 def levy_median(c: float) -> float:
     """Median delay: c / (2 * erfcinv(1/2)^2)."""
     return c / (2.0 * special.erfcinv(0.5) ** 2)
-
-
-def _levy_logpdf(t: np.ndarray, c: float) -> np.ndarray:
-    out = np.full(t.shape, -np.inf)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = 0.5 * math.log(c / (2.0 * math.pi)) - 1.5 * np.log(tp) - c / (2.0 * tp)
-    return out
-
-
-def sample_levy(c: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Levy draws via the reciprocal-square of a standard normal."""
-    z = rng.standard_normal(n)
-    with np.errstate(divide="ignore"):
-        return c / (z * z)
-
-
-def rtsk_error_counts(
-    config: RtskConfig,
-    channel: ChannelParams,
-    t_b: float,
-    n_symbols: int,
-    seed: int = 0,
-) -> tuple[int, int]:
-    """Monte Carlo bit errors of RTSK over n_symbols; returns (errors, n).
-
-    A symbol releases at offset 0 (bit 0) or Delta (bit 1); the receiver
-    sees offset plus one Levy delay.  Arrivals past the symbol window are
-    erasures decided by a fair coin.  The linear detector thresholds the
-    arrival time midway between the two conditional medians; the ML
-    detector compares the two Levy likelihoods.
-    """
-    if not config.Delta < t_b:
-        raise ValueError(f"release offset {config.Delta} must lie inside the bit interval {t_b}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    c = levy_scale(channel)
-    bits = rng.integers(0, 2, size=n_symbols)
-    arrivals = config.Delta * bits + sample_levy(c, n_symbols, rng)
-    erased = arrivals > t_b
-    if config.detector == "linear":
-        midpoint = config.Delta / 2.0 + levy_median(c)
-        decided = (arrivals >= midpoint).astype(np.int64)
-    else:
-        ll0 = _levy_logpdf(arrivals, c)
-        ll1 = _levy_logpdf(arrivals - config.Delta, c)
-        decided = (ll1 > ll0).astype(np.int64)
-    coin = rng.integers(0, 2, size=n_symbols)
-    decided = np.where(erased, coin, decided)
-    return int(np.count_nonzero(decided != bits)), n_symbols
 
 
 def _rtsk_threshold(config: RtskConfig, c: float) -> float:
@@ -317,8 +242,7 @@ def rtsk_ber(config: RtskConfig, channel: ChannelParams, t_b: float) -> float:
     With F_b the arrival CDF given bit b (a Levy law shifted by b*Delta),
     threshold tau and tau' = min(tau, t_b): bit 0 errs when it arrives in
     [tau', t_b], bit 1 when it arrives before tau', and an arrival past
-    t_b is a fair coin.  :func:`rtsk_error_counts` is its Monte Carlo
-    counterpart.
+    t_b is a fair coin.
     """
     if not config.Delta < t_b:
         raise ValueError(f"release offset {config.Delta} must lie inside the bit interval {t_b}")

@@ -298,21 +298,19 @@ def _run_compare(spec: ExperimentSpec) -> str:
         mrsk_cfg = replace(spec.mrsk, Q=q, detector="ftd")
         channel = replace(spec.channel, Ts=t_b * mrsk_cfg.bits_per_symbol)
         base_channel = replace(channel, Ts=t_b)
-
-        est = BerEstimate.exact(ftd_ber(mrsk_cfg, channel).ber)
-        lines.append(_estimate_row(spec.param, value, "mrsk", "ftd", spec.coding, est))
-        est = BerEstimate.exact(ook_ber(OokConfig(Q=q, alpha=spec.ook_alpha), base_channel, t_b))
-        lines.append(_estimate_row(spec.param, value, "ook", "fixed", "-", est))
-        est = BerEstimate.exact(csk_ber(CskConfig(Q=q, Gamma=spec.csk_gamma), base_channel, t_b))
-        lines.append(_estimate_row(spec.param, value, "csk", "fixed", "-", est))
-        est = BerEstimate.exact(
-            mosk_ber(MoskConfig(Q=q, Lambda=spec.mosk_lambda_frac * q), base_channel, t_b)
-        )
-        lines.append(_estimate_row(spec.param, value, "mosk", "fixed", "-", est))
-        est = BerEstimate.exact(
-            rtsk_ber(RtskConfig(Delta=t_b / 2.0, detector=spec.rtsk_detector), base_channel, t_b)
-        )
-        lines.append(_estimate_row(spec.param, value, "rtsk", spec.rtsk_detector, "-", est))
+        ook = OokConfig(Q=q, alpha=spec.ook_alpha)
+        csk = CskConfig(Q=q, Gamma=spec.csk_gamma)
+        mosk = MoskConfig(Q=q, Lambda=spec.mosk_lambda_frac * q)
+        rtsk = RtskConfig(Delta=t_b / 2.0, detector=spec.rtsk_detector)
+        for scheme, detector, coding, ber in (
+            ("mrsk", "ftd", spec.coding, ftd_ber(mrsk_cfg, channel).ber),
+            ("ook", "fixed", "-", ook_ber(ook, base_channel, t_b)),
+            ("csk", "fixed", "-", csk_ber(csk, base_channel, t_b)),
+            ("mosk", "fixed", "-", mosk_ber(mosk, base_channel, t_b)),
+            ("rtsk", spec.rtsk_detector, "-", rtsk_ber(rtsk, base_channel, t_b)),
+        ):
+            est = BerEstimate.exact(ber)
+            lines.append(_estimate_row(spec.param, value, scheme, detector, coding, est))
     return "\n".join(lines) + "\n"
 
 
@@ -356,6 +354,8 @@ def _parse_values(raw: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise CliError(f"range must be start:step:stop, got {raw!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise CliError(f"range bounds and step must be finite, got {raw!r}")
         if step <= 0:
             raise CliError("range step must be positive")
         span = (stop - start) / step + 1e-9

@@ -33,10 +33,8 @@ __all__ = [
     "ratio_alphabet",
     "thresholds",
     "codewords",
-    "encode_bits_to_indices",
     "decode_indices_to_bits",
     "bit_values",
-    "average_molecules_per_bit",
     "radix_digits",
     "symbol_ids",
     "symbol_index_combos",
@@ -49,6 +47,7 @@ __all__ = [
     "DENOM_EPS_SCALE",
     "TRELLIS_STATE_CAP",
     "TRELLIS_WINDOW_CAP",
+    "TRELLIS_WORK_CAP",
 ]
 
 _CODINGS = ("binary", "gray")
@@ -67,6 +66,9 @@ _COUNTED_THRESHOLDS = 31
 # leaves at most 2^10 states), so at most 64 MiB for 8192 symbols
 TRELLIS_STATE_CAP = 1 << 13
 TRELLIS_WINDOW_CAP = 1 << 20
+# window-symbols a sequence-detected link may score, symbols times S^L: the
+# caps above bound memory, this one time (about 90 ns each, so ~95 s at the cap)
+TRELLIS_WORK_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -167,32 +169,8 @@ def codewords(M: int, coding: str) -> np.ndarray:
     raise ValueError(f"unknown coding {coding!r}")
 
 
-def _value_to_index(M: int, coding: str) -> np.ndarray:
-    """Inverse of :func:`codewords`: bit-group value -> 0-based index."""
-    codes = codewords(M, coding)
-    inv = np.empty_like(codes)
-    inv[codes] = np.arange(codes.size)
-    return inv
-
-
-def encode_bits_to_indices(bits, config: MrskConfig) -> np.ndarray:
-    """Bits -> (n_symbols, N-1) array of 0-based alphabet indices."""
-    b = np.asarray(bits)
-    if b.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    if np.any((b != 0) & (b != 1)):
-        raise ValueError("bits must be 0/1")
-    bps = config.bits_per_symbol
-    if b.size == 0 or b.size % bps != 0:
-        raise ValueError(
-            f"bit count {b.size} is not a positive multiple of {bps} bits per symbol"
-        )
-    indices = _value_to_index(config.M, config.coding)[bit_values(b, config.M)]
-    return indices.reshape(-1, config.N - 1)
-
-
 def decode_indices_to_bits(indices, config: MrskConfig) -> np.ndarray:
-    """(n_symbols, N-1) 0-based alphabet indices -> bits; inverse of the encoder."""
+    """(n_symbols, N-1) 0-based alphabet indices -> bits, M per index, first index first."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != config.N - 1:
         raise ValueError(f"expected rows of {config.N - 1} ratio indices, got shape {idx.shape}")
@@ -212,17 +190,6 @@ def bit_values(bits, width: int) -> np.ndarray:
         values <<= 1
         values |= groups[:, j]
     return values
-
-
-def average_molecules_per_bit(config: MrskConfig) -> float:
-    """Expected total emission per symbol under uniform bits, per bit.
-
-    Ratios are i.i.d. uniform over the alphabet, so the expected count of
-    type i is Q * mean(alphabet)^(i-1) and the total is a geometric sum.
-    """
-    m1 = float(ratio_alphabet(config).mean())
-    total = config.Q * float(np.sum(m1 ** np.arange(config.N)))
-    return total / config.bits_per_symbol
 
 
 def radix_digits(values, base: int, width: int) -> np.ndarray:

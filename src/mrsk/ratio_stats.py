@@ -2,8 +2,9 @@
 
 Three analytic descriptions of eta = X/Y are provided: the exact density,
 a closed-form "solid" approximation whose CDF is elementary, and a plain
-Gaussian approximation.  An empirical sampler backs all three as the
-ground-truth oracle.
+Gaussian approximation.  An empirical sampler bins drawn ratios as the
+ground truth against all three; the whole-array sampler it must match
+bit for bit is tests/ratio_oracle.py.
 
 The solid approximation is parameterized by the dimensionless triple
 (p, q, r): p and q are signal-to-noise ratios of numerator and
@@ -93,11 +94,10 @@ class SolidParams:
 
 
 class RatioSample(NamedTuple):
-    """Ratios drawn by :func:`sample_ratio`: their values, or only their bin counts."""
+    """Bin counts of the ratios drawn by :func:`sample_ratio`, and its redraws."""
 
-    values: np.ndarray | None
+    counts: np.ndarray
     redraws: int
-    counts: np.ndarray | None = None
 
 
 def exact_ratio_pdf(eta, pair: GaussPair):
@@ -159,48 +159,15 @@ def gaussian_ratio_pdf(eta, pair: GaussPair):
     return out if out.ndim else float(out)
 
 
-def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator, edges=None) -> RatioSample:
-    """Draw n independent ratios X/Y.
+def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator, edges) -> RatioSample:
+    """Bin n independent ratios X/Y into the increasing bin ``edges``.
 
     Draws whose denominator magnitude is at most ``SAMPLE_DENOM_EPS`` are
     redrawn (both coordinates) so the sample matches the conditional law
     the analytic forms approximate; the redraw count is reported.  All n
     numerators come first, then the n denominators, then the redraws of
-    each round (numerators, then denominators).  The denominators are
-    drawn in blocks of the same stream and divide the numerators in place,
-    so no n-length denominator array is held.
-
-    With increasing bin ``edges`` the ratios are not kept: ``values`` is
-    None and ``counts`` holds what ``np.histogram(values, edges)`` counts,
-    from the same draws, in memory of a few blocks (see
-    :func:`_count_ratios`).
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if edges is not None:
-        return _count_ratios(pair, n, rng, np.asarray(edges, dtype=float))
-    eps = SAMPLE_DENOM_EPS
-    x = rng.normal(pair.mu_x, pair.sigma_x, size=n)
-    bad = []
-    for start in range(0, n, _SAMPLE_BLOCK):
-        y = rng.normal(pair.mu_y, pair.sigma_y, size=min(_SAMPLE_BLOCK, n - start))
-        small = (y <= eps) & (y >= -eps)
-        np.divide(x[start : start + y.size], y, out=x[start : start + y.size], where=~small)
-        bad.append(start + np.flatnonzero(small))
-    bad = np.concatenate(bad)
-    redraws = 0
-    while bad.size:
-        redraws += bad.size
-        xb = rng.normal(pair.mu_x, pair.sigma_x, size=bad.size)
-        yb = rng.normal(pair.mu_y, pair.sigma_y, size=bad.size)
-        small = (yb <= eps) & (yb >= -eps)
-        x[bad] = np.divide(xb, yb, out=xb, where=~small)  # the still-small ones go again
-        bad = bad[small]
-    return RatioSample(values=x, redraws=redraws)
-
-
-def _count_ratios(pair: GaussPair, n: int, rng: np.random.Generator, edges: np.ndarray) -> RatioSample:
-    """The bin counts of :func:`sample_ratio`'s draws, a block at a time.
+    each round (numerators, then denominators).  ``counts`` holds what
+    ``np.histogram`` counts of those ratios, in memory of a few blocks.
 
     The denominators start where the n numerators end, and the ziggurat
     takes a varying number of raw draws per normal, so the numerators are
@@ -210,6 +177,9 @@ def _count_ratios(pair: GaussPair, n: int, rng: np.random.Generator, edges: np.n
     values a redraw replaces are never counted, so the counts are those of
     the whole sample.
     """
+    if n < 1:
+        raise ValueError("need at least one sample")
+    edges = np.asarray(edges, dtype=float)
     numerators = copy.deepcopy(rng)
     passed = np.empty(min(n, _SAMPLE_BLOCK))
     for start in range(0, n, _SAMPLE_BLOCK):
@@ -235,7 +205,7 @@ def _count_ratios(pair: GaussPair, n: int, rng: np.random.Generator, edges: np.n
             edges,
         )
         counts += block
-    return RatioSample(values=None, redraws=redraws, counts=counts)
+    return RatioSample(counts=counts, redraws=redraws)
 
 
 def _bin_ratios(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, int]:

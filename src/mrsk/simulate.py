@@ -11,8 +11,8 @@ by that value, draws arrivals, hands the (K, N) counts to a
 :mod:`mrsk.modem` detector and counts bit errors as the popcount of
 sent_value ^ value[detected_id], the value of each symbol id being a
 second per-link table (:func:`mrsk.modem.symbol_values`).
-Bit streams are split into fixed-size frames with independently
-derived random streams.  One call of :func:`run_link` or a simulated
+Bit streams are split into frames of ``FRAME_SYMBOLS`` symbols with
+independently derived random streams.  One call of :func:`run_link` or a simulated
 :func:`sweep` builds each link's tables once and queues the frames of all
 its points together on the process's one frame pool (in-process at one
 worker), which lives until exit and is replaced only when the worker
@@ -36,6 +36,7 @@ import numpy as np
 from .channel import ChannelParams, cir
 from .errors import CapacityError
 from .modem import (
+    TRELLIS_WORK_CAP,
     MrskConfig,
     bit_values,
     detect_admc,
@@ -62,6 +63,7 @@ __all__ = [
     "child_seed",
     "close_pool",
     "SWEEPABLE_PARAMS",
+    "FRAME_SYMBOLS",
     "PARTICLE_POPULATION_CAP",
     "PARTICLE_MOLECULE_STEP_CAP",
     "SYMBOL_COUNT_CAP",
@@ -70,6 +72,8 @@ __all__ = [
 
 SWEEPABLE_PARAMS = ("t_b", "Q", "d", "Omega", "N", "M")
 _Z95 = 1.959963984540054
+# symbols per independent frame: a fixed split keeps results worker-count independent
+FRAME_SYMBOLS = 8192
 # bits one link may simulate
 TRIALS_CAP = 10**9
 # live molecules a particle link may hold: L intervals of its largest symbol
@@ -97,21 +101,19 @@ class SimConfig:
     seed: master seed; every frame derives its own child stream
     engine: "statistical", "binomial" or "particle"
     particle_dt: Brownian time step (particle engine only)
-    frame_symbols: symbols per independent frame (fixed partitioning
-        keeps results worker-count independent)
     workers: process count for frame execution
 
-    Frames are cold-start bursts: each starts with an empty channel, so its
-    first L-1 symbols see less intersymbol interference than the stationary
-    link of :func:`mrsk.analysis.ftd_ber`.  Those are (L-1)/F of the symbols
-    of F-symbol frames, so they move the BER by at most (L-1)/F.
+    Frames of ``FRAME_SYMBOLS`` = F symbols are cold-start bursts: each
+    starts with an empty channel, so its first L-1 symbols see less
+    intersymbol interference than the stationary link of
+    :func:`mrsk.analysis.ftd_ber`.  Those are (L-1)/F of the symbols, so
+    they move the BER by at most (L-1)/F.
     """
 
     n_bits: int = 100_000
     seed: int = 0
     engine: str = "statistical"
     particle_dt: float = 1e-3
-    frame_symbols: int = 8192
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -121,8 +123,8 @@ class SimConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if not 0 < self.particle_dt < math.inf:  # NaN fails too
             raise ValueError(f"particle_dt must be positive and finite, got {self.particle_dt}")
-        if self.frame_symbols < 1 or self.workers < 1:
-            raise ValueError("frame_symbols and workers must be positive")
+        if self.workers < 1:
+            raise ValueError(f"workers must be positive, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -475,9 +477,18 @@ def _run_links(
                 f"SYMBOL_COUNT_CAP = {SYMBOL_COUNT_CAP}; reduce N or M"
             )
         check_alphabet(mrsk)
+        n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
         if mrsk.detector == "mlsd":
             trellis_states(mrsk, channel.L)
-        n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
+            windows = mrsk.bits_per_symbol * channel.L  # S^L = 2^windows, within the window cap
+            work = n_symbols << windows
+            if work > TRELLIS_WORK_CAP:
+                raise CapacityError(
+                    f"sequence detection of {n_symbols} symbols over S^L = 2^{windows} branch "
+                    f"windows scores {work:.4g} window-symbols, exceeding "
+                    f"TRELLIS_WORK_CAP = 2^{TRELLIS_WORK_CAP.bit_length() - 1}; request fewer "
+                    "bits or reduce N, M or L"
+                )
         if sim.engine == "particle":
             # retirement bounds the population by L intervals of the largest symbol,
             # Q (1 + Omega + ... + Omega^(N-1)): every ratio at the top of the alphabet
@@ -507,9 +518,9 @@ def _run_links(
         emissions_by_value = np.empty_like(quantities)
         emissions_by_value[values] = quantities
         tables = (emissions_by_value, taps, values)
-        for index, start in enumerate(range(0, n_symbols, sim.frame_symbols)):
+        for index, start in enumerate(range(0, n_symbols, FRAME_SYMBOLS)):
             owners.append(link)
-            jobs.append((mrsk, channel, sim, tables, index, min(sim.frame_symbols, n_symbols - start)))
+            jobs.append((mrsk, channel, sim, tables, index, min(FRAME_SYMBOLS, n_symbols - start)))
 
     # results do not depend on the worker count: start no more processes than frames or cores
     workers = min(workers, len(jobs), os.cpu_count() or 1)
@@ -596,21 +607,18 @@ def sweep(
     mrsk: MrskConfig,
     channel: ChannelParams,
     sim: SimConfig,
-    engine: str | None = None,
-    t_b: float | None = None,
+    engine: str,
+    t_b: float,
 ) -> BerCurve:
     """BER against one swept parameter, everything else held at base.
 
     ``engine`` may name any simulation engine or "analytic" (closed-form
-    fixed-threshold BER).  The base bit time defaults to the one implied
-    by the base channel and modem configuration.
+    fixed-threshold BER); ``t_b`` is the base bit time, and every point's
+    symbol interval is its bits per symbol times its bit time.
     """
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    engine = engine or sim.engine
-    if t_b is None:
-        t_b = channel.Ts / mrsk.bits_per_symbol
     points = [_configs_for(param_name, value, mrsk, channel, t_b) for value in values]
     if engine == "analytic":
         if mrsk.detector != "ftd":

@@ -14,6 +14,8 @@ import numpy as np
 from scipy import integrate, special, stats
 
 from mlsd_oracle import ScalarMlsdMetric
+from ratio_oracle import ratio_values
+from rtsk_oracle import rtsk_error_counts
 
 from mrsk.analysis import ftd_ber
 from mrsk.baselines import (
@@ -24,7 +26,6 @@ from mrsk.baselines import (
     csk_ber,
     mosk_ber,
     ook_ber,
-    rtsk_error_counts,
 )
 from mrsk.channel import ChannelParams, cir, hit_fraction
 from mrsk.cli import replay_csv, run_cli
@@ -37,7 +38,6 @@ from mrsk.ratio_stats import (
     GaussPair,
     SolidParams,
     exact_ratio_pdf,
-    sample_ratio,
     solid_ratio_cdf,
     solid_ratio_pdf,
 )
@@ -76,8 +76,8 @@ def test_distribution_agreement():
         fe = exact_ratio_pdf(grid, pair)
         fs = solid_ratio_pdf(grid, sp)
         worst_sup = max(worst_sup, float(np.max(np.abs(fe - fs)) / fe.max()))
-        sample = sample_ratio(pair, 10_000, np.random.default_rng(17))
-        ks = stats.kstest(sample.values, lambda t: solid_ratio_cdf(t, sp)).statistic
+        values, _ = ratio_values(pair, 10_000, np.random.default_rng(17))
+        ks = stats.kstest(values, lambda t: solid_ratio_cdf(t, sp)).statistic
         worst_ks = max(worst_ks, float(ks))
     elapsed = time.perf_counter() - t0
     report(
@@ -180,9 +180,9 @@ def test_trend_suite():
     ch = ChannelParams(Ts=0.5, L=5)
     sim = SimConfig(n_bits=100_000, seed=1)
 
-    tb_curve = sweep("t_b", [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], cfg, ch, sim)
-    q_curve = sweep("Q", list(range(100, 1001, 100)), cfg, ch, sim)
-    d_curve = sweep("d", [8.0, 9.0, 10.0, 11.0, 12.0], cfg, ch, sim)
+    tb_curve = sweep("t_b", [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], cfg, ch, sim, sim.engine, 0.5)
+    q_curve = sweep("Q", list(range(100, 1001, 100)), cfg, ch, sim, sim.engine, 0.5)
+    d_curve = sweep("d", [8.0, 9.0, 10.0, 11.0, 12.0], cfg, ch, sim, sim.engine, 0.5)
     ok_tb = monotone_within_ci(tb_curve.estimates, "down")
     ok_q = monotone_within_ci(q_curve.estimates, "down")
     ok_d = monotone_within_ci(d_curve.estimates, "up")
@@ -194,7 +194,7 @@ def test_trend_suite():
         ftd_ber(MrskConfig(Omega=om), ch).ber for om in omegas
     ]
     om_star = omegas[int(np.argmin(om_exact))]
-    om_curve = sweep("Omega", omegas, cfg, ch, sim)
+    om_curve = sweep("Omega", omegas, cfg, ch, sim, sim.engine, 0.5)
     k = int(np.argmin(om_exact))
     ok_om = (
         1.8 <= om_star <= 2.4

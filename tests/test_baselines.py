@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rtsk_oracle import rtsk_error_counts, sample_levy
+
 from mrsk.analysis import ftd_ber
 from mrsk.baselines import (
     CskConfig,
@@ -16,17 +18,28 @@ from mrsk.baselines import (
     levy_scale,
     mosk_ber,
     ook_ber,
-    optimize_mosk_lambda,
-    optimize_ook_alpha,
     rtsk_ber,
-    rtsk_error_counts,
-    sample_levy,
 )
 from mrsk.channel import ChannelParams
 from mrsk.modem import MrskConfig
 
 CH = ChannelParams(Ts=1.0, L=5)
 TB = 1.0
+# the threshold fractions the sweeps try
+FRACTIONS = np.arange(0.02, 0.99, 0.02)
+
+
+def optimize_ook_alpha(channel, t_b, Q=1000.0):
+    """Sweep the OOK threshold fraction; returns (best alpha, grid, BERs)."""
+    bers = np.array([ook_ber(OokConfig(Q=Q, alpha=float(a)), channel, t_b) for a in FRACTIONS])
+    return float(FRACTIONS[int(np.argmin(bers))]), FRACTIONS, bers
+
+
+def optimize_mosk_lambda(channel, t_b, Q=1000.0):
+    """Sweep the MoSK per-type threshold; returns (best Lambda, grid, BERs)."""
+    lambdas = Q * FRACTIONS
+    bers = np.array([mosk_ber(MoskConfig(Q=Q, Lambda=float(l)), channel, t_b) for l in lambdas])
+    return float(lambdas[int(np.argmin(bers))]), lambdas, bers
 
 
 def assert_valley_shaped(values, atol=1e-20, rtol=1e-9):
@@ -112,6 +125,13 @@ class TestMosk:
         ref = mosk_ber(MoskConfig(Lambda=0.34 * 1000.0), CH, TB)
         assert ref < mosk_ber(MoskConfig(Lambda=1e-9), CH, TB)
         assert ref < 0.5
+
+    def test_reference_threshold_is_not_the_optimum(self):
+        # documented discrepancy: the reference Lambda = 0.34 Q sits above
+        # the sweep-derived optimum (about 0.22 Q), at a far higher BER
+        best, _, bers = optimize_mosk_lambda(CH, TB)
+        assert best < 0.34 * 1000.0
+        assert bers.min() < 1e-3 * mosk_ber(MoskConfig(Lambda=0.34 * 1000.0), CH, TB)
 
 
 class TestRtsk:

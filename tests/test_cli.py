@@ -290,10 +290,17 @@ class TestErrors:
     def test_values_range_cap_exit_two(self, tmp_path, capsys):
         # the range is refused before it is expanded
         assert len(cli._parse_values(f"1:1:{cli.VALUES_CAP}")) == cli.VALUES_CAP
-        for values in (f"1:1:{cli.VALUES_CAP + 1}", "0:1e-12:1", "0:1:inf"):
+        for values in (f"1:1:{cli.VALUES_CAP + 1}", "0:1e-12:1"):
             rc, out = run(tmp_path, "x.csv", ["sweep", "--engine", "analytic", "--values", values])
             assert rc == 2 and not out.exists()
             assert "VALUES_CAP = 10000" in capsys.readouterr().err
+
+    def test_non_finite_range_exit_one(self, tmp_path, capsys):
+        # a usage error, before any point count is computed
+        for values in ("inf:1:2", "-inf:1:2", "0:inf:1", "0:nan:1", "0:1:inf"):
+            rc, out = run(tmp_path, "x.csv", ["sweep", "--engine", "analytic", f"--values={values}"])
+            assert rc == 1 and not out.exists()
+            assert "must be finite" in capsys.readouterr().err
 
     def test_pdf_caps_admit_the_largest_recipe(self):
         assert cli.PDF_SAMPLES_CAP >= 1_000_000 and cli.PDF_GRID_POINTS_CAP >= 4001
@@ -484,7 +491,7 @@ FLAG_POOLS = {
     "--dt": (["0.25"], ["0", "-1", NAN]),
     "--seed": (["0", "7"], ["-1"]),
     "--param": (["t_b", "Q", "d", "Omega", "N", "M"], ["bogus"]),
-    "--values": (["0.5", "2", "0.25,0.5", "1:1:2"], [NAN, "", "1:2", "0:1e-9:1", "0:1:inf", "x"]),
+    "--values": (["0.5", "2", "0.25,0.5", "1:1:2"], [NAN, "", "1:2", "0:1e-9:1", "0:1:inf", "inf:1:2", "x"]),
     "--ratio": (["2.718281828459045", "1"], ["0", "-1", NAN]),
     "--grid-points": (["11"], ["0", "-1", str(cli.PDF_GRID_POINTS_CAP + 1)]),
     "--samples": (["100"], ["0", "-1", str(cli.PDF_SAMPLES_CAP + 1)]),
@@ -519,6 +526,7 @@ REFUSED_ARGV = [
     ["ber-sim", "--N", "5", "--detector", "mlsd", "--L", "5", "--bits", "1000"],
     ["ber-particle", "--dt", "1e-9", "--bits", "1000", "--Q", "50"],
     ["ber-particle"],  # 10^5 symbols of 500 steps among up to ~18,600 molecules
+    ["ber-sim", "--N", "3", "--M", "2", "--L", "4", "--detector", "mlsd"],  # 25,000 symbols x 2^16 windows
 ]
 
 
@@ -570,6 +578,7 @@ class TestExitCodes:
     @example(argv=REFUSED_ARGV[5])
     @example(argv=REFUSED_ARGV[6])
     @example(argv=REFUSED_ARGV[7])
+    @example(argv=REFUSED_ARGV[9])
     def test_any_argv_exits_zero_one_or_two(self, argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = run_cli(argv + ["-o", os.devnull])

@@ -2,8 +2,10 @@
 
 Modules use each other only through public names, so every concept has
 one implementation that other modules call instead of reaching into
-its helpers; every name a module exports in ``__all__`` exists; and
-size caps are module constants, not parameters or config fields.
+its helpers; every name a module exports in ``__all__`` exists and has
+a caller in the package or a listed entry point, so helpers whose only
+callers are tests live in ``tests/``; and size caps are module
+constants, not parameters or config fields.
 """
 
 import ast
@@ -13,6 +15,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mrsk"
 MODULES = sorted(SRC.glob("*.py"))
+# exported names no package module calls, each with its caller outside the package
+ENTRY_POINTS = {
+    "cli.main": "the console script of pyproject.toml",
+    "cli.replay_csv": "the README's replay API",
+    "ratio_stats.solid_ratio_cdf": "the paper's closed-form CDF, checked against quadrature",
+    "simulate.particle_hit_fraction": "perfbench's hit-fraction experiments",
+}
 
 
 def parse(path: Path) -> ast.Module:
@@ -75,6 +84,108 @@ def test_every_export_exists(path):
     missing = sorted(set(exported) - top_level_names(tree))
     assert not missing, f"{path.name} exports undefined names {missing}"
     assert len(exported) == len(set(exported)), f"{path.name} lists a name twice in __all__"
+
+
+def package_source(node: ast.ImportFrom):
+    """The package module a ``from`` import reads ("" for the package), or None outside it."""
+    module = node.module or ""
+    if node.level > 0:
+        return module
+    if module == "mrsk" or module.startswith("mrsk."):
+        return module[len("mrsk.") :]
+    return None
+
+
+def package_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of every package name the module reads.
+
+    ``from .x import f`` counts where the module reads f, and
+    ``from . import x`` where it reads ``x.f``.
+    """
+    bound = {}  # local name -> (module, name), or (module, None) for a module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and package_source(node) is not None:
+            source = package_source(node)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                bound[local] = (source, alias.name) if source else (alias.name, None)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and bound.get(node.id, (None, None))[1] is not None:
+            reads.add(bound[node.id])
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module, name = bound.get(node.value.id, (None, ""))
+            if name is None:
+                reads.add((module, node.attr))
+    return reads
+
+
+def own_reads(tree: ast.Module) -> set[str]:
+    """Names read by a top-level statement of the module other than their definition."""
+    reads = set()
+    for stmt in tree.body:
+        defined = set()
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        reads.update(
+            node.id
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in defined
+        )
+    return reads
+
+
+def idle_exports(modules, entry_points) -> list[str]:
+    """``module.name`` of every export with no caller in the package and not in ``entry_points``.
+
+    A caller is another module reading the name, or its own module reading
+    it outside its definition; ``__init__`` only re-exports, so it is neither.
+    """
+    trees = {path.stem: parse(path) for path in modules}
+    called = {
+        (module, name)
+        for stem, tree in trees.items()
+        if stem != "__init__"
+        for module, name in package_reads(tree)
+        if module != stem
+    }
+    idle = []
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        own = own_reads(tree)
+        for name in declared_all(tree) or ():
+            if (stem, name) not in called and name not in own and f"{stem}.{name}" not in entry_points:
+                idle.append(f"{stem}.{name}")
+    return idle
+
+
+def test_every_export_has_a_caller():
+    idle = idle_exports(MODULES, ENTRY_POINTS)
+    assert not idle, f"exported with callers only outside the package (move them to tests/): {idle}"
+
+
+def test_callers_are_resolved_not_grepped(tmp_path):
+    # f reads only itself and is named in a docstring; g is read under an
+    # alias and h as a module attribute
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["f", "g", "h"]\n\n\ndef f():\n    return f\n\n\n'
+        'def g():\n    """Unlike f."""\n\n\ndef h():\n    pass\n'
+    )
+    (tmp_path / "b.py").write_text("from . import a\nfrom .a import g as run\n\nrun()\na.h()\n")
+    assert idle_exports([tmp_path / "a.py", tmp_path / "b.py"], {}) == ["a.f"]
+
+
+def test_entry_points_are_exported_and_uncalled():
+    # an entry that a module calls, or that no module exports, is stale
+    exported = {
+        f"{path.stem}.{name}" for path in MODULES for name in declared_all(parse(path)) or ()
+    }
+    assert set(ENTRY_POINTS) <= exported
+    assert sorted(idle_exports(MODULES, {})) == sorted(ENTRY_POINTS)
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:

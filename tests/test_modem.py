@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
+from encode_oracle import encode_bits_to_indices
 from mlsd_oracle import ScalarMlsdMetric, mlsd_exhaustive
 
 from mrsk import modem
@@ -13,14 +14,12 @@ from mrsk.errors import CapacityError
 from mrsk.modem import (
     MrskConfig,
     _viterbi_symbol_ids,
-    average_molecules_per_bit,
     bit_values,
     codewords,
     decode_indices_to_bits,
     detect_admc,
     detect_ftd,
     detect_mlsd,
-    encode_bits_to_indices,
     ratio_alphabet,
     symbol_ids,
     symbol_index_combos,
@@ -200,27 +199,6 @@ class TestQuantities:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError, match="ratio indices"):
             decode_indices_to_bits([[0, 0]], MrskConfig(N=2, M=1))
-
-
-class TestAverageMolecules:
-    def test_binary_reference_value(self):
-        # mean of the two symbol totals: (3718.28 + 1367.88) / 2
-        val = average_molecules_per_bit(MrskConfig(N=2, M=1, Q=1000.0))
-        assert val == pytest.approx(2543.0806348152437, rel=1e-12)
-
-    def test_matches_direct_enumeration(self):
-        for N in (2, 3):
-            for M in (1, 2):
-                cfg = MrskConfig(N=N, M=M, Q=700.0)
-                totals = symbol_quantities(cfg).sum(axis=1)
-                assert average_molecules_per_bit(cfg) == pytest.approx(
-                    totals.mean() / cfg.bits_per_symbol, rel=1e-12
-                )
-
-    def test_scales_linearly_in_q(self):
-        a = average_molecules_per_bit(MrskConfig(N=3, M=2, Q=100.0))
-        b = average_molecules_per_bit(MrskConfig(N=3, M=2, Q=900.0))
-        assert b == pytest.approx(9 * a, rel=1e-12)
 
 
 class TestFtd:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from ratio_oracle import ratio_values
+
 from mrsk import ratio_stats
 from mrsk.channel import ChannelParams, hit_fraction
 from mrsk.ratio_stats import (
@@ -206,52 +208,48 @@ class TestGaussianApprox:
 
 
 class TestSampleRatio:
+    # the KS and median tests read the reference's values; the binned-count
+    # tests below hold sample_ratio to the same draws bit for bit
     def test_ks_against_solid_cdf(self):
         for x in FIG_RATIOS:
             pair = pair_for_ratio(x)
             sp = SolidParams.from_pair(pair)
-            sample = sample_ratio(pair, 10_000, np.random.default_rng(17))
-            ks = stats.kstest(sample.values, lambda t: solid_ratio_cdf(t, sp)).statistic
+            values, _ = ratio_values(pair, 10_000, np.random.default_rng(17))
+            ks = stats.kstest(values, lambda t: solid_ratio_cdf(t, sp)).statistic
             assert ks < 0.02
 
     def test_median_near_expected_ratio(self):
         pair = pair_for_ratio(np.e)
-        sample = sample_ratio(pair, 10_000, np.random.default_rng(29))
-        assert abs(np.median(sample.values) - np.e) / np.e < 0.02
+        values, _ = ratio_values(pair, 10_000, np.random.default_rng(29))
+        assert abs(np.median(values) - np.e) / np.e < 0.02
 
     def test_no_redraws_at_high_snr(self):
         pair = pair_for_ratio(1.0)  # mu_y / sigma_y ~ 23
         assert pair.mu_y / pair.sigma_y > 8
-        assert sample_ratio(pair, 50_000, np.random.default_rng(5)).redraws == 0
+        assert sample_ratio(pair, 50_000, np.random.default_rng(5), np.linspace(0.0, 2.0, 9)).redraws == 0
 
     def test_redraws_counted_near_zero_denominator(self, monkeypatch):
         monkeypatch.setattr(ratio_stats, "SAMPLE_DENOM_EPS", 0.1)
         pair = GaussPair(10.0, 0.5, 1.0, 1.0)
-        sample = sample_ratio(pair, 20_000, np.random.default_rng(1))
+        sample = sample_ratio(pair, 20_000, np.random.default_rng(1), [-1100.0, 1100.0])
         assert sample.redraws > 0
-        assert np.all(np.abs(sample.values) < 10.0 / 0.1 + 1000)
+        # |x / y| < 10 / 0.1 + 1000: every ratio lands in the one bin
+        assert sample.counts.tolist() == [20_000]
 
     def test_redraws_match_the_abs_form(self, monkeypatch):
-        # the sampler's blocked denominators, two-sided test and in-place
-        # quotient against whole-array draws, the |y| <= eps loop and x / y,
-        # on a seed that forces redraws and a size spanning several blocks
+        # the sampler's blocked denominators, two-sided test and replayed
+        # numerators against whole-array draws, the |y| <= eps loop and
+        # x / y, on a seed that forces redraws and a size spanning several
+        # blocks; edges spanning every ratio count each exactly once
         pair = GaussPair(10.0, 0.5, 1.0, 1.0)
         n, eps = 150_001, 0.2
         monkeypatch.setattr(ratio_stats, "SAMPLE_DENOM_EPS", eps)
-        sample = sample_ratio(pair, n, np.random.default_rng(3))
-        rng = np.random.default_rng(3)
-        x = rng.normal(pair.mu_x, pair.sigma_x, size=n)
-        y = rng.normal(pair.mu_y, pair.sigma_y, size=n)
-        redraws = 0
-        bad = np.abs(y) <= eps
-        while np.any(bad):
-            k = int(bad.sum())
-            redraws += k
-            x[bad] = rng.normal(pair.mu_x, pair.sigma_x, size=k)
-            y[bad] = rng.normal(pair.mu_y, pair.sigma_y, size=k)
-            bad = np.abs(y) <= eps
+        values, redraws = ratio_values(pair, n, np.random.default_rng(3))
+        edges = np.linspace(values.min(), values.max(), 1001)
+        sample = sample_ratio(pair, n, np.random.default_rng(3), edges)
         assert redraws > n // 10 and sample.redraws == redraws
-        assert np.array_equal(sample.values, x / y)
+        assert sample.counts.sum() == n
+        assert np.array_equal(sample.counts, np.histogram(values, edges)[0])
 
     @pytest.mark.parametrize(
         "pair, eps, edges",
@@ -266,13 +264,13 @@ class TestSampleRatio:
         # np.histogram of the whole sample, bit for bit, densities included
         monkeypatch.setattr(ratio_stats, "SAMPLE_DENOM_EPS", eps)
         n = 3 * ratio_stats._SAMPLE_BLOCK + 1
-        sample = sample_ratio(pair, n, np.random.default_rng(3))
+        values, redraws = ratio_values(pair, n, np.random.default_rng(3))
         binned = sample_ratio(pair, n, np.random.default_rng(3), edges=edges)
-        assert binned.values is None and binned.redraws == sample.redraws
-        assert (sample.redraws > n // 10) == (eps == 0.2)
-        counts, _ = np.histogram(sample.values, edges)
+        assert binned.redraws == redraws
+        assert (redraws > n // 10) == (eps == 0.2)
+        counts, _ = np.histogram(values, edges)
         assert np.array_equal(binned.counts, counts)
-        density, _ = np.histogram(sample.values, edges, density=True)
+        density, _ = np.histogram(values, edges, density=True)
         assert np.array_equal(binned.counts / np.diff(edges) / binned.counts.sum(), density)
 
     def test_binned_sample_memory_is_a_few_blocks(self):
@@ -289,13 +287,14 @@ class TestSampleRatio:
 
     def test_seeded_replay(self):
         pair = pair_for_ratio(np.e)
-        a = sample_ratio(pair, 100, np.random.default_rng(9)).values
-        b = sample_ratio(pair, 100, np.random.default_rng(9)).values
-        assert np.array_equal(a, b)
+        edges = np.linspace(0.0, 6.0, 61)
+        a = sample_ratio(pair, 100, np.random.default_rng(9), edges)
+        b = sample_ratio(pair, 100, np.random.default_rng(9), edges)
+        assert np.array_equal(a.counts, b.counts) and a.counts.sum() == 100
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            sample_ratio(pair_for_ratio(1.0), 0, np.random.default_rng(0))
+            sample_ratio(pair_for_ratio(1.0), 0, np.random.default_rng(0), [0.0, 1.0])
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import signal, stats
 
+from encode_oracle import encode_bits_to_indices
 from mlsd_oracle import mlsd_exhaustive
 
 import mrsk
@@ -23,7 +24,6 @@ from mrsk.modem import (
     detect_admc,
     detect_ftd,
     detect_mlsd,
-    encode_bits_to_indices,
     ratio_alphabet,
     symbol_ids,
     symbol_index_combos,
@@ -107,6 +107,12 @@ def recording_pool(monkeypatch):
     monkeypatch.setattr(simulate, "_POOL", None)
 
 
+@pytest.fixture
+def frame_symbols(monkeypatch):
+    """Sets ``simulate.FRAME_SYMBOLS`` for one test; frames are split in the caller, so pools see it."""
+    return lambda n: monkeypatch.setattr(simulate, "FRAME_SYMBOLS", n)
+
+
 def refuse_frame(*args, **kwargs):
     raise AssertionError("every refusal must come before the first frame")
 
@@ -158,24 +164,27 @@ class TestDeterminism:
         sim = SimConfig(n_bits=20_000, seed=123)
         assert run_link(CFG, CH, sim) == run_link(CFG, CH, sim)
 
-    def test_worker_count_invariance(self):
-        base = SimConfig(n_bits=40_000, seed=5, frame_symbols=4096)
+    def test_worker_count_invariance(self, frame_symbols):
+        frame_symbols(4096)
+        base = SimConfig(n_bits=40_000, seed=5)
         serial = run_link(CFG, CH, base)
         parallel = run_link(CFG, CH, replace(base, workers=3))
         assert serial == parallel
 
-    def test_pool_bounded_by_frames_and_cores(self, monkeypatch, recording_pool):
-        sim = SimConfig(n_bits=3000, seed=1, frame_symbols=1000, workers=100_000)
+    def test_pool_bounded_by_frames_and_cores(self, monkeypatch, recording_pool, frame_symbols):
+        frame_symbols(1000)
+        sim = SimConfig(n_bits=3000, seed=1, workers=100_000)
         serial = run_link(CFG, CH, replace(sim, workers=1))
         for cores, expected in ((64, [3]), (2, [3, 2]), (None, [3, 2])):
             monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
             assert run_link(CFG, CH, sim) == serial
             assert RecordingPool.sizes == expected
 
-    def test_admc_counters_worker_invariant(self):
+    def test_admc_counters_worker_invariant(self, frame_symbols):
+        frame_symbols(4096)
         cfg = MrskConfig(detector="admc", Q=100.0)
         ch = ChannelParams(Ts=0.05, L=5)
-        base = SimConfig(n_bits=20_000, seed=3, frame_symbols=4096)
+        base = SimConfig(n_bits=20_000, seed=3)
         serial = run_link(cfg, ch, base)
         parallel = run_link(cfg, ch, replace(base, workers=2))
         assert serial == parallel
@@ -202,7 +211,7 @@ class TestFramePool:
         if simulate._POOL is not None:
             simulate._POOL[0].shutdown(wait=True)
 
-    def test_pool_reused_until_its_size_changes(self, monkeypatch, no_pool):
+    def test_pool_reused_until_its_size_changes(self, monkeypatch, no_pool, frame_symbols):
         created, shut = [], []
 
         class CountingPool(simulate.ProcessPoolExecutor):
@@ -217,10 +226,12 @@ class TestFramePool:
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)  # so 3 workers means 3 processes
         # 3 points of 6 frames each
-        sim = SimConfig(n_bits=6_000, seed=8, frame_symbols=1000)
-        serial = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, sim)
+        frame_symbols(1000)
+        sim = SimConfig(n_bits=6_000, seed=8)
+        serial = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, sim, sim.engine, CH.Ts)
         for workers in (2, 2, 3, 1, 2):
-            assert sweep("Q", [200.0, 500.0, 900.0], CFG, CH, replace(sim, workers=workers)) == serial
+            pooled = replace(sim, workers=workers)
+            assert sweep("Q", [200.0, 500.0, 900.0], CFG, CH, pooled, sim.engine, CH.Ts) == serial
         # one worker runs in-process and leaves the pool of 3 alone
         assert created == [2, 3, 2] and shut == [2, 3]
         assert simulate._POOL[1:] == (2, os.getpid())
@@ -255,9 +266,10 @@ class TestFramePool:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
-    def test_pool_replaced_after_a_worker_dies(self, monkeypatch, no_pool):
+    def test_pool_replaced_after_a_worker_dies(self, monkeypatch, no_pool, frame_symbols):
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        sim = SimConfig(n_bits=20_000, seed=9, frame_symbols=2000, workers=2)
+        frame_symbols(2000)
+        sim = SimConfig(n_bits=20_000, seed=9, workers=2)
         serial = run_link(CFG, CH, replace(sim, workers=1))
         assert run_link(CFG, CH, sim) == serial
         pool = simulate._POOL[0]
@@ -268,12 +280,13 @@ class TestFramePool:
         assert run_link(CFG, CH, sim) == serial
         assert simulate._POOL[0] is not pool
 
-    def test_pool_broken_by_its_frames_is_dropped(self, monkeypatch, no_pool):
+    def test_pool_broken_by_its_frames_is_dropped(self, monkeypatch, no_pool, frame_symbols):
         # the pool forks after the patch, so its workers run exit_worker
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
         frame = simulate._simulate_frame
         monkeypatch.setattr(simulate, "_simulate_frame", exit_worker)
-        sim = SimConfig(n_bits=4_000, seed=9, frame_symbols=1000, workers=2)
+        frame_symbols(1000)
+        sim = SimConfig(n_bits=4_000, seed=9, workers=2)
         with pytest.raises(simulate.BrokenProcessPool):
             run_link(CFG, CH, sim)
         assert simulate._POOL is None
@@ -327,12 +340,13 @@ class TestEngines:
 
 
 class TestColdStart:
-    def test_short_frames_bias_within_bound(self):
+    def test_short_frames_bias_within_bound(self, frame_symbols):
         # the first L-1 symbols of each frame see less ISI: at F = 16 and L = 5
         # the BER falls visibly below the stationary one, by at most (L-1)/F
         ch, frame, n_bits = ChannelParams(Ts=0.2, L=5), 16, 40_000
         stationary = ftd_ber(CFG, ch).ber
-        est = run_link(CFG, ch, SimConfig(n_bits=n_bits, seed=3, frame_symbols=frame))
+        frame_symbols(frame)
+        est = run_link(CFG, ch, SimConfig(n_bits=n_bits, seed=3))
         se = math.sqrt(stationary * (1.0 - stationary) / n_bits)
         assert abs(est.ber - stationary) <= (ch.L - 1) / frame + 4.0 * se
         assert est.ber < stationary - 4.0 * se
@@ -367,34 +381,39 @@ class TestFrameRunner:
     ADMC = MrskConfig(detector="admc", Q=100.0)
 
     @pytest.mark.parametrize(
-        "param, values, config, channel, sim",
+        "param, values, config, channel, sim, frame",
         [
-            ("t_b", [0.25, 0.5, 1.0], CFG, CH, SimConfig(n_bits=12_000, seed=2, frame_symbols=1500)),
-            ("Q", [100.0, 300.0], CFG, CH,
-             SimConfig(n_bits=6_000, seed=3, engine="binomial", frame_symbols=1000)),
+            ("t_b", [0.25, 0.5, 1.0], CFG, CH, SimConfig(n_bits=12_000, seed=2), 1500),
+            ("Q", [100.0, 300.0], CFG, CH, SimConfig(n_bits=6_000, seed=3, engine="binomial"), 1000),
             # N sets the bits per symbol, so the points have different frame counts
-            ("N", [2, 3, 4], ADMC, ChannelParams(Ts=0.05, L=3),
-             SimConfig(n_bits=6_000, seed=4, frame_symbols=700)),
+            ("N", [2, 3, 4], ADMC, ChannelParams(Ts=0.05, L=3), SimConfig(n_bits=6_000, seed=4), 700),
             ("Q", [10.0, 20.0], CFG, ChannelParams(Ts=0.25, L=2),
-             SimConfig(n_bits=1_000, seed=5, engine="particle", particle_dt=1e-2, frame_symbols=100)),
+             SimConfig(n_bits=1_000, seed=5, engine="particle", particle_dt=1e-2), 100),
         ],
         ids=["statistical-ftd", "binomial", "admc", "particle"],
     )
-    def test_sweep_worker_invariance(self, param, values, config, channel, sim, monkeypatch):
+    def test_sweep_worker_invariance(
+        self, param, values, config, channel, sim, frame, monkeypatch, frame_symbols
+    ):
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)  # so 3 workers means 3 processes
-        serial = sweep(param, values, config, channel, sim)
+        frame_symbols(frame)
+        # every base config carries one bit per symbol, so the base bit time is Ts
+        serial = sweep(param, values, config, channel, sim, sim.engine, channel.Ts)
         for workers in (2, 3):
-            assert sweep(param, values, config, channel, replace(sim, workers=workers)) == serial
+            pooled = replace(sim, workers=workers)
+            assert sweep(param, values, config, channel, pooled, sim.engine, channel.Ts) == serial
         if config.detector == "admc":
             assert all(est.admc_clamps > 0 for est in serial.estimates)
 
-    def test_sweep_opens_one_pool(self, monkeypatch, recording_pool):
+    def test_sweep_opens_one_pool(self, monkeypatch, recording_pool, frame_symbols):
         # 3 points of 2 frames each: 6 frames in the one queue
-        sim = SimConfig(n_bits=2_000, seed=6, frame_symbols=1000)
-        serial = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, sim)
+        frame_symbols(1000)
+        sim = SimConfig(n_bits=2_000, seed=6)
+        serial = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, sim, sim.engine, CH.Ts)
         for workers, cores, expected in ((5, 64, [5]), (100, 64, [5, 6]), (100, 2, [5, 6, 2])):
             monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
-            curve = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, replace(sim, workers=workers))
+            pooled = replace(sim, workers=workers)
+            curve = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, pooled, sim.engine, CH.Ts)
             assert curve == serial
             assert RecordingPool.sizes == expected
 
@@ -419,6 +438,17 @@ class TestFrameRunner:
         with pytest.raises(CapacityError, match="trellis states"):
             run_link(MrskConfig(N=3, M=2, detector="mlsd"), ChannelParams(Ts=1.0, L=6),
                      SimConfig(n_bits=2000))
+
+    def test_trellis_work_refusal_before_any_arrival(self, monkeypatch):
+        # within both trellis caps (2^12 states, S^L = 2^16 windows): refused one
+        # symbol past TRELLIS_WORK_CAP window-symbols, and run at the cap
+        monkeypatch.setattr(simulate, "_arrivals_statistical", refuse_frame)
+        config, channel = MrskConfig(N=3, M=2, detector="mlsd"), ChannelParams(Ts=1.0, L=4)
+        symbols = modem.TRELLIS_WORK_CAP >> 16
+        with pytest.raises(CapacityError, match=r"TRELLIS_WORK_CAP = 2\^30"):
+            run_link(config, channel, SimConfig(n_bits=4 * (symbols + 1)))
+        with pytest.raises(AssertionError, match="before the first frame"):
+            run_link(config, channel, SimConfig(n_bits=4 * symbols))
 
 
 class TestDetectorPathEquivalence:
@@ -633,10 +663,9 @@ class TestParticle:
         est = run_link(MrskConfig(Q=50.0), ChannelParams(Ts=0.1, L=1), sim)
         assert any("r/5" in note for note in est.notes)
 
-    def test_particle_link_roundtrip(self):
-        sim = SimConfig(
-            n_bits=1_000, engine="particle", particle_dt=1e-2, seed=4, frame_symbols=10
-        )
+    def test_particle_link_roundtrip(self, frame_symbols):
+        frame_symbols(10)
+        sim = SimConfig(n_bits=1_000, engine="particle", particle_dt=1e-2, seed=4)
         est = run_link(MrskConfig(Q=100.0), ChannelParams(Ts=1.0, L=2), sim)
         assert est.bits == 1000
         assert est.ber < 0.1
@@ -645,16 +674,16 @@ class TestParticle:
 class TestSweep:
     def test_invalid_param_names_listed(self):
         with pytest.raises(ValueError, match="t_b, Q, d, Omega, N, M"):
-            sweep("sigma", [1.0], CFG, CH, SimConfig(n_bits=1000))
+            sweep("sigma", [1.0], CFG, CH, SimConfig(n_bits=1000), "statistical", 0.5)
 
     @pytest.mark.parametrize("param", ["N", "M"])
     def test_fractional_alphabet_parameters_rejected(self, param):
         with pytest.raises(ValueError, match="whole number"):
-            sweep(param, [2.5], CFG, CH, SimConfig(n_bits=1000))
+            sweep(param, [2.5], CFG, CH, SimConfig(n_bits=1000), "statistical", 0.5)
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
-            sweep("Q", [], CFG, CH, SimConfig(n_bits=1000))
+            sweep("Q", [], CFG, CH, SimConfig(n_bits=1000), "statistical", 0.5)
 
     def test_analytic_needs_ftd(self):
         with pytest.raises(ValueError):
@@ -665,6 +694,7 @@ class TestSweep:
                 CH,
                 SimConfig(n_bits=1000),
                 engine="analytic",
+                t_b=0.5,
             )
 
     def test_q_sweep_monotone_within_ci(self):
@@ -674,6 +704,8 @@ class TestSweep:
             CFG,
             CH,
             SimConfig(n_bits=60_000, seed=15),
+            engine="statistical",
+            t_b=0.5,
         )
         for a, b in zip(curve.estimates, curve.estimates[1:]):
             assert b.ber <= a.ber or b.ci_low <= a.ci_high
@@ -685,6 +717,8 @@ class TestSweep:
             CFG,
             CH,
             SimConfig(n_bits=60_000, seed=16),
+            engine="statistical",
+            t_b=0.5,
         )
         for a, b in zip(curve.estimates, curve.estimates[1:]):
             assert b.ber >= a.ber or a.ci_low <= b.ci_high
@@ -710,8 +744,8 @@ class TestSweep:
             BerCurve(param_name="Q", param_values=(1.0,), estimates=())
 
     def test_analytic_sweep_deterministic(self):
-        a = sweep("Q", [200.0, 800.0], CFG, CH, SimConfig(n_bits=1000), engine="analytic")
-        b = sweep("Q", [200.0, 800.0], CFG, CH, SimConfig(n_bits=1000), engine="analytic")
+        a = sweep("Q", [200.0, 800.0], CFG, CH, SimConfig(n_bits=1000), "analytic", 0.5)
+        b = sweep("Q", [200.0, 800.0], CFG, CH, SimConfig(n_bits=1000), "analytic", 0.5)
         assert a == b
 
 
@@ -762,18 +796,23 @@ def frame_links(draw):
     channel = ChannelParams(Ts=draw(st.sampled_from([0.05, 0.2, 0.5])) * bits, L=L)
     sim = SimConfig(
         n_bits=max(1000, 2 * length * bits), seed=draw(st.integers(0, 2**32 - 1)),
-        engine=draw(st.sampled_from(["statistical", "binomial"])), frame_symbols=length,
+        engine=draw(st.sampled_from(["statistical", "binomial"])),
     )
-    return config, channel, sim
+    return config, channel, sim, length
 
 
 class TestFrameEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(link=frame_links(), which=st.integers(0, 1))
     def test_frame_equals_index_row_reference(self, link, which):
+        *link, length = link
         jobs = []
-        with mock.patch.object(simulate, "_simulate_frame", lambda *job: jobs.append(job) or (0, 1, 0, 0)):
-            simulate._run_links([link], workers=1)
+        # patched per example: hypothesis runs every example in one call of the
+        # test, for which a function-scoped fixture is set up only once
+        with mock.patch.object(simulate, "FRAME_SYMBOLS", length), mock.patch.object(
+            simulate, "_simulate_frame", lambda *job: jobs.append(job) or (0, 1, 0, 0)
+        ):
+            simulate._run_links([tuple(link)], workers=1)
         mrsk, channel, sim, tables, index, n_symbols = jobs[which]
         got = simulate._simulate_frame(mrsk, channel, sim, tables, index, n_symbols)
         assert got == reference_frame(mrsk, channel, sim, index, n_symbols)
