@@ -10,7 +10,8 @@ bit interval (tests/rtsk_oracle.py is its Monte Carlo check).  The
 OOK and MoSK thresholds are the reference settings; the sweeps that
 find their optima are in tests/test_baselines.py.
 All four consume :mod:`mrsk.channel`, so the comparison against the
-ratio scheme shares one physics implementation.
+ratio scheme shares one physics implementation.  Each sends one bit per
+symbol, so the ``channel.Ts`` it is given is its bit interval.
 
 Threshold conventions: counts at a threshold decide upward (consistent
 with the ratio detector's tie-break), and frames where neither or both
@@ -21,7 +22,7 @@ which keeps every error rate at or below one half on uniform bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -134,13 +135,13 @@ def _p_above(threshold: float, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     return out
 
 
-def ook_ber(config: OokConfig, channel: ChannelParams, t_b: float) -> float:
+def ook_ber(config: OokConfig, channel: ChannelParams) -> float:
     """Closed-form OOK error rate with threshold alpha*Q.
 
     Averages the Gaussian tail against the threshold over every bit
-    history of length L (one bit per symbol interval t_b).
+    history of length L (one bit per symbol interval channel.Ts).
     """
-    taps = cir(replace(channel, Ts=t_b))
+    taps = cir(channel)
     hist = _histories(channel.L)
     mu, var = arrival_moments(config.Q * hist[..., None], taps)
     p1 = _p_above(config.alpha * config.Q, mu[:, 0], var[:, 0])
@@ -149,13 +150,13 @@ def ook_ber(config: OokConfig, channel: ChannelParams, t_b: float) -> float:
     return float(err.mean())
 
 
-def csk_ber(config: CskConfig, channel: ChannelParams, t_b: float) -> float:
+def csk_ber(config: CskConfig, channel: ChannelParams) -> float:
     """Closed-form binary CSK error rate.
 
     Amplitudes are Q (bit 0) and Gamma*Q (bit 1); the threshold is the
     geometric mean of the two expected isolated-pulse counts.
     """
-    taps = cir(replace(channel, Ts=t_b))
+    taps = cir(channel)
     hist = _histories(channel.L)
     levels = config.Q * np.where(hist == 1.0, config.Gamma, 1.0)
     mu, var = arrival_moments(levels[..., None], taps)
@@ -166,7 +167,7 @@ def csk_ber(config: CskConfig, channel: ChannelParams, t_b: float) -> float:
     return float(err.mean())
 
 
-def mosk_ber(config: MoskConfig, channel: ChannelParams, t_b: float) -> float:
+def mosk_ber(config: MoskConfig, channel: ChannelParams) -> float:
     """Closed-form binary MoSK error rate.
 
     Each bit releases Q molecules of its own type.  A symbol decodes
@@ -174,7 +175,7 @@ def mosk_ber(config: MoskConfig, channel: ChannelParams, t_b: float) -> float:
     when neither or both clear it the receiver guesses, contributing a
     half error, and when only the wrong type clears it the bit is lost.
     """
-    taps = cir(replace(channel, Ts=t_b))
+    taps = cir(channel)
     hist = _histories(channel.L)
     # type emissions follow the history bits: type 0 encodes bit 0, type 1 bit 1
     mu, var = arrival_moments(config.Q * np.stack([1.0 - hist, hist], axis=-1), taps)
@@ -236,18 +237,19 @@ def _rtsk_threshold(config: RtskConfig, c: float) -> float:
             hi = mid
 
 
-def rtsk_ber(config: RtskConfig, channel: ChannelParams, t_b: float) -> float:
+def rtsk_ber(config: RtskConfig, channel: ChannelParams) -> float:
     """Exact RTSK error rate; independent of any molecule count.
 
-    With F_b the arrival CDF given bit b (a Levy law shifted by b*Delta),
-    threshold tau and tau' = min(tau, t_b): bit 0 errs when it arrives in
-    [tau', t_b], bit 1 when it arrives before tau', and an arrival past
-    t_b is a fair coin.
+    With T = channel.Ts the bit interval, F_b the arrival CDF given bit b
+    (a Levy law shifted by b*Delta), threshold tau and tau' = min(tau, T):
+    bit 0 errs when it arrives in [tau', T], bit 1 when it arrives before
+    tau', and an arrival past T is a fair coin.
     """
-    if not config.Delta < t_b:
-        raise ValueError(f"release offset {config.Delta} must lie inside the bit interval {t_b}")
+    interval = channel.Ts
+    if not config.Delta < interval:
+        raise ValueError(f"release offset {config.Delta} must lie inside the bit interval {interval}")
     c = levy_scale(channel)
-    tau = min(_rtsk_threshold(config, c), t_b)
-    f0_tb, f0_tau = levy_cdf(t_b, c), levy_cdf(tau, c)
-    f1_tb, f1_tau = levy_cdf(t_b - config.Delta, c), levy_cdf(tau - config.Delta, c)
-    return 0.5 * (f0_tb - f0_tau) + 0.5 * f1_tau + 0.25 * (2.0 - f0_tb - f1_tb)
+    tau = min(_rtsk_threshold(config, c), interval)
+    f0_end, f0_tau = levy_cdf(interval, c), levy_cdf(tau, c)
+    f1_end, f1_tau = levy_cdf(interval - config.Delta, c), levy_cdf(tau - config.Delta, c)
+    return 0.5 * (f0_end - f0_tau) + 0.5 * f1_tau + 0.25 * (2.0 - f0_end - f1_end)

@@ -6,6 +6,10 @@ scheme at shared settings) and ``sweep``.  Every output starts with a
 commented line holding the fully resolved experiment spec and seed, from
 which the file can be regenerated byte for byte (:func:`replay_csv`);
 worker count never enters the spec because it never changes a result.
+A sweep or compare point is the spec with the ``--param`` field replaced,
+run as ``ber-sim`` (point i at seed ``child_seed(seed, i)``) or
+``ber-analytic``; :attr:`ExperimentSpec.channel` is the one place the bit
+time ``t_b`` becomes a symbol interval.
 
 Flags override keys from an optional flat ``key=value`` config file.
 When no output path is given, files land in ``$MRSK_OUT_DIR`` (or the
@@ -51,7 +55,7 @@ from .ratio_stats import (
     sample_ratio,
     solid_ratio_pdf,
 )
-from .simulate import BerCurve, BerEstimate, SimConfig, close_pool, run_link, sweep
+from .simulate import BerEstimate, SimConfig, child_seed, close_pool, run_link, run_links
 
 __all__ = ["run_cli", "main", "write_csv", "replay_csv", "ExperimentSpec"]
 
@@ -69,6 +73,8 @@ WORKERS_CAP = 256
 VALUES_CAP = 10_000
 
 _SUBCOMMANDS = ("pdf", "ber-analytic", "ber-sim", "ber-particle", "compare", "sweep")
+# the spec field each --param name replaces at a sweep or compare point
+_PARAM_FIELDS = {"t_b": "t_b", "Q": "Q", "d": "d", "Omega": "omega", "N": "N", "M": "M"}
 
 
 @dataclass(frozen=True)
@@ -138,8 +144,10 @@ class ExperimentSpec:
 
     @property
     def channel(self) -> ChannelParams:
+        # the one home of the bit time: a symbol carries M (N - 1) bits, so
+        # every scheme and point compares at the data rate 1 / t_b
         return ChannelParams(
-            d=self.d, r=self.r, D=self.D, Ts=self.t_b * self.M * (self.N - 1), L=self.L
+            d=self.d, r=self.r, D=self.D, Ts=self.M * (self.N - 1) * self.t_b, L=self.L
         )
 
     @property
@@ -155,11 +163,10 @@ class ExperimentSpec:
         )
 
     def sim(self, workers: int = 1) -> SimConfig:
-        engine = self.engine if self.engine != "analytic" else "statistical"
         return SimConfig(
             n_bits=self.bits,
             seed=self.seed,
-            engine=engine,
+            engine=self.engine,
             particle_dt=self.dt,
             workers=workers,
         )
@@ -193,13 +200,6 @@ def _estimate_row(
             str(est.bits),
         ]
     )
-
-
-def render_curve(curve: BerCurve, spec_line: str) -> str:
-    lines = [spec_line, CSV_HEADER]
-    for value, est in zip(curve.param_values, curve.estimates):
-        lines.append(_estimate_row(curve.param_name, value, "mrsk", curve.detector, curve.coding, est))
-    return "\n".join(lines) + "\n"
 
 
 def write_csv(text: str, path) -> None:
@@ -271,43 +271,66 @@ def _render_point(spec: ExperimentSpec, detector: str, est: BerEstimate) -> str:
     return "\n".join([spec.serialize(), CSV_HEADER, row]) + "\n"
 
 
+def _points(spec: ExperimentSpec) -> list[tuple[float, ExperimentSpec]]:
+    """(value, the spec with the swept field set to it), by default at the field's own value."""
+    field = _PARAM_FIELDS.get(spec.param)
+    if field is None:
+        raise CliError(
+            f"unknown sweep parameter {spec.param!r}; valid names: {', '.join(_PARAM_FIELDS)}"
+        )
+    values = spec.values if spec.values is not None else (getattr(spec, field),)
+    points = []
+    for value in values:
+        if field in ("N", "M") and not float(value).is_integer():
+            raise CliError(f"{spec.param} must be a whole number, got {value}")
+        points.append((value, replace(spec, **{field: _SPEC_TYPES[field](value)})))
+    return points
+
+
+def _analytic(spec: ExperimentSpec) -> BerEstimate:
+    return BerEstimate.exact(ftd_ber(spec.mrsk, spec.channel).ber)
+
+
+def _sweep(spec: ExperimentSpec, workers: int) -> list[tuple[float, BerEstimate]]:
+    """(value, estimate) at each point; simulated point i runs with seed child_seed(seed, i)."""
+    points = _points(spec)
+    if spec.engine != "analytic":
+        links = [
+            (p.mrsk, p.channel, replace(p.sim(), seed=child_seed(spec.seed, i)))
+            for i, (_, p) in enumerate(points)
+        ]
+        return [(value, est) for (value, _), est in zip(points, run_links(links, workers))]
+    if spec.detector != "ftd":
+        raise CliError("the analytic path covers the fixed-threshold detector only")
+    return [(value, _analytic(p)) for value, p in points]
+
+
 def _run_sweep(spec: ExperimentSpec, workers: int) -> str:
-    values = spec.values if spec.values is not None else (spec.t_b,)
-    curve = sweep(
-        spec.param,
-        values,
-        spec.mrsk,
-        spec.channel,
-        spec.sim(workers),
-        engine=spec.engine,
-        t_b=spec.t_b,
-    )
-    return render_curve(curve, spec.serialize())
+    rows = [
+        _estimate_row(spec.param, value, "mrsk", spec.detector, spec.coding, est)
+        for value, est in _sweep(spec, workers)
+    ]
+    return "\n".join([spec.serialize(), CSV_HEADER, *rows]) + "\n"
 
 
 def _run_compare(spec: ExperimentSpec) -> str:
-    values = spec.values if spec.values is not None else (
-        (spec.t_b,) if spec.param == "t_b" else (spec.Q,)
-    )
+    """Every scheme at each point, in closed form; a baseline's symbol interval is the bit time."""
     if spec.param not in ("t_b", "Q"):
         raise CliError("compare sweeps t_b or Q only")
     lines = [spec.serialize(), CSV_HEADER]
-    for value in values:
-        t_b = float(value) if spec.param == "t_b" else spec.t_b
-        q = float(value) if spec.param == "Q" else spec.Q
-        mrsk_cfg = replace(spec.mrsk, Q=q, detector="ftd")
-        channel = replace(spec.channel, Ts=t_b * mrsk_cfg.bits_per_symbol)
-        base_channel = replace(channel, Ts=t_b)
+    for value, point in _points(spec):
+        mrsk, channel, q, t_b = point.mrsk, point.channel, point.Q, point.t_b
+        bit_channel = replace(channel, Ts=t_b)
         ook = OokConfig(Q=q, alpha=spec.ook_alpha)
         csk = CskConfig(Q=q, Gamma=spec.csk_gamma)
         mosk = MoskConfig(Q=q, Lambda=spec.mosk_lambda_frac * q)
         rtsk = RtskConfig(Delta=t_b / 2.0, detector=spec.rtsk_detector)
         for scheme, detector, coding, ber in (
-            ("mrsk", "ftd", spec.coding, ftd_ber(mrsk_cfg, channel).ber),
-            ("ook", "fixed", "-", ook_ber(ook, base_channel, t_b)),
-            ("csk", "fixed", "-", csk_ber(csk, base_channel, t_b)),
-            ("mosk", "fixed", "-", mosk_ber(mosk, base_channel, t_b)),
-            ("rtsk", spec.rtsk_detector, "-", rtsk_ber(rtsk, base_channel, t_b)),
+            ("mrsk", "ftd", spec.coding, ftd_ber(mrsk, channel).ber),
+            ("ook", "fixed", "-", ook_ber(ook, bit_channel)),
+            ("csk", "fixed", "-", csk_ber(csk, bit_channel)),
+            ("mosk", "fixed", "-", mosk_ber(mosk, bit_channel)),
+            ("rtsk", spec.rtsk_detector, "-", rtsk_ber(rtsk, bit_channel)),
         ):
             est = BerEstimate.exact(ber)
             lines.append(_estimate_row(spec.param, value, scheme, detector, coding, est))
@@ -319,7 +342,7 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> str:
     if spec.subcommand == "pdf":
         return _run_pdf(spec)
     if spec.subcommand == "ber-analytic":
-        return _render_point(spec, "ftd", BerEstimate.exact(ftd_ber(spec.mrsk, spec.channel).ber))
+        return _render_point(spec, "ftd", _analytic(spec))
     if spec.subcommand in ("ber-sim", "ber-particle"):
         return _render_point(spec, spec.detector, run_link(spec.mrsk, spec.channel, spec.sim(workers)))
     if spec.subcommand == "compare":

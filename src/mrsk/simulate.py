@@ -1,4 +1,4 @@
-"""Monte Carlo link engines, a Brownian particle simulator, and sweeps.
+"""Monte Carlo link engines and a Brownian particle simulator.
 
 Three arrival engines share one transmit/detect pipeline: ``statistical``
 draws Gaussian counts from the FIR moments, ``binomial`` draws the
@@ -12,10 +12,11 @@ by that value, draws arrivals, hands the (K, N) counts to a
 sent_value ^ value[detected_id], the value of each symbol id being a
 second per-link table (:func:`mrsk.modem.symbol_values`).
 Bit streams are split into frames of ``FRAME_SYMBOLS`` symbols with
-independently derived random streams.  One call of :func:`run_link` or a simulated
-:func:`sweep` builds each link's tables once and queues the frames of all
-its points together on the process's one frame pool (in-process at one
-worker), which lives until exit and is replaced only when the worker
+independently derived random streams.  One call of :func:`run_links`
+(:func:`run_link` is its one-link case; a sweep's links are built in
+:mod:`mrsk.cli`) builds each link's tables once and queues the frames of
+all its links together on the process's one frame pool (in-process at
+one worker), which lives until exit and is replaced only when the worker
 bound changes; per-link sums in frame order make the results bit-for-bit
 reproducible for a seed at any worker count.  Each size cap
 (``TRIALS_CAP``, ``SYMBOL_COUNT_CAP``, ``PARTICLE_POPULATION_CAP``,
@@ -29,7 +30,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +47,13 @@ from .modem import (
     symbol_values,
     trellis_states,
 )
-from .analysis import check_alphabet, ftd_ber
+from .analysis import check_alphabet
 
 __all__ = [
     "SimConfig",
     "BerEstimate",
-    "BerCurve",
     "run_link",
-    "sweep",
+    "run_links",
     "ParticleState",
     "new_particle_state",
     "release_molecules",
@@ -62,7 +62,6 @@ __all__ = [
     "ber_confidence",
     "child_seed",
     "close_pool",
-    "SWEEPABLE_PARAMS",
     "FRAME_SYMBOLS",
     "PARTICLE_POPULATION_CAP",
     "PARTICLE_MOLECULE_STEP_CAP",
@@ -70,7 +69,6 @@ __all__ = [
     "TRIALS_CAP",
 ]
 
-SWEEPABLE_PARAMS = ("t_b", "Q", "d", "Omega", "N", "M")
 _Z95 = 1.959963984540054
 # symbols per independent frame: a fixed split keeps results worker-count independent
 FRAME_SYMBOLS = 8192
@@ -155,21 +153,6 @@ class BerEstimate:
     @classmethod
     def exact(cls, ber: float) -> "BerEstimate":
         return cls(errors=0, bits=0, ber=ber, ci_low=ber, ci_high=ber)
-
-
-@dataclass(frozen=True)
-class BerCurve:
-    """One swept parameter against aligned BER estimates."""
-
-    param_name: str
-    param_values: tuple[float, ...]
-    estimates: tuple[BerEstimate, ...]
-    detector: str = "ftd"
-    coding: str = "gray"
-
-    def __post_init__(self) -> None:
-        if len(self.param_values) != len(self.estimates):
-            raise ValueError("values and estimates must align")
 
 
 def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]:
@@ -460,10 +443,14 @@ def _map_frames(jobs: list[tuple], workers: int) -> list[tuple[int, int, int, in
                 raise
 
 
-def _run_links(
+def run_links(
     links: list[tuple[MrskConfig, ChannelParams, SimConfig]], workers: int
 ) -> list[BerEstimate]:
-    """One estimate per (mrsk, channel, sim) link; all their frames share one queue."""
+    """One estimate per (mrsk, channel, sim) link; all their frames share one queue.
+
+    Every link is checked against the caps before any frame runs; the
+    frames run on the pool of ``workers`` processes, not ``sim.workers``.
+    """
     owners, jobs = [], []
     for link, (mrsk, channel, sim) in enumerate(links):
         if sim.n_bits > TRIALS_CAP:
@@ -558,82 +545,11 @@ def run_link(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> BerEst
     bursts (cold channel at each frame start), so partial results add
     associatively and the estimate is identical for any worker count.
     """
-    return _run_links([(mrsk, channel, sim)], sim.workers)[0]
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-# ---------------------------------------------------------------------------
+    return run_links([(mrsk, channel, sim)], sim.workers)[0]
 
 
 def child_seed(seed: int, index: int) -> int:
-    """The seed of point ``index`` of a run seeded with ``seed``."""
+    """The seed of link ``index`` of a run of several links seeded with ``seed``."""
     return int(
         np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1, np.uint64)[0]
-    )
-
-
-def _configs_for(
-    param: str,
-    value: float,
-    mrsk: MrskConfig,
-    channel: ChannelParams,
-    t_b: float,
-) -> tuple[MrskConfig, ChannelParams]:
-    if param == "t_b":
-        m, tb = mrsk, float(value)
-    elif param == "Q":
-        m, tb = replace(mrsk, Q=float(value)), t_b
-    elif param == "Omega":
-        m, tb = replace(mrsk, Omega=float(value)), t_b
-    elif param in ("N", "M"):
-        if not float(value).is_integer():
-            raise ValueError(f"{param} must be a whole number, got {value}")
-        m, tb = replace(mrsk, **{param: int(value)}), t_b
-    elif param == "d":
-        m, tb = mrsk, t_b
-        channel = replace(channel, d=float(value))
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}; valid names: {', '.join(SWEEPABLE_PARAMS)}")
-    # bit-time normalization: symbol time tracks M(N-1) so schemes compare
-    # at equal data rate
-    channel = replace(channel, Ts=m.bits_per_symbol * tb)
-    return m, channel
-
-
-def sweep(
-    param_name: str,
-    values,
-    mrsk: MrskConfig,
-    channel: ChannelParams,
-    sim: SimConfig,
-    engine: str,
-    t_b: float,
-) -> BerCurve:
-    """BER against one swept parameter, everything else held at base.
-
-    ``engine`` may name any simulation engine or "analytic" (closed-form
-    fixed-threshold BER); ``t_b`` is the base bit time, and every point's
-    symbol interval is its bits per symbol times its bit time.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    points = [_configs_for(param_name, value, mrsk, channel, t_b) for value in values]
-    if engine == "analytic":
-        if mrsk.detector != "ftd":
-            raise ValueError("the analytic path covers the fixed-threshold detector only")
-        estimates = [BerEstimate.exact(ftd_ber(m, ch).ber) for m, ch in points]
-    else:
-        links = [
-            (m, ch, replace(sim, engine=engine, seed=child_seed(sim.seed, i)))
-            for i, (m, ch) in enumerate(points)
-        ]
-        estimates = _run_links(links, sim.workers)
-    return BerCurve(
-        param_name=param_name,
-        param_values=tuple(float(v) for v in values),
-        estimates=tuple(estimates),
-        detector=mrsk.detector,
-        coding=mrsk.coding,
     )

@@ -28,7 +28,8 @@ from mrsk.baselines import (
     ook_ber,
 )
 from mrsk.channel import ChannelParams, cir, hit_fraction
-from mrsk.cli import replay_csv, run_cli
+from mrsk import cli
+from mrsk.cli import ExperimentSpec, replay_csv, run_cli
 from mrsk.modem import (
     MrskConfig,
     _viterbi_symbol_ids,
@@ -41,7 +42,7 @@ from mrsk.ratio_stats import (
     solid_ratio_cdf,
     solid_ratio_pdf,
 )
-from mrsk.simulate import SimConfig, particle_hit_fraction, run_link, sweep
+from mrsk.simulate import SimConfig, particle_hit_fraction, run_link
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -174,18 +175,22 @@ def monotone_within_ci(estimates, direction: str) -> bool:
     return True
 
 
+def sweep(param, values):
+    """The estimates of a seed-1, 10^5-bit ``mrsk sweep`` of ``param`` at N=2, M=1, t_b=0.5, L=5."""
+    spec = ExperimentSpec(subcommand="sweep", param=param, values=tuple(values), bits=100_000, seed=1)
+    return [est for _, est in cli._sweep(spec, 1)]
+
+
 def test_trend_suite():
     """BER trends: down in t_b and Q, up in d, interior minimum in Omega."""
-    cfg = MrskConfig()
     ch = ChannelParams(Ts=0.5, L=5)
-    sim = SimConfig(n_bits=100_000, seed=1)
 
-    tb_curve = sweep("t_b", [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0], cfg, ch, sim, sim.engine, 0.5)
-    q_curve = sweep("Q", list(range(100, 1001, 100)), cfg, ch, sim, sim.engine, 0.5)
-    d_curve = sweep("d", [8.0, 9.0, 10.0, 11.0, 12.0], cfg, ch, sim, sim.engine, 0.5)
-    ok_tb = monotone_within_ci(tb_curve.estimates, "down")
-    ok_q = monotone_within_ci(q_curve.estimates, "down")
-    ok_d = monotone_within_ci(d_curve.estimates, "up")
+    tb_curve = sweep("t_b", [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0])
+    q_curve = sweep("Q", range(100, 1001, 100))
+    d_curve = sweep("d", [8.0, 9.0, 10.0, 11.0, 12.0])
+    ok_tb = monotone_within_ci(tb_curve, "down")
+    ok_q = monotone_within_ci(q_curve, "down")
+    ok_d = monotone_within_ci(d_curve, "up")
 
     # the analytic curve pins the minimum location; the simulated curve
     # must stay valley-consistent around it within its intervals
@@ -194,13 +199,13 @@ def test_trend_suite():
         ftd_ber(MrskConfig(Omega=om), ch).ber for om in omegas
     ]
     om_star = omegas[int(np.argmin(om_exact))]
-    om_curve = sweep("Omega", omegas, cfg, ch, sim, sim.engine, 0.5)
+    om_curve = sweep("Omega", omegas)
     k = int(np.argmin(om_exact))
     ok_om = (
         1.8 <= om_star <= 2.4
-        and monotone_within_ci(om_curve.estimates[k:], "up")
-        and monotone_within_ci(om_curve.estimates[: k + 1], "down")
-        and om_curve.estimates[-1].ci_low > om_curve.estimates[k].ci_high
+        and monotone_within_ci(om_curve[k:], "up")
+        and monotone_within_ci(om_curve[: k + 1], "down")
+        and om_curve[-1].ci_low > om_curve[k].ci_high
     )
     report(
         "trend-suite",
@@ -277,9 +282,10 @@ def test_modulation_comparison():
     ch = ChannelParams(Ts=1.0, L=5)
     t_b = 1.0
     mrsk = ftd_ber(MrskConfig(), ch).ber
-    mosk = mosk_ber(MoskConfig(), ch, t_b)
-    ook = ook_ber(OokConfig(), ch, t_b)
-    csk = csk_ber(CskConfig(), ch, t_b)
+    # each baseline sends one bit per symbol: ch's Ts is the bit time
+    mosk = mosk_ber(MoskConfig(), ch)
+    ook = ook_ber(OokConfig(), ch)
+    csk = csk_ber(CskConfig(), ch)
     ok_order = mrsk < mosk < max(ook, csk)
 
     qs = np.arange(100.0, 1001.0, 100.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,22 +24,23 @@ from mrsk.baselines import (
 from mrsk.channel import ChannelParams
 from mrsk.modem import MrskConfig
 
-CH = ChannelParams(Ts=1.0, L=5)
 TB = 1.0
+# each baseline sends one bit per symbol, so its channel's Ts is the bit time
+CH = ChannelParams(Ts=TB, L=5)
 # the threshold fractions the sweeps try
 FRACTIONS = np.arange(0.02, 0.99, 0.02)
 
 
-def optimize_ook_alpha(channel, t_b, Q=1000.0):
+def optimize_ook_alpha(channel, Q=1000.0):
     """Sweep the OOK threshold fraction; returns (best alpha, grid, BERs)."""
-    bers = np.array([ook_ber(OokConfig(Q=Q, alpha=float(a)), channel, t_b) for a in FRACTIONS])
+    bers = np.array([ook_ber(OokConfig(Q=Q, alpha=float(a)), channel) for a in FRACTIONS])
     return float(FRACTIONS[int(np.argmin(bers))]), FRACTIONS, bers
 
 
-def optimize_mosk_lambda(channel, t_b, Q=1000.0):
+def optimize_mosk_lambda(channel, Q=1000.0):
     """Sweep the MoSK per-type threshold; returns (best Lambda, grid, BERs)."""
     lambdas = Q * FRACTIONS
-    bers = np.array([mosk_ber(MoskConfig(Q=Q, Lambda=float(l)), channel, t_b) for l in lambdas])
+    bers = np.array([mosk_ber(MoskConfig(Q=Q, Lambda=float(l)), channel) for l in lambdas])
     return float(lambdas[int(np.argmin(bers))]), lambdas, bers
 
 
@@ -57,14 +59,14 @@ class TestOok:
         # threshold 0 decides 1 for essentially every frame, so bit zeros
         # all fail; the tiny shortfall from one half is the Gaussian
         # model's negative-count mass on weak-interference histories
-        assert ook_ber(OokConfig(alpha=0.0), CH, TB) == pytest.approx(0.5, abs=1e-3)
+        assert ook_ber(OokConfig(alpha=0.0), CH) == pytest.approx(0.5, abs=1e-3)
 
     def test_high_snr_isolated_pulse(self):
         ch = ChannelParams(Ts=1.0, L=1)
-        assert ook_ber(OokConfig(Q=1e6, alpha=0.2), ch, TB) < 1e-12
+        assert ook_ber(OokConfig(Q=1e6, alpha=0.2), ch) < 1e-12
 
     def test_alpha_sweep_valley(self):
-        best, grid, bers = optimize_ook_alpha(CH, TB)
+        best, grid, bers = optimize_ook_alpha(CH)
         assert_valley_shaped(bers)
         assert grid[0] < best < grid[-1]
 
@@ -73,8 +75,8 @@ class TestOok:
         # count can never reach 0.78 * Q (the total hit probability is
         # bounded by r/d = 0.5), so that threshold parks every decision
         # at bit zero; the sweep-derived optimum is the operating point
-        assert ook_ber(OokConfig(alpha=0.78), CH, TB) == pytest.approx(0.5, abs=1e-12)
-        best, _, bers = optimize_ook_alpha(CH, TB)
+        assert ook_ber(OokConfig(alpha=0.78), CH) == pytest.approx(0.5, abs=1e-12)
+        best, _, bers = optimize_ook_alpha(CH)
         assert best < 0.5
         assert bers.min() < 1e-10
 
@@ -86,18 +88,18 @@ class TestOok:
 class TestCsk:
     def test_indistinguishable_levels(self):
         # Gamma -> 1: both levels coincide and every decision is a coin flip
-        assert csk_ber(CskConfig(Gamma=1.0 + 1e-9), CH, TB) == pytest.approx(0.5, abs=1e-3)
+        assert csk_ber(CskConfig(Gamma=1.0 + 1e-9), CH) == pytest.approx(0.5, abs=1e-3)
 
     def test_separated_levels(self):
         # widening the amplitude gap kills errors in the no-memory channel
         # (with memory, arbitrarily large pulses swamp later intervals)
         ch = ChannelParams(Ts=1.0, L=1)
-        assert csk_ber(CskConfig(Gamma=1e6), ch, TB) < 1e-9
-        assert csk_ber(CskConfig(Gamma=1e6), ch, TB) < csk_ber(CskConfig(Gamma=2.0), ch, TB)
+        assert csk_ber(CskConfig(Gamma=1e6), ch) < 1e-9
+        assert csk_ber(CskConfig(Gamma=1e6), ch) < csk_ber(CskConfig(Gamma=2.0), ch)
 
     def test_same_order_of_magnitude_as_ook(self):
-        ook = ook_ber(OokConfig(), CH, TB)
-        csk = csk_ber(CskConfig(), CH, TB)
+        ook = ook_ber(OokConfig(), CH)
+        csk = csk_ber(CskConfig(), CH)
         assert 0.1 <= csk / ook <= 10.0
 
     def test_validation(self):
@@ -111,27 +113,27 @@ class TestMosk:
         # clear the threshold, leaving a guess; only the all-same-bit
         # history (probability 2^-(L-1)) decodes cleanly
         expected = 0.5 * (1.0 - 2.0 ** -(CH.L - 1))
-        assert mosk_ber(MoskConfig(Lambda=1e-9), CH, TB) == pytest.approx(expected, abs=1e-4)
+        assert mosk_ber(MoskConfig(Lambda=1e-9), CH) == pytest.approx(expected, abs=1e-4)
 
     def test_infinite_threshold_limit(self):
-        assert mosk_ber(MoskConfig(Lambda=1e9), CH, TB) == 0.5
+        assert mosk_ber(MoskConfig(Lambda=1e9), CH) == 0.5
 
     def test_lambda_sweep_valley(self):
-        best, grid, bers = optimize_mosk_lambda(CH, TB)
+        best, grid, bers = optimize_mosk_lambda(CH)
         assert_valley_shaped(bers)
         assert grid[0] < best < grid[-1]
 
     def test_reference_threshold_beats_limits(self):
-        ref = mosk_ber(MoskConfig(Lambda=0.34 * 1000.0), CH, TB)
-        assert ref < mosk_ber(MoskConfig(Lambda=1e-9), CH, TB)
+        ref = mosk_ber(MoskConfig(Lambda=0.34 * 1000.0), CH)
+        assert ref < mosk_ber(MoskConfig(Lambda=1e-9), CH)
         assert ref < 0.5
 
     def test_reference_threshold_is_not_the_optimum(self):
         # documented discrepancy: the reference Lambda = 0.34 Q sits above
         # the sweep-derived optimum (about 0.22 Q), at a far higher BER
-        best, _, bers = optimize_mosk_lambda(CH, TB)
+        best, _, bers = optimize_mosk_lambda(CH)
         assert best < 0.34 * 1000.0
-        assert bers.min() < 1e-3 * mosk_ber(MoskConfig(Lambda=0.34 * 1000.0), CH, TB)
+        assert bers.min() < 1e-3 * mosk_ber(MoskConfig(Lambda=0.34 * 1000.0), CH)
 
 
 class TestRtsk:
@@ -175,7 +177,7 @@ class TestRtsk:
         assert ks < 0.05
 
     def test_identical_hypotheses_are_coin_flips(self):
-        ber = rtsk_ber(RtskConfig(Delta=1e-9), CH, TB)
+        ber = rtsk_ber(RtskConfig(Delta=1e-9), CH)
         assert ber == pytest.approx(0.5, abs=0.01)
 
     def test_flat_in_molecule_count(self):
@@ -191,13 +193,13 @@ class TestRtsk:
         assert abs(res.slope) < 2.0 * res.stderr + 1e-12
 
     def test_ml_at_least_as_good_as_linear(self):
-        ml = rtsk_ber(RtskConfig(Delta=TB / 2, detector="ml"), CH, TB)
-        lin = rtsk_ber(RtskConfig(Delta=TB / 2, detector="linear"), CH, TB)
+        ml = rtsk_ber(RtskConfig(Delta=TB / 2, detector="ml"), CH)
+        lin = rtsk_ber(RtskConfig(Delta=TB / 2, detector="linear"), CH)
         assert ml <= lin
 
     def test_offset_must_fit_interval(self):
         with pytest.raises(ValueError):
-            rtsk_ber(RtskConfig(Delta=2.0), CH, TB)
+            rtsk_ber(RtskConfig(Delta=2.0), CH)
         with pytest.raises(ValueError):
             rtsk_error_counts(RtskConfig(Delta=2.0), CH, TB, 1000, seed=0)
 
@@ -207,7 +209,7 @@ class TestRtsk:
         # 20 seeded Monte Carlo runs: each within 4 standard errors of the
         # closed form, and their z-scores centred on zero
         config = RtskConfig(Delta=t_b / 2, detector=detector)
-        exact = rtsk_ber(config, CH, t_b)
+        exact = rtsk_ber(config, replace(CH, Ts=t_b))
         n = 100_000
         se = math.sqrt(exact * (1 - exact) / n)
         z = np.array(
@@ -221,10 +223,10 @@ class TestComparison:
     def test_error_rates_bounded_by_coin_flip(self):
         n = 100_000
         rates = [
-            ook_ber(OokConfig(), CH, TB),
-            csk_ber(CskConfig(), CH, TB),
-            mosk_ber(MoskConfig(), CH, TB),
-            rtsk_ber(RtskConfig(Delta=TB / 2), CH, TB),
+            ook_ber(OokConfig(), CH),
+            csk_ber(CskConfig(), CH),
+            mosk_ber(MoskConfig(), CH),
+            rtsk_ber(RtskConfig(Delta=TB / 2), CH),
         ]
         slack = 3.0 * math.sqrt(0.25 / n)
         assert all(r <= 0.5 + slack for r in rates)
@@ -233,9 +235,9 @@ class TestComparison:
         # ratio keying with fixed thresholds < molecule keying < the worse
         # of the single-molecule schemes, at the shared operating point
         mrsk = ftd_ber(MrskConfig(), ChannelParams(Ts=TB, L=5)).ber
-        mosk = mosk_ber(MoskConfig(), CH, TB)
-        ook = ook_ber(OokConfig(), CH, TB)
-        csk = csk_ber(CskConfig(), CH, TB)
+        mosk = mosk_ber(MoskConfig(), CH)
+        ook = ook_ber(OokConfig(), CH)
+        csk = csk_ber(CskConfig(), CH)
         assert mrsk < mosk < max(ook, csk)
 
 

@@ -17,12 +17,11 @@ from mrsk import analysis, channel, cli, simulate
 from mrsk.cli import (
     CSV_HEADER,
     ExperimentSpec,
-    render_curve,
     replay_csv,
     run_cli,
     write_csv,
 )
-from mrsk.simulate import BerCurve, BerEstimate
+from mrsk.simulate import BerEstimate, child_seed
 
 
 def run(tmp_path, name, args):
@@ -76,6 +75,53 @@ class TestSweepCommand:
             rc, out = run(tmp_path, name, args)
             assert rc == 0
             assert replay_csv(out) == out.read_text()
+
+
+    def test_default_value_is_the_swept_fields_own(self, tmp_path):
+        # without --values a sweep runs one point, at the spec's value of the swept field
+        rc, out = run(tmp_path, "q.csv", ["sweep", "--param", "Q", "--engine", "analytic"])
+        assert rc == 0
+        rows = [l.split(",") for l in data_lines(out.read_text())[1:]]
+        _, ref = run(tmp_path, "ba.csv", ["ber-analytic"])
+        expected = data_lines(ref.read_text())[1].split(",")
+        assert len(rows) == 1 and rows[0][:2] == ["Q", "1000"] and rows[0][5:] == expected[5:]
+        for param, value in (("d", "10"), ("Omega", "2.718281828"), ("N", "2")):
+            rc, out = run(tmp_path, f"{param}.csv", ["sweep", "--param", param, "--bits", "2000"])
+            assert rc == 0, param
+            rows = [l.split(",") for l in data_lines(out.read_text())[1:]]
+            assert [row[:2] for row in rows] == [[param, value]]
+
+
+class TestOnePointPath:
+    """A sweep point is the spec with one field replaced: each row is a single-point run."""
+
+    @pytest.mark.parametrize(
+        "param, flag, value",
+        [("t_b", "--t-b", "0.75"), ("Q", "--Q", "400"), ("d", "--d", "11"),
+         ("Omega", "--omega", "2"), ("N", "--N", "3"), ("M", "--M", "2")],
+    )
+    def test_analytic_rows_are_ber_analytic(self, tmp_path, param, flag, value):
+        base = ["--t-b", "0.3", "--L", "3"]
+        sweep = ["sweep", "--engine", "analytic", "--param", param, "--values", value, *base]
+        rc, out = run(tmp_path, "s.csv", sweep)
+        assert rc == 0
+        (row,) = data_lines(out.read_text())[1:]
+        rc, ref = run(tmp_path, "ba.csv", ["ber-analytic", *base, flag, value])
+        assert rc == 0
+        assert row.split(",")[5] == data_lines(ref.read_text())[1].split(",")[5]
+
+    def test_simulated_rows_are_ber_sim_at_child_seeds(self, tmp_path):
+        args = ["--bits", "20000", "--L", "3"]
+        sweep = ["sweep", "--param", "Q", "--values", "200,600,1000", "--seed", "9", *args]
+        rc, out = run(tmp_path, "s.csv", sweep)
+        assert rc == 0
+        rows = data_lines(out.read_text())[1:]
+        assert len(rows) == 3
+        for i, (row, q) in enumerate(zip(rows, ("200", "600", "1000"))):
+            ber_sim = ["ber-sim", "--Q", q, "--seed", str(child_seed(9, i)), *args]
+            rc, ref = run(tmp_path, f"b{i}.csv", ber_sim)
+            assert rc == 0
+            assert row.split(",")[5:] == data_lines(ref.read_text())[1].split(",")[5:]
 
 
 class TestPdfCommand:
@@ -134,24 +180,16 @@ class TestCompareCommand:
 
 
 class TestWriteCsv:
-    def test_empty_curve_header_only(self, tmp_path):
-        curve = BerCurve(param_name="Q", param_values=(), estimates=())
-        text = render_curve(curve, "# spec: subcommand='sweep'")
-        assert data_lines(text) == [CSV_HEADER]
-
     def test_single_estimate_two_lines(self, tmp_path):
-        curve = BerCurve(
-            param_name="Q", param_values=(500.0,), estimates=(BerEstimate.from_counts(10, 1000),)
-        )
-        text = render_curve(curve, "# spec: x")
+        spec = ExperimentSpec(subcommand="ber-sim", Q=500.0)
+        text = cli._render_point(spec, "ftd", BerEstimate.from_counts(10, 1000))
         assert len(data_lines(text)) == 2
 
     def test_roundtrip_ten_significant_digits(self, tmp_path):
         est = BerEstimate.from_counts(1234, 987_654)
-        curve = BerCurve(param_name="Q", param_values=(1000.0 / 3.0,), estimates=(est,))
         path = tmp_path / "r.csv"
-        write_csv(render_curve(curve, "# spec: x"), path)
-        row = data_lines(path.read_text())[1].split(",")
+        write_csv(cli._estimate_row("Q", 1000.0 / 3.0, "mrsk", "ftd", "gray", est) + "\n", path)
+        row = path.read_text().split(",")
         for emitted, original in [
             (row[1], 1000.0 / 3.0),
             (row[5], est.ber),
@@ -190,6 +228,12 @@ class TestErrors:
         assert rc == 1
         assert "whole number" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_analytic_engine_only_for_sweeps(self, tmp_path, capsys):
+        # "analytic" names no simulation engine: ber-sim refuses it rather than simulate
+        rc, out = run(tmp_path, "x.csv", ["ber-sim", "--engine", "analytic", "--bits", "1000"])
+        assert rc == 1 and not out.exists()
+        assert "unknown engine 'analytic'" in capsys.readouterr().err
 
     def test_capability_refusal_exit_two(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "x.csv", ["ber-analytic", "--N", "4", "--M", "3"])

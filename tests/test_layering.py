@@ -4,8 +4,10 @@ Modules use each other only through public names, so every concept has
 one implementation that other modules call instead of reaching into
 its helpers; every name a module exports in ``__all__`` exists and has
 a caller in the package or a listed entry point, so helpers whose only
-callers are tests live in ``tests/``; and size caps are module
-constants, not parameters or config fields.
+callers are tests live in ``tests/``; size caps are module constants,
+not parameters or config fields; and only ``cli`` names the bit time
+``t_b``, which its experiment spec turns into the symbol interval every
+other module reads.
 """
 
 import ast
@@ -216,3 +218,32 @@ def test_caps_are_module_constants(path):
             ]
     capped = sorted(name for name in names if name.endswith("_cap"))
     assert not capped, f"{path.name} takes caps as parameters or fields: {capped}"
+
+
+def bit_time_names(tree: ast.Module) -> list[str]:
+    """``kind:line`` of every parameter, keyword, name or attribute spelled ``t_b``."""
+    found = []
+    for node in ast.walk(tree):
+        for kind, cls, attr in (
+            ("parameter", ast.arg, "arg"),
+            ("keyword", ast.keyword, "arg"),
+            ("name", ast.Name, "id"),
+            ("attribute", ast.Attribute, "attr"),
+        ):
+            if isinstance(node, cls) and getattr(node, attr) == "t_b":
+                found.append(f"{kind}:{node.lineno}")
+    return sorted(found)
+
+
+def test_bit_time_names_found_in_every_form():
+    tree = ast.parse('def f(t_b):\n    """t_b in a docstring."""\n    return g(t_b=spec.t_b)\n')
+    assert bit_time_names(tree) == ["attribute:3", "keyword:3", "parameter:1"]
+    assert bit_time_names(ast.parse("x = t_b * 2\n")) == ["name:1"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "cli"], ids=lambda p: p.stem)
+def test_only_cli_names_the_bit_time(path):
+    # the bit time has one home: ExperimentSpec.channel turns it into Ts = M (N - 1) t_b,
+    # and every other module reads the symbol interval of the channel it is given
+    found = bit_time_names(parse(path))
+    assert not found, f"{path.name} names t_b at {found}; take the interval from channel.Ts"

@@ -15,8 +15,9 @@ from encode_oracle import encode_bits_to_indices
 from mlsd_oracle import mlsd_exhaustive
 
 import mrsk
-from mrsk import modem, simulate
+from mrsk import cli, modem, simulate
 from mrsk.analysis import ftd_ber, hamming_table
+from mrsk.cli import ExperimentSpec
 from mrsk.channel import ChannelParams, arrival_moments, cir
 from mrsk.errors import CapacityError
 from mrsk.modem import (
@@ -31,7 +32,6 @@ from mrsk.modem import (
     thresholds,
 )
 from mrsk.simulate import (
-    BerCurve,
     BerEstimate,
     SimConfig,
     ber_confidence,
@@ -40,7 +40,6 @@ from mrsk.simulate import (
     particle_step,
     release_molecules,
     run_link,
-    sweep,
     wilson_interval,
 )
 
@@ -111,6 +110,11 @@ def recording_pool(monkeypatch):
 def frame_symbols(monkeypatch):
     """Sets ``simulate.FRAME_SYMBOLS`` for one test; frames are split in the caller, so pools see it."""
     return lambda n: monkeypatch.setattr(simulate, "FRAME_SYMBOLS", n)
+
+
+def sweep(workers=1, **fields):
+    """The estimates of ``mrsk sweep`` at the given spec fields, one per point."""
+    return [est for _, est in cli._sweep(ExperimentSpec(subcommand="sweep", **fields), workers)]
 
 
 def refuse_frame(*args, **kwargs):
@@ -227,11 +231,10 @@ class TestFramePool:
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)  # so 3 workers means 3 processes
         # 3 points of 6 frames each
         frame_symbols(1000)
-        sim = SimConfig(n_bits=6_000, seed=8)
-        serial = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, sim, sim.engine, CH.Ts)
+        spec = dict(param="Q", values=(200.0, 500.0, 900.0), bits=6_000, seed=8)
+        serial = sweep(**spec)
         for workers in (2, 2, 3, 1, 2):
-            pooled = replace(sim, workers=workers)
-            assert sweep("Q", [200.0, 500.0, 900.0], CFG, CH, pooled, sim.engine, CH.Ts) == serial
+            assert sweep(workers, **spec) == serial
         # one worker runs in-process and leaves the pool of 3 alone
         assert created == [2, 3, 2] and shut == [2, 3]
         assert simulate._POOL[1:] == (2, os.getpid())
@@ -378,43 +381,36 @@ class TestStatisticalEngine:
 
 
 class TestFrameRunner:
-    ADMC = MrskConfig(detector="admc", Q=100.0)
-
     @pytest.mark.parametrize(
-        "param, values, config, channel, sim, frame",
+        "spec, frame",
         [
-            ("t_b", [0.25, 0.5, 1.0], CFG, CH, SimConfig(n_bits=12_000, seed=2), 1500),
-            ("Q", [100.0, 300.0], CFG, CH, SimConfig(n_bits=6_000, seed=3, engine="binomial"), 1000),
+            (dict(param="t_b", values=(0.25, 0.5, 1.0), bits=12_000, seed=2), 1500),
+            (dict(param="Q", values=(100.0, 300.0), bits=6_000, seed=3, engine="binomial"), 1000),
             # N sets the bits per symbol, so the points have different frame counts
-            ("N", [2, 3, 4], ADMC, ChannelParams(Ts=0.05, L=3), SimConfig(n_bits=6_000, seed=4), 700),
-            ("Q", [10.0, 20.0], CFG, ChannelParams(Ts=0.25, L=2),
-             SimConfig(n_bits=1_000, seed=5, engine="particle", particle_dt=1e-2), 100),
+            (dict(param="N", values=(2.0, 3.0, 4.0), detector="admc", Q=100.0, t_b=0.05, L=3,
+                  bits=6_000, seed=4), 700),
+            (dict(param="Q", values=(10.0, 20.0), t_b=0.25, L=2, bits=1_000, seed=5,
+                  engine="particle", dt=1e-2), 100),
         ],
         ids=["statistical-ftd", "binomial", "admc", "particle"],
     )
-    def test_sweep_worker_invariance(
-        self, param, values, config, channel, sim, frame, monkeypatch, frame_symbols
-    ):
+    def test_sweep_worker_invariance(self, spec, frame, monkeypatch, frame_symbols):
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)  # so 3 workers means 3 processes
         frame_symbols(frame)
-        # every base config carries one bit per symbol, so the base bit time is Ts
-        serial = sweep(param, values, config, channel, sim, sim.engine, channel.Ts)
+        serial = sweep(**spec)
         for workers in (2, 3):
-            pooled = replace(sim, workers=workers)
-            assert sweep(param, values, config, channel, pooled, sim.engine, channel.Ts) == serial
-        if config.detector == "admc":
-            assert all(est.admc_clamps > 0 for est in serial.estimates)
+            assert sweep(workers, **spec) == serial
+        if spec.get("detector") == "admc":
+            assert all(est.admc_clamps > 0 for est in serial)
 
     def test_sweep_opens_one_pool(self, monkeypatch, recording_pool, frame_symbols):
         # 3 points of 2 frames each: 6 frames in the one queue
         frame_symbols(1000)
-        sim = SimConfig(n_bits=2_000, seed=6)
-        serial = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, sim, sim.engine, CH.Ts)
+        spec = dict(param="Q", values=(200.0, 500.0, 900.0), bits=2_000, seed=6)
+        serial = sweep(**spec)
         for workers, cores, expected in ((5, 64, [5]), (100, 64, [5, 6]), (100, 2, [5, 6, 2])):
             monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
-            pooled = replace(sim, workers=workers)
-            curve = sweep("Q", [200.0, 500.0, 900.0], CFG, CH, pooled, sim.engine, CH.Ts)
-            assert curve == serial
+            assert sweep(workers, **spec) == serial
             assert RecordingPool.sizes == expected
 
     def test_refusal_before_any_frame(self, monkeypatch):
@@ -423,7 +419,7 @@ class TestFrameRunner:
         ok = SimConfig(n_bits=1_000)
         links = [(CFG, CH, ok), (CFG, CH, ok), (CFG, CH, replace(ok, n_bits=2_000))]
         with pytest.raises(CapacityError, match="TRIALS_CAP = 1500"):
-            simulate._run_links(links, workers=1)
+            simulate.run_links(links, workers=1)
 
     def test_symbol_count_refusal_before_any_table(self, monkeypatch):
         monkeypatch.setattr(simulate, "symbol_quantities", refuse_frame)
@@ -672,80 +668,42 @@ class TestParticle:
 
 
 class TestSweep:
+    """A sweep point is the spec with the swept field replaced (:func:`mrsk.cli._points`)."""
+
     def test_invalid_param_names_listed(self):
-        with pytest.raises(ValueError, match="t_b, Q, d, Omega, N, M"):
-            sweep("sigma", [1.0], CFG, CH, SimConfig(n_bits=1000), "statistical", 0.5)
+        with pytest.raises(cli.CliError, match="t_b, Q, d, Omega, N, M"):
+            cli._points(ExperimentSpec(subcommand="sweep", param="sigma", values=(1.0,)))
 
     @pytest.mark.parametrize("param", ["N", "M"])
     def test_fractional_alphabet_parameters_rejected(self, param):
-        with pytest.raises(ValueError, match="whole number"):
-            sweep(param, [2.5], CFG, CH, SimConfig(n_bits=1000), "statistical", 0.5)
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(ValueError):
-            sweep("Q", [], CFG, CH, SimConfig(n_bits=1000), "statistical", 0.5)
+        with pytest.raises(cli.CliError, match="whole number"):
+            cli._points(ExperimentSpec(subcommand="sweep", param=param, values=(2.5,)))
 
     def test_analytic_needs_ftd(self):
-        with pytest.raises(ValueError):
-            sweep(
-                "Q",
-                [500.0],
-                MrskConfig(detector="admc"),
-                CH,
-                SimConfig(n_bits=1000),
-                engine="analytic",
-                t_b=0.5,
-            )
+        with pytest.raises(cli.CliError, match="fixed-threshold"):
+            sweep(param="Q", values=(500.0,), detector="admc", engine="analytic")
 
     def test_q_sweep_monotone_within_ci(self):
-        curve = sweep(
-            "Q",
-            [100.0, 400.0, 700.0, 1000.0],
-            CFG,
-            CH,
-            SimConfig(n_bits=60_000, seed=15),
-            engine="statistical",
-            t_b=0.5,
-        )
-        for a, b in zip(curve.estimates, curve.estimates[1:]):
+        curve = sweep(param="Q", values=(100.0, 400.0, 700.0, 1000.0), bits=60_000, seed=15)
+        for a, b in zip(curve, curve[1:]):
             assert b.ber <= a.ber or b.ci_low <= a.ci_high
 
     def test_d_sweep_nondecreasing(self):
-        curve = sweep(
-            "d",
-            [9.0, 10.0, 11.0, 12.0],
-            CFG,
-            CH,
-            SimConfig(n_bits=60_000, seed=16),
-            engine="statistical",
-            t_b=0.5,
-        )
-        for a, b in zip(curve.estimates, curve.estimates[1:]):
+        curve = sweep(param="d", values=(9.0, 10.0, 11.0, 12.0), bits=60_000, seed=16)
+        for a, b in zip(curve, curve[1:]):
             assert b.ber >= a.ber or a.ci_low <= b.ci_high
 
     def test_bit_time_normalization_across_m(self):
         # sweeping M keeps the bit time fixed: the symbol interval grows as
         # M(N-1) * t_b, matching a direct closed-form evaluation
-        curve = sweep(
-            "M",
-            [1, 2],
-            CFG,
-            CH,
-            SimConfig(n_bits=1000),
-            engine="analytic",
-            t_b=0.5,
-        )
-        for M, est in zip((1, 2), curve.estimates):
+        curve = sweep(param="M", values=(1.0, 2.0), t_b=0.5, engine="analytic")
+        for M, est in zip((1, 2), curve):
             direct = ftd_ber(MrskConfig(M=M), ChannelParams(Ts=M * 0.5, L=5)).ber
             assert est.ber == pytest.approx(direct, rel=1e-12)
 
-    def test_curve_alignment_enforced(self):
-        with pytest.raises(ValueError):
-            BerCurve(param_name="Q", param_values=(1.0,), estimates=())
-
     def test_analytic_sweep_deterministic(self):
-        a = sweep("Q", [200.0, 800.0], CFG, CH, SimConfig(n_bits=1000), "analytic", 0.5)
-        b = sweep("Q", [200.0, 800.0], CFG, CH, SimConfig(n_bits=1000), "analytic", 0.5)
+        a = sweep(param="Q", values=(200.0, 800.0), engine="analytic")
+        b = sweep(param="Q", values=(200.0, 800.0), engine="analytic")
         assert a == b
 
 
@@ -812,7 +770,7 @@ class TestFrameEquivalence:
         with mock.patch.object(simulate, "FRAME_SYMBOLS", length), mock.patch.object(
             simulate, "_simulate_frame", lambda *job: jobs.append(job) or (0, 1, 0, 0)
         ):
-            simulate._run_links([tuple(link)], workers=1)
+            simulate.run_links([tuple(link)], workers=1)
         mrsk, channel, sim, tables, index, n_symbols = jobs[which]
         got = simulate._simulate_frame(mrsk, channel, sim, tables, index, n_symbols)
         assert got == reference_frame(mrsk, channel, sim, index, n_symbols)
