@@ -2,7 +2,7 @@
 
 Modules map onto the system layers: :mod:`mrsk.channel` (diffusion
 physics and FIR moments), :mod:`mrsk.ratio_stats` (ratio-of-Gaussians
-laws), :mod:`mrsk.modem` (symbol ids, emissions and the array
+laws), :mod:`mrsk.modem` (symbols, emissions and the array
 detectors), :mod:`mrsk.analysis` (closed-form BER), :mod:`mrsk.simulate`
 (Monte Carlo and particle engines and framing), :mod:`mrsk.baselines`
 (OOK, CSK, MoSK, RTSK references) and :mod:`mrsk.cli` (batch experiment

@@ -28,6 +28,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelParams, arrival_moments, cir
+from .modem import radix_digits
 
 __all__ = [
     "OokConfig",
@@ -113,13 +114,6 @@ class RtskConfig:
 # ---------------------------------------------------------------------------
 
 
-def _histories(L: int) -> np.ndarray:
-    """All 2^L bit histories as rows, oldest interval first."""
-    n = 1 << L
-    bits = (np.arange(n)[:, None] >> np.arange(L - 1, -1, -1)) & 1
-    return bits.astype(float)
-
-
 def _p_above(threshold: float, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     """P(count >= threshold) under the Gaussian arrival model.
 
@@ -142,7 +136,7 @@ def ook_ber(config: OokConfig, channel: ChannelParams) -> float:
     history of length L (one bit per symbol interval channel.Ts).
     """
     taps = cir(channel)
-    hist = _histories(channel.L)
+    hist = radix_digits(np.arange(1 << channel.L), 2, channel.L)  # oldest bit first
     mu, var = arrival_moments(config.Q * hist[..., None], taps)
     p1 = _p_above(config.alpha * config.Q, mu[:, 0], var[:, 0])
     current = hist[:, -1]
@@ -157,7 +151,7 @@ def csk_ber(config: CskConfig, channel: ChannelParams) -> float:
     geometric mean of the two expected isolated-pulse counts.
     """
     taps = cir(channel)
-    hist = _histories(channel.L)
+    hist = radix_digits(np.arange(1 << channel.L), 2, channel.L)  # oldest bit first
     levels = config.Q * np.where(hist == 1.0, config.Gamma, 1.0)
     mu, var = arrival_moments(levels[..., None], taps)
     threshold = math.sqrt(config.Gamma) * config.Q * taps[0]
@@ -176,7 +170,7 @@ def mosk_ber(config: MoskConfig, channel: ChannelParams) -> float:
     half error, and when only the wrong type clears it the bit is lost.
     """
     taps = cir(channel)
-    hist = _histories(channel.L)
+    hist = radix_digits(np.arange(1 << channel.L), 2, channel.L)  # oldest bit first
     # type emissions follow the history bits: type 0 encodes bit 0, type 1 bit 1
     mu, var = arrival_moments(config.Q * np.stack([1.0 - hist, hist], axis=-1), taps)
     p0_above = _p_above(config.Lambda, mu[:, 0], var[:, 0])

@@ -112,6 +112,11 @@ class ExperimentSpec:
         # an empty tuple would serialize as "values=", which cannot be read back
         if self.values == ():
             raise ValueError("values must hold at least one value")
+        # every string setting is in its domain, read or not: the owning configs check them
+        MrskConfig(coding=self.coding, detector=self.detector, mlsd_metric=self.mlsd_metric)
+        if not (self.subcommand == "sweep" and self.engine == "analytic"):
+            SimConfig(engine=self.engine)
+        RtskConfig(detector=self.rtsk_detector)
 
     def serialize(self) -> str:
         parts = []
@@ -162,14 +167,8 @@ class ExperimentSpec:
             mlsd_metric=self.mlsd_metric,
         )
 
-    def sim(self, workers: int = 1) -> SimConfig:
-        return SimConfig(
-            n_bits=self.bits,
-            seed=self.seed,
-            engine=self.engine,
-            particle_dt=self.dt,
-            workers=workers,
-        )
+    def sim(self) -> SimConfig:
+        return SimConfig(n_bits=self.bits, seed=self.seed, engine=self.engine, particle_dt=self.dt)
 
 
 # one schema, read off the dataclass: every field but ``values`` (a float
@@ -265,9 +264,9 @@ def _run_pdf(spec: ExperimentSpec) -> str:
     return "\n".join([spec.serialize(), PDF_HEADER, *rows]) + "\n"
 
 
-def _render_point(spec: ExperimentSpec, detector: str, est: BerEstimate) -> str:
+def _render_point(spec: ExperimentSpec, est: BerEstimate) -> str:
     """The CSV of one ratio-scheme estimate at the spec's bit time."""
-    row = _estimate_row("t_b", spec.t_b, "mrsk", detector, spec.coding, est)
+    row = _estimate_row("t_b", spec.t_b, "mrsk", spec.detector, spec.coding, est)
     return "\n".join([spec.serialize(), CSV_HEADER, row]) + "\n"
 
 
@@ -288,6 +287,9 @@ def _points(spec: ExperimentSpec) -> list[tuple[float, ExperimentSpec]]:
 
 
 def _analytic(spec: ExperimentSpec) -> BerEstimate:
+    """The closed-form estimate of one point, which exists for the fixed-threshold detector only."""
+    if spec.detector != "ftd":
+        raise CliError("the analytic path covers the fixed-threshold detector only")
     return BerEstimate.exact(ftd_ber(spec.mrsk, spec.channel).ber)
 
 
@@ -300,8 +302,6 @@ def _sweep(spec: ExperimentSpec, workers: int) -> list[tuple[float, BerEstimate]
             for i, (_, p) in enumerate(points)
         ]
         return [(value, est) for (value, _), est in zip(points, run_links(links, workers))]
-    if spec.detector != "ftd":
-        raise CliError("the analytic path covers the fixed-threshold detector only")
     return [(value, _analytic(p)) for value, p in points]
 
 
@@ -319,14 +319,14 @@ def _run_compare(spec: ExperimentSpec) -> str:
         raise CliError("compare sweeps t_b or Q only")
     lines = [spec.serialize(), CSV_HEADER]
     for value, point in _points(spec):
-        mrsk, channel, q, t_b = point.mrsk, point.channel, point.Q, point.t_b
-        bit_channel = replace(channel, Ts=t_b)
+        q, t_b = point.Q, point.t_b
+        bit_channel = replace(point.channel, Ts=t_b)
         ook = OokConfig(Q=q, alpha=spec.ook_alpha)
         csk = CskConfig(Q=q, Gamma=spec.csk_gamma)
         mosk = MoskConfig(Q=q, Lambda=spec.mosk_lambda_frac * q)
         rtsk = RtskConfig(Delta=t_b / 2.0, detector=spec.rtsk_detector)
         for scheme, detector, coding, ber in (
-            ("mrsk", "ftd", spec.coding, ftd_ber(mrsk, channel).ber),
+            ("mrsk", "ftd", spec.coding, _analytic(point).ber),
             ("ook", "fixed", "-", ook_ber(ook, bit_channel)),
             ("csk", "fixed", "-", csk_ber(csk, bit_channel)),
             ("mosk", "fixed", "-", mosk_ber(mosk, bit_channel)),
@@ -342,9 +342,9 @@ def run_spec(spec: ExperimentSpec, workers: int = 1) -> str:
     if spec.subcommand == "pdf":
         return _run_pdf(spec)
     if spec.subcommand == "ber-analytic":
-        return _render_point(spec, "ftd", _analytic(spec))
+        return _render_point(spec, _analytic(spec))
     if spec.subcommand in ("ber-sim", "ber-particle"):
-        return _render_point(spec, spec.detector, run_link(spec.mrsk, spec.channel, spec.sim(workers)))
+        return _render_point(spec, run_link(spec.mrsk, spec.channel, spec.sim(), workers))
     if spec.subcommand == "compare":
         return _run_compare(spec)
     if spec.subcommand == "sweep":

@@ -2,12 +2,14 @@
 
 A symbol encodes M*(N-1) bits into the N-1 consecutive concentration
 ratios of N molecule types.  Ratios live on a geometric grid spanning
-[Omega^-1, Omega].  A symbol is named by its 0-based id, the mixed-radix
-number of its N-1 alphabet indices (first ratio position most
-significant); every module enumerates symbols in that order.
+[Omega^-1, Omega].  Symbol s is the integer of the bits it carries,
+first bit most significant: its base-2^M digits, first ratio position
+most significant, are the codewords of its ratio indices.  Every module
+numbers symbols this way, and only this module (with the Hamming table
+of :mod:`mrsk.analysis`) knows the bit mapping.
 
-The three detectors take (K, N) received counts and return (K,) symbol
-ids plus their diagnostic counters: FTD buckets each received ratio
+The three detectors take (K, N) received counts and return (K,)
+symbols plus their diagnostic counters: FTD buckets each received ratio
 against the geometric-mean thresholds, ADMC first subtracts the
 estimated one-tap interference of the previous decision, and MLSD runs
 one Viterbi search of the ratio log-likelihood over all K symbols.
@@ -33,12 +35,8 @@ __all__ = [
     "ratio_alphabet",
     "thresholds",
     "codewords",
-    "decode_indices_to_bits",
-    "bit_values",
+    "pack",
     "radix_digits",
-    "symbol_ids",
-    "symbol_index_combos",
-    "symbol_values",
     "symbol_quantities",
     "detect_ftd",
     "detect_admc",
@@ -155,41 +153,31 @@ def thresholds(config: MrskConfig) -> np.ndarray:
     return config.Omega**exponents
 
 
-def codewords(M: int, coding: str) -> np.ndarray:
-    """Codeword value carried by each 0-based alphabet index.
+def codewords(indices: np.ndarray, coding: str) -> np.ndarray:
+    """The codeword, an M-bit value, that each 0-based alphabet index carries.
 
     Binary coding is the identity; gray coding maps index i to
     i ^ (i >> 1) so adjacent indices differ in exactly one bit.
     """
-    idx = np.arange(1 << M)
     if coding == "binary":
-        return idx
+        return indices
     if coding == "gray":
-        return idx ^ (idx >> 1)
+        return indices ^ (indices >> 1)
     raise ValueError(f"unknown coding {coding!r}")
 
 
-def decode_indices_to_bits(indices, config: MrskConfig) -> np.ndarray:
-    """(n_symbols, N-1) 0-based alphabet indices -> bits, M per index, first index first."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[1] != config.N - 1:
-        raise ValueError(f"expected rows of {config.N - 1} ratio indices, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= config.alphabet_size):
-        raise ValueError(f"alphabet index out of range 0..{config.alphabet_size - 1}")
-    values = codewords(config.M, config.coding)[idx.reshape(-1)]
-    shifts = np.arange(config.M - 1, -1, -1)
-    bits = (values[:, None] >> shifts) & 1
-    return bits.reshape(-1).astype(np.uint8)
+def pack(digits, shift: int) -> np.ndarray:
+    """The integers whose base-2^shift digits run along the last axis, first most significant.
 
-
-def bit_values(bits, width: int) -> np.ndarray:
-    """Each consecutive ``width``-bit group of a 0/1 array as an integer, first bit most significant."""
-    groups = np.asarray(bits).reshape(-1, width)
-    values = groups[:, 0].astype(np.int64)
-    for j in range(1, width):  # Horner's rule: integer matmul is several times slower here
-        values <<= 1
-        values |= groups[:, j]
-    return values
+    Frames pack bits (shift 1), detectors codewords (shift M); Horner's
+    rule in place, as NumPy's integer matmul is several times slower here.
+    """
+    digits = np.asarray(digits)
+    out = digits[..., 0].astype(np.int64)
+    for j in range(1, digits.shape[-1]):
+        out <<= shift
+        out |= digits[..., j]
+    return out
 
 
 def radix_digits(values, base: int, width: int) -> np.ndarray:
@@ -197,47 +185,16 @@ def radix_digits(values, base: int, width: int) -> np.ndarray:
     return np.asarray(values)[..., None] // base ** np.arange(width - 1, -1, -1) % base
 
 
-def symbol_ids(indices, config: MrskConfig) -> np.ndarray:
-    """(..., N-1) 0-based index rows -> symbol ids; inverse of :func:`symbol_index_combos`.
-
-    Horner's rule over the ratio positions (NumPy's integer matmul is
-    several times slower on these narrow rows).
-    """
-    idx = np.asarray(indices)
-    ids = idx[..., 0].astype(np.int64)
-    for j in range(1, config.N - 1):
-        ids = ids * config.alphabet_size + idx[..., j]
-    return ids
-
-
-def symbol_index_combos(config: MrskConfig) -> np.ndarray:
-    """All symbols as (symbol_count, N-1) 0-based index rows.
-
-    Row s is the mixed-radix digits of s, first ratio position most
-    significant; every module enumerating symbols shares this order.
-    """
-    return radix_digits(np.arange(config.symbol_count), config.alphabet_size, config.N - 1)
-
-
-def symbol_values(config: MrskConfig) -> np.ndarray:
-    """The bits_per_symbol-bit value each symbol id carries, shape (symbol_count,).
-
-    The bits are those :func:`decode_indices_to_bits` gives for the id's
-    index row, so the Gray and binary mappings keep one implementation;
-    the values are a permutation of 0..symbol_count-1.
-    """
-    bits = decode_indices_to_bits(symbol_index_combos(config), config)
-    return bit_values(bits, config.bits_per_symbol)
-
-
 def symbol_quantities(config: MrskConfig) -> np.ndarray:
-    """Emission quantities for every symbol id, shape (symbol_count, N)."""
-    alphabet = ratio_alphabet(config)
-    ratios = alphabet[symbol_index_combos(config)]
-    qty = np.concatenate(
-        [np.ones((ratios.shape[0], 1)), np.cumprod(ratios, axis=1)], axis=1
-    )
-    return config.Q * qty
+    """Emission quantities of every symbol, shape (symbol_count, N).
+
+    Row s takes, at each ratio position, the alphabet entry whose codeword
+    is that base-2^M digit of s.
+    """
+    by_codeword = np.empty(config.alphabet_size)
+    by_codeword[codewords(np.arange(config.alphabet_size), config.coding)] = ratio_alphabet(config)
+    ratios = by_codeword[radix_digits(np.arange(config.symbol_count), config.alphabet_size, config.N - 1)]
+    return config.Q * np.concatenate([np.ones((len(ratios), 1)), np.cumprod(ratios, axis=1)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +223,35 @@ def _buckets(edges: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symbols(ratios: np.ndarray, config: MrskConfig) -> np.ndarray:
+    """Symbol of each row of ratios: each ratio's bucket, its codeword, packed."""
+    return pack(codewords(_buckets(thresholds(config), ratios), config.coding), config.M)
+
+
 def detect_ftd(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, int]:
-    """Fixed-threshold detection of (K, N) counts: (symbol ids, degenerate symbols).
+    """Fixed-threshold detection of (K, N) counts: (symbols, degenerate symbols).
 
     Each ratio is bucketed independently against the alphabet thresholds
     (ties go upward).  A symbol whose raw denominator is at or below the
-    degeneracy epsilon decodes as id 0 and is counted.
+    degeneracy epsilon decodes as symbol 0 and is counted.
     """
     ratios, degenerate = _ratios(counts, config)
-    ids = symbol_ids(_buckets(thresholds(config), ratios), config)
-    ids[degenerate] = 0
-    return ids, int(degenerate.sum())
+    symbols = _symbols(ratios, config)
+    symbols[degenerate] = 0
+    return symbols, int(degenerate.sum())
 
 
 def detect_admc(
     counts: np.ndarray, config: MrskConfig, taps: np.ndarray
 ) -> tuple[np.ndarray, int, int]:
-    """One-tap memory cancellation: (symbol ids, raw-degenerate symbols, clamps).
+    """One-tap memory cancellation: (symbols, raw-degenerate symbols, clamps).
 
     Symbol k's counts lose taps[1] times the emissions of the symbol
     decided at k-1 (none before the first symbol), adjusted counts at or
     below epsilon are clamped there and counted, and the adjusted ratios
     are bucketed as in :func:`detect_ftd`.  Decision k depends only on the
-    id s decided at k-1, so each block tabulates next_id[k, s] for every
-    s, walks it, and counts the clamps at the walked (k, s); id S is the
+    symbol s decided at k-1, so each block tabulates next[k, s] for every
+    s, walks it, and counts the clamps at the walked (k, s); row S is the
     zero emission before the first symbol.
     """
     if taps.size < 2:
@@ -303,7 +265,7 @@ def detect_admc(
         low = (c <= eps).sum(axis=2)
         c = np.maximum(c, eps)
         ratios = c[..., 1:] / c[..., :-1]
-        table = symbol_ids(_buckets(thresholds(config), ratios), config)
+        table = _symbols(ratios, config)
         flat, path = table.ravel().tolist(), [d]
         for row in range(0, len(flat), S + 1):
             d = flat[row + d]
@@ -319,9 +281,9 @@ def _block_rows(floats_per_row: int) -> int:
 
 
 def _window_constants(config: MrskConfig, taps: np.ndarray, n: int) -> np.ndarray:
-    """Branch-metric constants of every n-id window, shape (S^n, N-1, C).
+    """Branch-metric constants of every n-symbol window, shape (S^n, N-1, C).
 
-    Window w is the mixed-radix number of its ids, oldest most significant;
+    Window w is the mixed-radix number of its symbols, oldest most significant;
     the moments are the cold-start FIR sums of the window's emissions.
     """
     windows = radix_digits(np.arange(config.symbol_count**n), config.symbol_count, n)
@@ -377,10 +339,10 @@ def trellis_states(config: MrskConfig, L: int) -> int:
 
 
 def _viterbi_symbol_ids(ratios: np.ndarray, config: MrskConfig, taps: np.ndarray) -> list[int]:
-    """Viterbi search over symbol ids for a (T, N-1) ratio array.
+    """Viterbi search over symbols for a (T, N-1) ratio array.
 
-    A state is the mixed-radix index of the last L-1 ids, oldest most
-    significant, so window w = state * S + id.  Ties go to the lowest
+    A state is the mixed-radix index of the last L-1 symbols, oldest most
+    significant, so window w = state * S + symbol.  Ties go to the lowest
     predecessor and, at the end, to the lowest state.
     """
     L, S, T = len(taps), config.symbol_count, ratios.shape[0]
@@ -411,7 +373,7 @@ def _viterbi_symbol_ids(ratios: np.ndarray, config: MrskConfig, taps: np.ndarray
 
 
 def detect_mlsd(counts: np.ndarray, config: MrskConfig, taps: np.ndarray) -> tuple[np.ndarray, int]:
-    """Maximum-likelihood sequence detection: (symbol ids, degenerate symbols).
+    """Maximum-likelihood sequence detection: (symbols, degenerate symbols).
 
     One Viterbi trellis, whose states are the last L-1 symbols, searches
     the (K, N) counts; the branch metric is the log ratio-density (solid

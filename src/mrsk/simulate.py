@@ -6,11 +6,11 @@ per-tap binomial counts, and ``particle`` steps every molecule's distance
 to the absorbing receiver in blocks inside each symbol interval, retiring
 it at age L intervals (the FIR truncation of the other engines).
 A frame draws random bits and packs each symbol's bits_per_symbol bits
-into one integer value, takes its emissions from a per-link table indexed
-by that value, draws arrivals, hands the (K, N) counts to a
-:mod:`mrsk.modem` detector and counts bit errors as the popcount of
-sent_value ^ value[detected_id], the value of each symbol id being a
-second per-link table (:func:`mrsk.modem.symbol_values`).
+into the integer that is the symbol (:func:`mrsk.modem.pack`), takes its
+emissions from the per-link :func:`mrsk.modem.symbol_quantities` table,
+draws arrivals, hands the (K, N) counts to a :mod:`mrsk.modem` detector
+and counts bit errors as the popcount of sent ^ detected; the bit
+mapping stays inside :mod:`mrsk.modem`.
 Bit streams are split into frames of ``FRAME_SYMBOLS`` symbols with
 independently derived random streams.  One call of :func:`run_links`
 (:func:`run_link` is its one-link case; a sweep's links are built in
@@ -39,12 +39,11 @@ from .errors import CapacityError
 from .modem import (
     TRELLIS_WORK_CAP,
     MrskConfig,
-    bit_values,
     detect_admc,
     detect_ftd,
     detect_mlsd,
+    pack,
     symbol_quantities,
-    symbol_values,
     trellis_states,
 )
 from .analysis import check_alphabet
@@ -80,9 +79,9 @@ PARTICLE_POPULATION_CAP = 10**6
 # its population bound (at least 1: a block step costs ~0.3 us even in a
 # near-empty medium); about 30 ns each, so ~30 s at the cap
 PARTICLE_MOLECULE_STEP_CAP = 10**9
-# symbols a link may tabulate: its two (S, N) emission tables and the (S, N-1)
-# index rows its (S,) values decode from take 8 (3N - 1) S bytes, about
-# 250 MB at the cap (M = 1, N = 20)
+# symbols a link may tabulate: its (S, N) emission table and the (S, N-1)
+# digits it is built from take 8 (2N - 1) S bytes, about 160 MB at the cap
+# (M = 1, N = 20)
 SYMBOL_COUNT_CAP = 1 << 19
 # molecule-steps per particle block: ~1 MiB of float64 temporaries at 4 per
 # molecule-step (radii, distances to the surface, normals reused for the
@@ -99,7 +98,6 @@ class SimConfig:
     seed: master seed; every frame derives its own child stream
     engine: "statistical", "binomial" or "particle"
     particle_dt: Brownian time step (particle engine only)
-    workers: process count for frame execution
 
     Frames of ``FRAME_SYMBOLS`` = F symbols are cold-start bursts: each
     starts with an empty channel, so its first L-1 symbols see less
@@ -112,7 +110,6 @@ class SimConfig:
     seed: int = 0
     engine: str = "statistical"
     particle_dt: float = 1e-3
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n_bits < 1000:
@@ -121,8 +118,6 @@ class SimConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if not 0 < self.particle_dt < math.inf:  # NaN fails too
             raise ValueError(f"particle_dt must be positive and finite, got {self.particle_dt}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -352,20 +347,19 @@ def _simulate_frame(
     mrsk: MrskConfig,
     channel: ChannelParams,
     sim: SimConfig,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tables: tuple[np.ndarray, np.ndarray],
     frame_index: int,
     n_symbols: int,
 ) -> tuple[int, int, int, int]:
     """Simulate one independent frame; returns (errors, bits, degenerate, ADMC clamps).
 
-    A sent symbol is the bits_per_symbol-bit value of its drawn bits, so the
-    link tables hold the emissions by value and the value of each symbol id.
+    ``tables`` are the link's (symbol quantities, taps).
     """
-    emissions_by_value, taps, values = tables
+    quantities, taps = tables
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
-    sent = bit_values(bits, mrsk.bits_per_symbol)
-    emissions = np.take(emissions_by_value, sent, axis=0)
+    sent = pack(bits.reshape(n_symbols, -1), 1)
+    emissions = np.take(quantities, sent, axis=0)
 
     if sim.engine == "statistical":
         counts = _arrivals_statistical(emissions, taps, rng)
@@ -376,13 +370,13 @@ def _simulate_frame(
 
     clamps = 0
     if mrsk.detector == "ftd":
-        det_ids, degenerate = detect_ftd(counts, mrsk)
+        detected, degenerate = detect_ftd(counts, mrsk)
     elif mrsk.detector == "admc":
-        det_ids, degenerate, clamps = detect_admc(counts, mrsk, taps)
+        detected, degenerate, clamps = detect_admc(counts, mrsk, taps)
     else:
-        det_ids, degenerate = detect_mlsd(counts, mrsk, taps)
+        detected, degenerate = detect_mlsd(counts, mrsk, taps)
 
-    errors = int(np.bitwise_count(sent ^ np.take(values, det_ids)).sum())
+    errors = int(np.bitwise_count(sent ^ detected).sum())
     return errors, bits.size, degenerate, clamps
 
 
@@ -449,7 +443,7 @@ def run_links(
     """One estimate per (mrsk, channel, sim) link; all their frames share one queue.
 
     Every link is checked against the caps before any frame runs; the
-    frames run on the pool of ``workers`` processes, not ``sim.workers``.
+    frames run on the pool of ``workers`` processes.
     """
     owners, jobs = [], []
     for link, (mrsk, channel, sim) in enumerate(links):
@@ -499,12 +493,8 @@ def run_links(
                     f"molecule-steps, exceeding PARTICLE_MOLECULE_STEP_CAP = "
                     f"{PARTICLE_MOLECULE_STEP_CAP:.0e}; raise dt, request fewer bits or reduce Q"
                 )
-        taps = cir(channel)
-        values = symbol_values(mrsk)  # before the quantities, whose table would add to its peak
-        quantities = symbol_quantities(mrsk)
-        emissions_by_value = np.empty_like(quantities)
-        emissions_by_value[values] = quantities
-        tables = (emissions_by_value, taps, values)
+        taps = cir(channel)  # refuses an L above MEMORY_CAP, so before the symbol table
+        tables = (symbol_quantities(mrsk), taps)
         for index, start in enumerate(range(0, n_symbols, FRAME_SYMBOLS)):
             owners.append(link)
             jobs.append((mrsk, channel, sim, tables, index, min(FRAME_SYMBOLS, n_symbols - start)))
@@ -536,8 +526,10 @@ def run_links(
     return estimates
 
 
-def run_link(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> BerEstimate:
-    """End-to-end Monte Carlo BER of one link configuration.
+def run_link(
+    mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig, workers: int = 1
+) -> BerEstimate:
+    """End-to-end Monte Carlo BER of one link configuration, its frames on ``workers`` processes.
 
     Generates uniform bits, encodes, superposes the full L-tap
     interference through the chosen arrival engine, detects with the
@@ -545,7 +537,7 @@ def run_link(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> BerEst
     bursts (cold channel at each frame start), so partial results add
     associatively and the estimate is identical for any worker count.
     """
-    return run_links([(mrsk, channel, sim)], sim.workers)[0]
+    return run_links([(mrsk, channel, sim)], workers)[0]
 
 
 def child_seed(seed: int, index: int) -> int:

@@ -2,22 +2,17 @@
 
 ``mrsk.analysis.ftd_ber`` enumerates digit windows per ratio position
 and builds its moments from per-interval factors; this module keeps the
-direct evaluation (each length-L symbol-id sequence, its emission table
+direct evaluation (each length-L symbol sequence, its emission table
 rows and :func:`mrsk.channel.arrival_moments`) so the two share only
 the bucket arithmetic and the Hamming table.
 """
 
 import numpy as np
 
+from encode_oracle import symbol_indices
 from mrsk.analysis import _bucket_probs, hamming_table
 from mrsk.channel import ChannelParams, arrival_moments, cir
-from mrsk.modem import (
-    MrskConfig,
-    radix_digits,
-    symbol_index_combos,
-    symbol_quantities,
-    thresholds,
-)
+from mrsk.modem import MrskConfig, radix_digits, symbol_quantities, thresholds
 
 _CHUNK = 1 << 15
 
@@ -25,7 +20,7 @@ _CHUNK = 1 << 15
 def ftd_detection_prob(sequences, taps: np.ndarray, config: MrskConfig) -> np.ndarray:
     """Bucket probabilities of the newest symbol's ratios, shape (..., N-1, 2^M).
 
-    ``sequences`` holds symbol-id sequences, shape (..., n), oldest first;
+    ``sequences`` holds symbol sequences, shape (..., n), oldest first;
     n is the memory length L, or less for a cold start.  Entry [..., j, i]
     is P(ratio position j of the newest symbol is detected as alphabet
     index i); the entries over i partition the real line, so they sum to one.
@@ -37,7 +32,7 @@ def ftd_detection_prob(sequences, taps: np.ndarray, config: MrskConfig) -> np.nd
 def sequence_error_probs(sequences: np.ndarray, config: MrskConfig, taps: np.ndarray) -> np.ndarray:
     """Per-bit error probability of the newest symbol for each (n, L) sequence."""
     probs = ftd_detection_prob(sequences, taps, config)
-    true_idx0 = symbol_index_combos(config)[sequences[:, -1]]  # (n, N-1)
+    true_idx0 = symbol_indices(sequences[:, -1], config)  # (n, N-1)
     ham = hamming_table(config.M, config.coding)
     err_bits = np.zeros(sequences.shape[0])
     for j in range(config.N - 1):

@@ -50,7 +50,7 @@ class TestHamming:
         for M in (1, 3, 6):
             for coding in ("binary", "gray"):
                 table = hamming_table(M, coding)
-                codes = codewords(M, coding)
+                codes = codewords(np.arange(1 << M), coding)
                 assert table.dtype == np.int64
                 for a in range(1 << M):
                     for b in range(1 << M):

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -182,7 +183,7 @@ class TestCompareCommand:
 class TestWriteCsv:
     def test_single_estimate_two_lines(self, tmp_path):
         spec = ExperimentSpec(subcommand="ber-sim", Q=500.0)
-        text = cli._render_point(spec, "ftd", BerEstimate.from_counts(10, 1000))
+        text = cli._render_point(spec, BerEstimate.from_counts(10, 1000))
         assert len(data_lines(text)) == 2
 
     def test_roundtrip_ten_significant_digits(self, tmp_path):
@@ -234,6 +235,41 @@ class TestErrors:
         rc, out = run(tmp_path, "x.csv", ["ber-sim", "--engine", "analytic", "--bits", "1000"])
         assert rc == 1 and not out.exists()
         assert "unknown engine 'analytic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--engine", "bogus", "--bits", "5"],
+            ["pdf", "--coding", "bogus", "--detector", "nope"],
+            ["pdf", "--mlsd-metric", "bogus"],
+            ["ber-analytic", "--engine", "analytic"],
+            ["ber-sim", "--rtsk-detector", "bogus", "--bits", "1000"],
+            ["sweep", "--engine", "analytic", "--coding", "bogus"],
+        ],
+        ids=" ".join,
+    )
+    def test_unread_string_settings_refused(self, tmp_path, capsys, argv):
+        # every string setting is in its domain, whether or not the subcommand reads it
+        rc, out = run(tmp_path, "x.csv", argv)
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("mrsk: error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ber-analytic", "--detector", "mlsd"],
+            ["compare", "--detector", "admc"],
+            ["sweep", "--engine", "analytic", "--detector", "mlsd"],
+        ],
+        ids=" ".join,
+    )
+    def test_analytic_rows_need_ftd(self, tmp_path, capsys, monkeypatch, argv):
+        # one closed-form point function, one refusal, before any closed form is evaluated
+        monkeypatch.setattr(cli, "ftd_ber", refuse_call)
+        rc, out = run(tmp_path, "x.csv", argv)
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == "mrsk: error: the analytic path covers the fixed-threshold detector only\n"
 
     def test_capability_refusal_exit_two(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "x.csv", ["ber-analytic", "--N", "4", "--M", "3"])
@@ -503,14 +539,24 @@ class TestSpecSerialization:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_roundtrip_any_spec(self, data):
+        # string settings with a domain take one of its values (any word is refused below)
         words = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=12)
         draws = {int: st.integers(), float: st.floats(allow_nan=False), str: words}
-        kwargs = {name: data.draw(draws[typ]) for name, typ in cli._SPEC_TYPES.items()}
+        kwargs = {
+            name: data.draw(st.sampled_from(DOMAINS[name]) if name in DOMAINS else draws[typ])
+            for name, typ in cli._SPEC_TYPES.items()
+        }
+        if kwargs["engine"] == "analytic":
+            kwargs["subcommand"] = "sweep"
         kwargs["values"] = data.draw(
             st.none() | st.lists(st.floats(allow_nan=False), min_size=1, max_size=5).map(tuple)
         )
         spec = ExperimentSpec(**kwargs)
         assert ExperimentSpec.deserialize(spec.serialize()) == spec
+        name, word = data.draw(st.sampled_from(sorted(DOMAINS))), data.draw(words)
+        if word not in DOMAINS[name]:
+            with pytest.raises(ValueError, match=re.escape(repr(word))):
+                dataclasses.replace(spec, **{name: word})
 
 
 # Flag pools for the exit-code totality check: (valid values, then
@@ -545,6 +591,11 @@ FLAG_POOLS = {
     "--rtsk-detector": (["ml", "linear"], ["bogus"]),
     "--workers": (["1"], ["0", "-3", str(cli.WORKERS_CAP + 1)]),
 }
+# the string settings every spec checks, whatever its subcommand reads, and their domains
+DOMAINS = {
+    name: FLAG_POOLS["--" + name.replace("_", "-")][0]
+    for name in ("coding", "detector", "mlsd_metric", "engine", "rtsk_detector")
+}
 # flags whose defaults are full-size runs, so they are always given
 WORK_SIZE_FLAGS = ("--bits", "--samples", "--grid-points", "--dt", "--L", "--Q")
 
@@ -578,7 +629,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", REFUSED_ARGV, ids=" ".join)
     def test_oversized_requests_refused_in_one_line(self, argv, tmp_path, capsys, monkeypatch):
         # refused before any table: neither a symbol or Hamming table nor taps-sized work is built
-        monkeypatch.setattr(simulate, "symbol_values", refuse_call)
+        monkeypatch.setattr(simulate, "symbol_quantities", refuse_call)
         monkeypatch.setattr(analysis, "hamming_table", refuse_call)
         started = time.perf_counter()
         rc, out = run(tmp_path, "x.csv", argv)

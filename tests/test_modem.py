@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
-from encode_oracle import encode_bits_to_indices
+from encode_oracle import encode_bits_to_indices, symbol_indices
 from mlsd_oracle import ScalarMlsdMetric, mlsd_exhaustive
 
 from mrsk import modem
@@ -14,17 +14,14 @@ from mrsk.errors import CapacityError
 from mrsk.modem import (
     MrskConfig,
     _viterbi_symbol_ids,
-    bit_values,
     codewords,
-    decode_indices_to_bits,
     detect_admc,
     detect_ftd,
     detect_mlsd,
+    pack,
+    radix_digits,
     ratio_alphabet,
-    symbol_ids,
-    symbol_index_combos,
     symbol_quantities,
-    symbol_values,
     thresholds,
     trellis_states,
 )
@@ -33,7 +30,7 @@ CH = ChannelParams(Ts=1.0, L=5)
 
 
 def exact_mean_ratios(history: list[int], config: MrskConfig, taps: np.ndarray) -> np.ndarray:
-    """Noise-free received ratios for a symbol-id history (cold start)."""
+    """Noise-free received ratios for a symbol history (cold start)."""
     qty = symbol_quantities(config)
     T = len(history)
     out = np.empty((T, config.N - 1))
@@ -95,8 +92,12 @@ class TestThresholds:
 
 
 def emission(row, config: MrskConfig) -> np.ndarray:
-    """Emission quantities of one 0-based index row."""
-    return symbol_quantities(config)[symbol_ids(row, config)]
+    """Emission quantities of one 0-based index row: the symbol packing its codewords."""
+    return symbol_quantities(config)[pack(codewords(np.asarray(row), config.coding), config.M)]
+
+
+def whole_symbol_bits(cfg: MrskConfig, n_symbols: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2, size=cfg.bits_per_symbol * n_symbols, dtype=np.uint8)
 
 
 class TestCoding:
@@ -106,47 +107,49 @@ class TestCoding:
         assert encode_bits_to_indices([0], cfg).tolist() == [[0]]
 
     def test_gray_m2_sequence(self):
-        cfg = MrskConfig(N=2, M=2, coding="gray")
-        carried = [tuple(decode_indices_to_bits([[i]], cfg)) for i in range(4)]
+        # the bits of the symbol that sends alphabet entry i, for i = 0..3
+        cfg = MrskConfig(N=2, M=2, coding="gray", Q=1.0)
+        sent = [symbol_quantities(cfg)[:, 1].tolist().index(a) for a in ratio_alphabet(cfg)]
+        carried = [tuple(radix_digits(s, 2, 2).tolist()) for s in sent]
         assert carried == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
     def test_roundtrip_both_codings(self):
-        rng = np.random.default_rng(0)
-        for N in (2, 3, 4):
-            for M in (1, 2, 3):
-                for coding in ("binary", "gray"):
-                    cfg = MrskConfig(N=N, M=M, coding=coding)
-                    bits = rng.integers(0, 2, size=cfg.bits_per_symbol * 40, dtype=np.uint8)
-                    rows = encode_bits_to_indices(bits, cfg)
-                    assert np.array_equal(decode_indices_to_bits(rows, cfg), bits)
+        # packing a symbol's bits and packing its index rows' codewords name the same symbol
+        for seed, (N, M, coding) in enumerate(itertools.product((2, 3, 4), (1, 2, 3), ("binary", "gray"))):
+            cfg = MrskConfig(N=N, M=M, coding=coding)
+            bits = whole_symbol_bits(cfg, 40, seed)
+            rows = encode_bits_to_indices(bits, cfg)
+            sent = pack(bits.reshape(40, -1), 1)
+            assert np.array_equal(pack(codewords(rows, coding), M), sent)
+            assert np.array_equal(symbol_indices(sent, cfg), rows)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        N=st.integers(2, 5),
-        M=st.integers(1, 4),
+        N=st.integers(2, 4),
+        M=st.integers(1, 3),
         coding=st.sampled_from(["binary", "gray"]),
         n_symbols=st.integers(1, 20),
         seed=st.integers(0, 2**32 - 1),
-        bad=st.sampled_from(["negative", "too-large"]),
     )
-    def test_roundtrip_property_and_range(self, N, M, coding, n_symbols, seed, bad):
+    def test_roundtrip_property_and_range(self, N, M, coding, n_symbols, seed):
+        # the one currency: a symbol is the integer of its bits, from frame to detector
         cfg = MrskConfig(N=N, M=M, coding=coding)
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=cfg.bits_per_symbol * n_symbols, dtype=np.uint8)
-        rows = encode_bits_to_indices(bits, cfg)
+        bits = whole_symbol_bits(cfg, n_symbols, seed).reshape(n_symbols, -1)
+        rows = encode_bits_to_indices(bits.ravel(), cfg)
         assert rows.shape == (n_symbols, N - 1)
         assert rows.min() >= 0 and rows.max() < cfg.alphabet_size
-        assert np.array_equal(decode_indices_to_bits(rows, cfg), bits)
-        bad_id = -1 if bad == "negative" else cfg.alphabet_size
-        rows[rng.integers(n_symbols), rng.integers(N - 1)] = bad_id
-        with pytest.raises(ValueError, match="out of range"):
-            decode_indices_to_bits(rows, cfg)
-
-    def test_decode_rejects_out_of_range_ids(self):
-        cfg = MrskConfig(N=2, M=2)
-        for bad in (-1, 4):
-            with pytest.raises(ValueError, match="out of range"):
-                decode_indices_to_bits([[bad]], cfg)
+        # pack and radix_digits are inverses, over bits (shift 1) and codewords (shift M)
+        sent = pack(bits, 1)
+        assert sent.min() >= 0 and sent.max() < cfg.symbol_count
+        assert np.array_equal(radix_digits(sent, 2, cfg.bits_per_symbol), bits)
+        codes = codewords(rows, coding)
+        assert np.array_equal(radix_digits(pack(codes, M), 2**M, N - 1), codes)
+        # the symbol's emissions send the alphabet at the encoder's index rows
+        qty = symbol_quantities(cfg)[sent]
+        assert np.allclose(qty[:, 1:] / qty[:, :-1], ratio_alphabet(cfg)[rows], rtol=1e-12, atol=0)
+        # noise-free fixed-threshold detection returns the symbol sent
+        detected, degenerate = detect_ftd(qty, cfg)
+        assert np.array_equal(detected, sent) and degenerate == 0
 
     def test_gray_differs_from_binary(self):
         cfg_b = MrskConfig(N=2, M=2, coding="binary")
@@ -157,10 +160,10 @@ class TestCoding:
 
     def test_gray_adjacency(self):
         for M in (2, 3, 4):
-            codes = codewords(M, "gray")
+            codes = codewords(np.arange(1 << M), "gray")
             diffs = [bin(int(codes[i]) ^ int(codes[i + 1])).count("1") for i in range(len(codes) - 1)]
             assert all(d == 1 for d in diffs)
-            binary = codewords(M, "binary")
+            binary = codewords(np.arange(1 << M), "binary")
             bdiffs = [bin(int(binary[i]) ^ int(binary[i + 1])).count("1") for i in range(len(binary) - 1)]
             assert max(bdiffs) > 1
 
@@ -176,10 +179,10 @@ class TestCoding:
 class TestQuantities:
     def test_binary_symbols(self):
         cfg = MrskConfig(N=2, M=1, Q=1000.0)
-        up = emission(encode_bits_to_indices([1], cfg)[0], cfg)
-        down = emission(encode_bits_to_indices([0], cfg)[0], cfg)
+        down, up = symbol_quantities(cfg)  # symbols 0 and 1 carry bit 0 and bit 1
         assert up == pytest.approx((1000.0, 2718.2818284590453), rel=1e-12)
         assert down == pytest.approx((1000.0, 367.87944117144233), rel=1e-12)
+        assert np.array_equal(up, emission(encode_bits_to_indices([1], cfg)[0], cfg))
 
     def test_cumulative_product(self):
         cfg = MrskConfig(N=3, M=1, Q=1000.0)
@@ -195,10 +198,6 @@ class TestQuantities:
             assert q[0] == cfg.Q
             assert np.all(q >= cfg.Q * cfg.Omega ** -(cfg.N - 1) - 1e-9)
             assert np.all(q <= cfg.Q * cfg.Omega ** (cfg.N - 1) + 1e-9)
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError, match="ratio indices"):
-            decode_indices_to_bits([[0, 0]], MrskConfig(N=2, M=1))
 
 
 class TestFtd:
@@ -400,57 +399,54 @@ class TestMlsd:
 
 class TestEndToEnd:
     def test_noiseless_identity_memoryless(self):
-        # encode -> symbol ids -> emissions -> exact arrival means -> detect -> decode
-        rng = np.random.default_rng(77)
+        # bits -> symbols -> emissions -> exact arrival means -> detect -> bits
         ch = ChannelParams(Ts=1.0, L=1)
         p1 = cir(ch)[0]
-        for N in (2, 3, 4):
-            for M in (1, 2, 3):
-                cfg = MrskConfig(N=N, M=M)
-                bits = rng.integers(0, 2, size=cfg.bits_per_symbol * 25, dtype=np.uint8)
-                ids = symbol_ids(encode_bits_to_indices(bits, cfg), cfg)
-                detected, _ = detect_ftd(p1 * symbol_quantities(cfg)[ids], cfg)
-                rows = symbol_index_combos(cfg)[detected]
-                assert np.array_equal(decode_indices_to_bits(rows, cfg), bits)
+        for seed, (N, M) in enumerate(itertools.product((2, 3, 4), (1, 2, 3))):
+            cfg = MrskConfig(N=N, M=M)
+            bits = whole_symbol_bits(cfg, 25, 77 + seed)
+            detected, _ = detect_ftd(p1 * symbol_quantities(cfg)[pack(bits.reshape(25, -1), 1)], cfg)
+            assert np.array_equal(radix_digits(detected, 2, cfg.bits_per_symbol).ravel(), bits)
 
-    def test_symbol_table_order_matches_combos(self):
+    def test_symbol_table_order_follows_bits(self):
         cfg = MrskConfig(N=3, M=2)
-        combos = symbol_index_combos(cfg)
         alphabet = ratio_alphabet(cfg)
         qty = symbol_quantities(cfg)
-        for sid in (0, 5, 13, 15):
-            ratios = alphabet[combos[sid]]
+        rows = symbol_indices(np.arange(16), cfg)
+        for s in (0, 5, 13, 15):
+            ratios = alphabet[rows[s]]
             expected = cfg.Q * np.array([1.0, ratios[0], ratios[0] * ratios[1]])
-            assert qty[sid] == pytest.approx(expected, rel=1e-14)
-        assert combos.shape == (16, 2)
-        assert np.all(alphabet[combos[0]] == alphabet[0])
-        assert combos[6].tolist() == [1, 2]  # first ratio position most significant
-        assert np.array_equal(symbol_ids(combos, cfg), np.arange(16))
+            assert qty[s] == pytest.approx(expected, rel=1e-14)
+        assert qty.shape == (16, 3)
+        assert np.all(qty[0] == cfg.Q * alphabet[0] ** np.arange(3))  # all-zero bits, all-zero indices
+        # bits 01|10: Gray codewords 1 and 2 at indices 1 and 3, first ratio position most significant
+        assert rows[6].tolist() == [1, 3]
 
 
 class TestBitValues:
     def test_symbol_values_are_the_decoded_bits(self):
+        # every row of the table sends the index rows the encoder gives the bits of its number
         for N, M, coding in itertools.product((2, 3, 4), (1, 2, 3), ("binary", "gray")):
             cfg = MrskConfig(N=N, M=M, coding=coding)
-            values = symbol_values(cfg)
-            assert sorted(values.tolist()) == list(range(cfg.symbol_count))
-            bits = decode_indices_to_bits(symbol_index_combos(cfg), cfg).reshape(cfg.symbol_count, -1)
-            weights = 1 << np.arange(cfg.bits_per_symbol - 1, -1, -1)
-            assert np.array_equal(values, bits.astype(np.int64) @ weights)
+            bits = radix_digits(np.arange(cfg.symbol_count), 2, cfg.bits_per_symbol)
+            ratios = ratio_alphabet(cfg)[encode_bits_to_indices(bits.ravel(), cfg)]
+            expected = cfg.Q * np.column_stack([np.ones(cfg.symbol_count), np.cumprod(ratios, axis=1)])
+            assert np.array_equal(symbol_quantities(cfg), expected)
 
     @settings(max_examples=60, deadline=None)
     @given(N=st.integers(2, 5), M=st.integers(1, 4), coding=st.sampled_from(["binary", "gray"]),
            seed=st.integers(0, 2**32 - 1))
     def test_value_of_encoded_bits_names_their_symbol(self, N, M, coding, seed):
-        # the value packed from a symbol's bits is the value table's entry at its id
+        # frames pack bits, detectors codewords: both name the same symbol
         cfg = MrskConfig(N=N, M=M, coding=coding)
-        bits = np.random.default_rng(seed).integers(0, 2, size=cfg.bits_per_symbol * 9, dtype=np.uint8)
-        ids = symbol_ids(encode_bits_to_indices(bits, cfg), cfg)
-        assert np.array_equal(symbol_values(cfg)[ids], bit_values(bits, cfg.bits_per_symbol))
+        bits = whole_symbol_bits(cfg, 9, seed)
+        codes = codewords(encode_bits_to_indices(bits, cfg), coding)
+        assert np.array_equal(pack(codes, M), pack(bits.reshape(9, -1), 1))
 
     def test_bit_values_first_bit_most_significant(self):
-        assert bit_values([1, 0, 0, 1, 1, 1], 3).tolist() == [4, 7]
-        assert bit_values(np.array([1, 0], dtype=np.uint8), 1).tolist() == [1, 0]
+        assert pack([[1, 0, 0], [1, 1, 1]], 1).tolist() == [4, 7]
+        assert pack(np.array([[1], [0]], dtype=np.uint8), 1).tolist() == [1, 0]
+        assert pack(np.array([[1, 2], [3, 0]], dtype=np.uint8), 2).tolist() == [6, 12]
 
 
 class TestBuckets:

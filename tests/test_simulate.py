@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import signal, stats
 
-from encode_oracle import encode_bits_to_indices
+from encode_oracle import encode_bits_to_indices, symbol_indices
 from mlsd_oracle import mlsd_exhaustive
 
 import mrsk
@@ -26,8 +26,6 @@ from mrsk.modem import (
     detect_ftd,
     detect_mlsd,
     ratio_alphabet,
-    symbol_ids,
-    symbol_index_combos,
     symbol_quantities,
     thresholds,
 )
@@ -172,16 +170,16 @@ class TestDeterminism:
         frame_symbols(4096)
         base = SimConfig(n_bits=40_000, seed=5)
         serial = run_link(CFG, CH, base)
-        parallel = run_link(CFG, CH, replace(base, workers=3))
+        parallel = run_link(CFG, CH, base, workers=3)
         assert serial == parallel
 
     def test_pool_bounded_by_frames_and_cores(self, monkeypatch, recording_pool, frame_symbols):
         frame_symbols(1000)
-        sim = SimConfig(n_bits=3000, seed=1, workers=100_000)
-        serial = run_link(CFG, CH, replace(sim, workers=1))
+        sim = SimConfig(n_bits=3000, seed=1)
+        serial = run_link(CFG, CH, sim)
         for cores, expected in ((64, [3]), (2, [3, 2]), (None, [3, 2])):
             monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
-            assert run_link(CFG, CH, sim) == serial
+            assert run_link(CFG, CH, sim, workers=100_000) == serial
             assert RecordingPool.sizes == expected
 
     def test_admc_counters_worker_invariant(self, frame_symbols):
@@ -190,7 +188,7 @@ class TestDeterminism:
         ch = ChannelParams(Ts=0.05, L=5)
         base = SimConfig(n_bits=20_000, seed=3)
         serial = run_link(cfg, ch, base)
-        parallel = run_link(cfg, ch, replace(base, workers=2))
+        parallel = run_link(cfg, ch, base, workers=2)
         assert serial == parallel
         assert serial.admc_clamps > 0
 
@@ -272,15 +270,15 @@ class TestFramePool:
     def test_pool_replaced_after_a_worker_dies(self, monkeypatch, no_pool, frame_symbols):
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
         frame_symbols(2000)
-        sim = SimConfig(n_bits=20_000, seed=9, workers=2)
-        serial = run_link(CFG, CH, replace(sim, workers=1))
-        assert run_link(CFG, CH, sim) == serial
+        sim = SimConfig(n_bits=20_000, seed=9)
+        serial = run_link(CFG, CH, sim)
+        assert run_link(CFG, CH, sim, workers=2) == serial
         pool = simulate._POOL[0]
         victim = next(iter(pool._processes.values()))
         victim.kill()
         victim.join(timeout=10)
         assert not victim.is_alive()
-        assert run_link(CFG, CH, sim) == serial
+        assert run_link(CFG, CH, sim, workers=2) == serial
         assert simulate._POOL[0] is not pool
 
     def test_pool_broken_by_its_frames_is_dropped(self, monkeypatch, no_pool, frame_symbols):
@@ -289,12 +287,12 @@ class TestFramePool:
         frame = simulate._simulate_frame
         monkeypatch.setattr(simulate, "_simulate_frame", exit_worker)
         frame_symbols(1000)
-        sim = SimConfig(n_bits=4_000, seed=9, workers=2)
+        sim = SimConfig(n_bits=4_000, seed=9)
         with pytest.raises(simulate.BrokenProcessPool):
-            run_link(CFG, CH, sim)
+            run_link(CFG, CH, sim, workers=2)
         assert simulate._POOL is None
         monkeypatch.setattr(simulate, "_simulate_frame", frame)
-        assert run_link(CFG, CH, sim) == run_link(CFG, CH, replace(sim, workers=1))
+        assert run_link(CFG, CH, sim, workers=2) == run_link(CFG, CH, sim)
 
 
 class TestEngines:
@@ -423,7 +421,6 @@ class TestFrameRunner:
 
     def test_symbol_count_refusal_before_any_table(self, monkeypatch):
         monkeypatch.setattr(simulate, "symbol_quantities", refuse_frame)
-        monkeypatch.setattr(simulate, "symbol_values", refuse_frame)
         big = MrskConfig(N=2 + simulate.SYMBOL_COUNT_CAP.bit_length() - 1)
         assert big.symbol_count == 2 * simulate.SYMBOL_COUNT_CAP
         with pytest.raises(CapacityError, match="SYMBOL_COUNT_CAP"):
@@ -454,7 +451,7 @@ class TestDetectorPathEquivalence:
         counts = rng.uniform(-5.0, 4000.0, size=(300, 3))
         ids, degenerate = detect_ftd(counts.copy(), cfg)
         ref, ref_degenerate = ftd_reference(counts, cfg)
-        assert np.array_equal(symbol_index_combos(cfg)[ids], ref)
+        assert np.array_equal(symbol_indices(ids, cfg), ref)
         assert degenerate == ref_degenerate > 0
 
     def test_bulk_admc_matches_public_detector(self):
@@ -464,7 +461,7 @@ class TestDetectorPathEquivalence:
         counts = rng.uniform(1.0, 1500.0, size=(300, 2))
         ids, _, _ = detect_admc(counts.copy(), cfg, taps)
         ref, _ = admc_reference(counts, cfg, taps)
-        assert np.array_equal(symbol_index_combos(cfg)[ids], ref)
+        assert np.array_equal(symbol_indices(ids, cfg), ref)
 
     def test_bulk_admc_counters_match_public_detector(self):
         cfg = MrskConfig(N=3, M=1)
@@ -501,7 +498,7 @@ class TestDetectorPathEquivalence:
         with mock.patch.object(modem, "_block_rows", lambda floats_per_row: block):
             ids, degenerate, clamps = detect_admc(counts, cfg, taps)
         ref_ids, ref_clamps = admc_reference(counts, cfg, taps)
-        assert np.array_equal(symbol_index_combos(cfg)[ids], ref_ids)
+        assert np.array_equal(symbol_indices(ids, cfg), ref_ids)
         assert clamps == ref_clamps
         assert degenerate == int(np.any(counts[:, :-1] <= eps, axis=1).sum())
 
@@ -622,7 +619,7 @@ class TestParticle:
     def test_step_cap_refused_before_any_frame(self, monkeypatch):
         # the cap counts molecule-steps: symbols x round(Ts / dt) x the population bound
         monkeypatch.setattr(simulate, "_arrivals_particle", refuse_frame)
-        monkeypatch.setattr(simulate, "symbol_values", refuse_frame)
+        monkeypatch.setattr(simulate, "symbol_quantities", refuse_frame)
         cfg, ch = MrskConfig(Q=50.0), ChannelParams(Ts=0.5, L=2)
         # 1000 symbols of round(0.5 / dt) steps, the last too many for an integer count
         for dt in (1e-3, 1e-6, 1e-9, 1e-320):
@@ -708,13 +705,14 @@ class TestSweep:
 
 
 def reference_frame(mrsk, channel, sim, frame_index, n_symbols):
-    """A frame through alphabet-index rows, symbol ids and the Hamming table, with
-    stacked FIR moments and searchsorted buckets: the path before bit-value tables."""
+    """A frame through alphabet-index rows and the Hamming table, with emissions from
+    the alphabet, stacked FIR moments and searchsorted buckets: no symbol table."""
     taps = cir(channel)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
     idx0 = encode_bits_to_indices(bits, mrsk)
-    emissions = symbol_quantities(mrsk)[symbol_ids(idx0, mrsk)]
+    ratios = ratio_alphabet(mrsk)[idx0]
+    emissions = mrsk.Q * np.concatenate([np.ones((n_symbols, 1)), np.cumprod(ratios, axis=1)], axis=1)
     if sim.engine == "statistical":
         def fir(b):
             return np.stack([np.convolve(b, col)[: len(emissions)] for col in emissions.T], axis=1)
@@ -725,12 +723,12 @@ def reference_frame(mrsk, channel, sim, frame_index, n_symbols):
     clamps = 0
     with mock.patch.object(modem, "_buckets", lambda e, r: np.searchsorted(e, r, side="right")):
         if mrsk.detector == "ftd":
-            det_ids, degenerate = detect_ftd(counts, mrsk)
+            detected, degenerate = detect_ftd(counts, mrsk)
         elif mrsk.detector == "admc":
-            det_ids, degenerate, clamps = detect_admc(counts, mrsk, taps)
+            detected, degenerate, clamps = detect_admc(counts, mrsk, taps)
         else:
-            det_ids, degenerate = detect_mlsd(counts, mrsk, taps)
-    errors = int(hamming_table(mrsk.M, mrsk.coding)[idx0, symbol_index_combos(mrsk)[det_ids]].sum())
+            detected, degenerate = detect_mlsd(counts, mrsk, taps)
+    errors = int(hamming_table(mrsk.M, mrsk.coding)[idx0, symbol_indices(detected, mrsk)].sum())
     return errors, bits.size, degenerate, clamps
 
 
