@@ -1,10 +1,10 @@
 """Monte Carlo link engines and a Brownian particle simulator.
 
 Three arrival engines share one transmit/detect pipeline: ``statistical``
-draws Gaussian counts from the FIR moments, ``binomial`` draws the
-per-tap binomial counts, and ``particle`` steps every molecule's distance
-to the absorbing receiver in blocks inside each symbol interval, retiring
-it at age L intervals (the FIR truncation of the other engines).
+draws Gaussian counts from the FIR moments, ``binomial`` per-tap binomial
+counts from per-link inverse-CDF rows, and ``particle`` steps every
+molecule's distance to the absorbing receiver in blocks inside each symbol
+interval, retiring it at age L intervals (the FIR truncation of the others).
 A frame draws random bits and packs each symbol's bits_per_symbol bits
 into the integer that is the symbol (:func:`mrsk.modem.pack`), takes its
 emissions from the per-link :func:`mrsk.modem.symbol_quantities` table,
@@ -19,20 +19,23 @@ all its links together on the process's one frame pool (in-process at
 one worker), which lives until exit and is replaced only when the worker
 bound changes; per-link sums in frame order make the results bit-for-bit
 reproducible for a seed at any worker count.  Each size cap
-(``TRIALS_CAP``, ``SYMBOL_COUNT_CAP``, ``PARTICLE_POPULATION_CAP``,
-``PARTICLE_MOLECULE_STEP_CAP`` and those of the other modules) is a module
-constant, checked before any frame runs.
+(``TRIALS_CAP``, ``SYMBOL_COUNT_CAP``, ``BINOMIAL_ROW_CAP``,
+``PARTICLE_POPULATION_CAP``, ``PARTICLE_MOLECULE_STEP_CAP`` and those of
+the other modules) is a module constant, checked before any frame runs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .channel import ChannelParams, cir
 from .errors import CapacityError
@@ -66,6 +69,7 @@ __all__ = [
     "PARTICLE_MOLECULE_STEP_CAP",
     "SYMBOL_COUNT_CAP",
     "TRIALS_CAP",
+    "BINOMIAL_ROW_CAP",
 ]
 
 _Z95 = 1.959963984540054
@@ -83,6 +87,9 @@ PARTICLE_MOLECULE_STEP_CAP = 10**9
 # digits it is built from take 8 (2N - 1) S bytes, about 160 MB at the cap
 # (M = 1, N = 20)
 SYMBOL_COUNT_CAP = 1 << 19
+# CDF entries of a binomial link's rows, bounded from its largest emission: with
+# their guides 32 bytes an entry (130 MB at the cap), about 80 while being built
+BINOMIAL_ROW_CAP = 1 << 22
 # molecule-steps per particle block: ~1 MiB of float64 temporaries at 4 per
 # molecule-step (radii, distances to the surface, normals reused for the
 # bridge's exponentials, step exponentials reused for its products)
@@ -330,16 +337,52 @@ def _arrivals_statistical(
     return counts
 
 
-def _arrivals_binomial(
-    emissions: np.ndarray, taps: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    e_int = np.rint(emissions).astype(np.int64)
-    k_symbols = e_int.shape[0]
-    counts = np.zeros(e_int.shape, dtype=np.int64)
-    for m, p in enumerate(taps):
-        if m >= k_symbols:
-            break
-        counts[m:] += rng.binomial(e_int[: k_symbols - m], p)
+def _binomial_window(v, p):
+    """Counts [lo, hi] outside which Bin(v, p) has under e^-40 < 2^-54 per side (Bernstein)."""
+    t = 40.0 / 3.0 + np.sqrt(40.0**2 / 9.0 + 80.0 * v * p * (1.0 - p))
+    return np.maximum(0.0, np.floor(v * p - t)), np.minimum(v, np.ceil(v * p + t))
+
+
+def _binomial_rows(emissions: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Value ids of rint(``emissions``), and rows of F(k) = P(Bin(v_i, p_m) <= k), k in ``ks``.
+
+    Row m V + i spans the k a uniform in [2^-53, 1 - 2^-53] reaches, its last F +inf.  Tap m's
+    guide has G_m + 1 slots a value (G_m = 2^j >= its rows): the first F > g / G_m, the end.
+    """
+    values, ids = np.unique(np.rint(emissions), return_inverse=True)
+    v, p = np.tile(values, len(taps)), np.repeat(taps, len(values))
+    lo, hi = _binomial_window(v, p)
+    row = np.repeat(np.arange(v.size), (hi - lo + 1.0).astype(np.int64))
+    ks = lo[row].astype(np.int64) + np.arange(row.size) - np.searchsorted(row, row)
+    cdf = special.betainc(v[row] - ks, ks + 1.0, 1.0 - p[row])  # betainc(0, ., .) = 1 = F(v)
+    keep = (cdf > 2.0**-53) & ((ks == lo[row]) | (np.roll(cdf, 1) < 1.0))  # up to the first F = 1
+    cdf, ks, row = cdf[keep], ks[keep], row[keep]
+    cdf[np.append(row[1:] != row[:-1], True)] = np.inf
+    size = 1 << np.ceil(np.log2(np.bincount(row).reshape(len(taps), -1).max(1))).astype(np.int64)
+    slots = np.repeat(size, len(values))
+    # entry F keys to bucket ceil(F G), exact as G = 2^j; row r's G + 1 keys start at base[r]
+    base = np.cumsum(slots + 1) - slots - 1
+    keys = base[row] + np.minimum(np.ceil(cdf * slots[row]), slots[row]).astype(np.int64)
+    guide = np.searchsorted(keys, np.arange(base[-1] + slots[-1] + 1), "right")
+    guides = list(zip(np.split(guide, np.cumsum((size + 1) * len(values))[:-1]), size.tolist()))
+    return ids.reshape(emissions.shape), (cdf, ks, guides)
+
+
+def _arrivals_binomial(ids: np.ndarray, rows: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Per-tap Bin(v, p_m) counts of (K, N) value ids, each ``np.searchsorted(F, u, "right")``."""
+    cdf, ks, guides = rows
+    counts = np.zeros(ids.shape, dtype=np.int64)
+    for m, (guide, size) in enumerate(guides[: len(ids)]):
+        now = ids[: len(ids) - m].ravel()
+        u = rng.random(now.size)
+        pos = guide[now * (size + 1) + (u * size).astype(np.int64)]
+        pos += cdf[pos] <= u
+        late = np.flatnonzero(cdf[pos] <= u)
+        for i in np.unique(now[late]):  # rare, past one step: search the row
+            rest = late[now[late] == i]
+            a, b = guide[i * (size + 1)], guide[i * (size + 1) + size]
+            pos[rest] = a + np.searchsorted(cdf[a:b], u[rest], side="right")
+        counts[m:] += ks[pos].reshape(-1, ids.shape[1])
     return counts.astype(float)
 
 
@@ -347,26 +390,25 @@ def _simulate_frame(
     mrsk: MrskConfig,
     channel: ChannelParams,
     sim: SimConfig,
-    tables: tuple[np.ndarray, np.ndarray],
+    tables: tuple,
     frame_index: int,
     n_symbols: int,
 ) -> tuple[int, int, int, int]:
     """Simulate one independent frame; returns (errors, bits, degenerate, ADMC clamps).
 
-    ``tables`` are the link's (symbol quantities, taps).
+    ``tables`` are the link's (symbol quantities, taps, binomial rows or None).
     """
-    quantities, taps = tables
+    quantities, taps, binomial = tables
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
     sent = pack(bits.reshape(n_symbols, -1), 1)
-    emissions = np.take(quantities, sent, axis=0)
 
-    if sim.engine == "statistical":
-        counts = _arrivals_statistical(emissions, taps, rng)
-    elif sim.engine == "binomial":
-        counts = _arrivals_binomial(emissions, taps, rng)
+    if sim.engine == "binomial":
+        counts = _arrivals_binomial(np.take(binomial[0], sent, axis=0), binomial[1], rng)
+    elif sim.engine == "statistical":
+        counts = _arrivals_statistical(np.take(quantities, sent, axis=0), taps, rng)
     else:
-        counts = _arrivals_particle(emissions, channel, sim.particle_dt, rng)
+        counts = _arrivals_particle(np.take(quantities, sent, axis=0), channel, sim.particle_dt, rng)
 
     clamps = 0
     if mrsk.detector == "ftd":
@@ -402,8 +444,18 @@ def _pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
         _POOL = None
     if _POOL is not None:
         return _POOL[0], False
-    _POOL = (ProcessPoolExecutor(max_workers=workers), workers, os.getpid())
-    return _POOL[0], True
+    pool = ProcessPoolExecutor(workers, initializer=_watch_parent, initargs=(os.getpid(),))
+    _POOL = (pool, workers, os.getpid())
+    return pool, True
+
+
+def _watch_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once orphaned, as a parent killed by SIGKILL shuts nothing down."""
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def close_pool() -> None:
@@ -494,7 +546,20 @@ def run_links(
                     f"{PARTICLE_MOLECULE_STEP_CAP:.0e}; raise dt, request fewer bits or reduce Q"
                 )
         taps = cir(channel)  # refuses an L above MEMORY_CAP, so before the symbol table
-        tables = (symbol_quantities(mrsk), taps)
+        reached = taps[: min(FRAME_SYMBOLS, n_symbols)]  # the taps a frame reaches
+        if sim.engine == "binomial":
+            # column j takes j (2^M - 1) + 1 values Q Omega^e at most, each rint to two at most
+            with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf are refused
+                lo, hi = _binomial_window(mrsk.Q * np.float64(mrsk.Omega) ** (mrsk.N - 1), reached)
+                entries = mrsk.N * (2 + (mrsk.alphabet_size - 1) * (mrsk.N - 1)) * np.sum(hi - lo + 1)
+            if not entries <= BINOMIAL_ROW_CAP:
+                raise CapacityError(
+                    f"binomial rows may hold {entries:.4g} CDF entries, exceeding BINOMIAL_ROW_CAP"
+                    f" = {BINOMIAL_ROW_CAP}; reduce Q, Omega, N or M"
+                )
+        quantities = symbol_quantities(mrsk)
+        rows = _binomial_rows(quantities, reached) if sim.engine == "binomial" else None
+        tables = (quantities, taps, rows)
         for index, start in enumerate(range(0, n_symbols, FRAME_SYMBOLS)):
             owners.append(link)
             jobs.append((mrsk, channel, sim, tables, index, min(FRAME_SYMBOLS, n_symbols - start)))

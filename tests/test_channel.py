@@ -13,7 +13,7 @@ from mrsk.channel import (
     hit_fraction,
 )
 from mrsk.errors import CapacityError
-from mrsk.simulate import _arrivals_binomial, _arrivals_statistical
+from mrsk.simulate import _arrivals_binomial, _arrivals_statistical, _binomial_rows
 
 DEFAULTS = ChannelParams(d=10.0, r=5.0, D=79.4, Ts=1.0, L=5)
 
@@ -180,6 +180,11 @@ class TestArrivalMoments:
         assert np.allclose(short, padded, rtol=1e-15, atol=0.0)
 
 
+def arrivals_binomial(emissions: np.ndarray, taps: np.ndarray, rng) -> np.ndarray:
+    """The binomial engine on rows tabulated for ``emissions`` themselves."""
+    return _arrivals_binomial(*_binomial_rows(emissions, taps), rng)
+
+
 def stationary_rows(engine, level: float, taps: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Single-type arrival draws on a constant emission, past the cold start.
 
@@ -207,24 +212,24 @@ class TestSampling:
     def test_seeded_replay(self):
         emissions = np.full((50, 2), 100.0)
         taps = cir(DEFAULTS)
-        for engine in (_arrivals_statistical, _arrivals_binomial):
+        for engine in (_arrivals_statistical, arrivals_binomial):
             a = engine(emissions, taps, np.random.default_rng(3))
             b = engine(emissions, taps, np.random.default_rng(3))
             assert np.array_equal(a, b)
 
     def test_binomial_zero_history(self):
         rng = np.random.default_rng(0)
-        assert not _arrivals_binomial(np.zeros((5, 1)), cir(DEFAULTS), rng).any()
+        assert not arrivals_binomial(np.zeros((5, 1)), cir(DEFAULTS), rng).any()
 
     def test_binomial_single_molecule_is_bernoulli(self):
-        draws = stationary_rows(_arrivals_binomial, 1.0, np.array([0.3]), 20_000, 2)
+        draws = stationary_rows(arrivals_binomial, 1.0, np.array([0.3]), 20_000, 2)
         assert set(draws.tolist()) <= {0.0, 1.0}
         assert np.mean(draws) == pytest.approx(0.3, abs=0.01)
 
     def test_binomial_matches_moments(self):
         taps = cir(DEFAULTS)
         mu, var = arrival_moments(np.full((5, 1), 1000.0), taps)
-        draws = stationary_rows(_arrivals_binomial, 1000.0, taps, 100_000, 11)
+        draws = stationary_rows(arrivals_binomial, 1000.0, taps, 100_000, 11)
         se_mean = np.sqrt(var[0] / draws.size)
         assert abs(draws.mean() - mu[0]) < 3 * se_mean
         # variance of the sample variance ~ 2 var^2 / n for near-Gaussian sums
@@ -236,6 +241,6 @@ class TestSampling:
         taps = cir(DEFAULTS)
         mu, var = arrival_moments(np.full((5, 1), 500.0), taps)
         gauss = stationary_rows(_arrivals_statistical, 500.0, taps, 100_000, 5)
-        binom = stationary_rows(_arrivals_binomial, 500.0, taps, 100_000, 6)
+        binom = stationary_rows(arrivals_binomial, 500.0, taps, 100_000, 6)
         assert abs(gauss.mean() - binom.mean()) / mu[0] < 0.01
         assert abs(gauss.var() - binom.var()) / var[0] < 0.02

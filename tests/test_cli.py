@@ -426,46 +426,74 @@ def child_pids(pid: int) -> list[int]:
     return children
 
 
+def running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited: an unreaped orphan is a zombie, not running."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@contextlib.contextmanager
+def pooled_sweep(out: Path):
+    """A ``sweep --workers 2`` CLI run in a subprocess, mid-sweep: (process, its pool workers)."""
+    code = (
+        "import sys\n"
+        "from mrsk import cli, simulate\n"
+        "simulate.os.cpu_count = lambda: 2\n"
+        "sys.argv = ['mrsk', 'sweep', '--param', 'Q', '--values', '100:100:4000',\n"
+        "            '--bits', '1000000', '--workers', '2', '-o', sys.argv[1]]\n"
+        "cli.main()\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = child_pids(proc.pid)
+        assert len(workers) == 2, "the sweep never started its pool of two"
+        time.sleep(0.5)  # the 40-point sweep takes seconds: this is mid-sweep
+        yield proc, workers
+    finally:
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="finds pool workers in /proc")
 class TestMain:
-    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="finds pool workers in /proc")
     def test_sigterm_mid_sweep_shuts_the_pool_down(self, tmp_path):
         # a killed CLI run must not leave its pool workers blocked on the call queue
-        code = (
-            "import sys\n"
-            "from mrsk import cli, simulate\n"
-            "simulate.os.cpu_count = lambda: 2\n"
-            "sys.argv = ['mrsk', 'sweep', '--param', 'Q', '--values', '100:100:4000',\n"
-            "            '--bits', '1000000', '--workers', '2', '-o', sys.argv[1]]\n"
-            "cli.main()\n"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
         out = tmp_path / "s.csv"
-        proc = subprocess.Popen(
-            [sys.executable, "-c", code, str(out)],
-            env={**os.environ, "PYTHONPATH": src},
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        workers: list[int] = []
-        try:
-            deadline = time.monotonic() + 60
-            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
-                time.sleep(0.05)
-                workers = child_pids(proc.pid)
-            assert len(workers) == 2, "the sweep never started its pool of two"
-            time.sleep(0.5)  # the 40-point sweep takes seconds: this is mid-sweep
+        with pooled_sweep(out) as (proc, workers):
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 128 + signal.SIGTERM
             assert not out.exists()
             for pid in workers:  # joined, so not even a zombie is left
                 with pytest.raises(ProcessLookupError):
                     os.kill(pid, 0)
-        finally:
-            for pid in workers:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
+
+    def test_sigkill_mid_sweep_leaves_no_worker(self, tmp_path):
+        # SIGKILL runs no shutdown: the orphaned workers must notice and exit
+        out = tmp_path / "s.csv"
+        with pooled_sweep(out) as (proc, workers):
             proc.kill()
-            proc.wait()
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+            assert not out.exists()
+            deadline = time.monotonic() + 5
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, workers))
 
 
 class TestDocumentedRecipes:
@@ -622,6 +650,7 @@ REFUSED_ARGV = [
     ["ber-particle", "--dt", "1e-9", "--bits", "1000", "--Q", "50"],
     ["ber-particle"],  # 10^5 symbols of 500 steps among up to ~18,600 molecules
     ["ber-sim", "--N", "3", "--M", "2", "--L", "4", "--detector", "mlsd"],  # 25,000 symbols x 2^16 windows
+    ["ber-sim", "--engine", "binomial", "--Q", "1e15", "--bits", "1000"],  # rows of ~6·10^9 entries
 ]
 
 
@@ -674,6 +703,7 @@ class TestExitCodes:
     @example(argv=REFUSED_ARGV[6])
     @example(argv=REFUSED_ARGV[7])
     @example(argv=REFUSED_ARGV[9])
+    @example(argv=REFUSED_ARGV[10])
     def test_any_argv_exits_zero_one_or_two(self, argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = run_cli(argv + ["-o", os.devnull])

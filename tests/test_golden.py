@@ -55,7 +55,7 @@ RECIPES = {
 
 DIGESTS = {
     "admc_n": "12be925e3c2d6319b6b57f5315d5b2136873a926c72d0d0a7523f9b7f5a1e040",
-    "binomial_tb": "5b337c41a0646c2a372c99329e715773ed6608349d155305447a34abd994fe85",
+    "binomial_tb": "0e6a20f693f29ac7cb065c56107df087d4653f888ee1458fa6e7bc1f3d12edc7",
     "ftd_degenerate": "73ba3d453e3d8e202e67a8a84db5fef901f57b2f6ca540ca3f0f1d7988b43ab3",
     "ftd_n2_binary": "89f0e3843319d466079602cda2449cd7c137718f65f634baf94b7323448525cb",
     "ftd_n2_gray": "5da8341cf9dbfe32a26cfa616c19d0748396d890541df1c1098eb34a013584bc",

@@ -1,4 +1,6 @@
+import functools
 import math
+import multiprocessing.connection
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import signal, stats
+from scipy import signal, special, stats
 
 from encode_oracle import encode_bits_to_indices, symbol_indices
 from mlsd_oracle import mlsd_exhaustive
@@ -86,7 +88,7 @@ class RecordingPool:
 
     sizes: list[int] = []
 
-    def __init__(self, max_workers: int):
+    def __init__(self, max_workers: int, **kwargs):
         self.sizes.append(max_workers)
 
     def map(self, fn, *iterables, chunksize=1):
@@ -217,9 +219,9 @@ class TestFramePool:
         created, shut = [], []
 
         class CountingPool(simulate.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 created.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
             def shutdown(self, wait=True, **kwargs):
                 shut.append(self._max_workers)
@@ -276,8 +278,8 @@ class TestFramePool:
         pool = simulate._POOL[0]
         victim = next(iter(pool._processes.values()))
         victim.kill()
-        victim.join(timeout=10)
-        assert not victim.is_alive()
+        # not join and is_alive: the executor's management thread reaps the same child
+        assert multiprocessing.connection.wait([victim.sentinel], timeout=10) == [victim.sentinel]
         assert run_link(CFG, CH, sim, workers=2) == serial
         assert simulate._POOL[0] is not pool
 
@@ -367,8 +369,11 @@ class TestStatisticalEngine:
             assert np.array_equal(got, expected)
 
     def test_import_leaves_scipy_signal_out(self):
-        # neither is used, and each would add to every process's start-up
-        code = "import sys, mrsk; print('scipy.signal' in sys.modules or 'scipy.optimize' in sys.modules)"
+        # none is used, and each would add to every process's start-up
+        code = (
+            "import sys, mrsk; "
+            "print(any(m in sys.modules for m in ('scipy.signal', 'scipy.optimize', 'scipy.stats')))"
+        )
         src = str(Path(mrsk.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", code],
@@ -376,6 +381,84 @@ class TestStatisticalEngine:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+
+class Uniforms:
+    """A generator stand-in whose ``random(size)`` hands out prescribed uniforms in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self, size):
+        u = next(self.draws)
+        assert u.size == size
+        return u
+
+
+@functools.cache
+def full_cdf(v: float, p: float) -> np.ndarray:
+    """P(Bin(v, p) <= k) for every count k = 0..v."""
+    k = np.arange(v + 1.0)
+    return special.betainc(v - k, k + 1.0, 1.0 - p)
+
+
+def binomial_draws(emissions, taps, rng) -> np.ndarray:
+    return simulate._arrivals_binomial(*simulate._binomial_rows(emissions, taps), rng)
+
+
+class TestBinomialEngine:
+    @pytest.mark.parametrize(
+        "v, p",
+        [(v, p) for v in (0.0, 1.0, 7.0, 1e6) for p in (0.0, 1e-7, 0.0114, 0.287, 0.99)]
+        + [(50.0, 1e-7), (3.0, 0.0114), (2718.0, 0.0114), (368.0, 0.287)],  # skewed, small v p
+    )
+    def test_draws_equal_full_table_search(self, v, p):
+        # every draw is the full CDF's searchsorted, at random uniforms, at both
+        # ends of Generator.random's range and at each reachable CDF value (ties go up)
+        F = full_cdf(v, p)
+        u = np.concatenate([
+            np.random.default_rng(5).random(20_000),
+            [2.0**-53, 1.0 - 2.0**-53],
+            F[(F >= 2.0**-53) & (F <= 1.0 - 2.0**-53)],
+        ])
+        got = binomial_draws(np.full((u.size, 1), v), np.array([p]), Uniforms([u]))
+        assert np.array_equal(got[:, 0], np.searchsorted(F, u, side="right"))
+
+    def test_frame_shorter_than_memory_equals_full_table_search(self):
+        # K = 3 symbols of N = 2 types under L = 5 taps: taps 0..2 draw, each
+        # count the sum of its taps' searches
+        emissions = np.array([[0.0, 368.0], [2718.0, 1.0], [1000.0, 7.0]])
+        taps = cir(CH)  # L = 5
+        rng = np.random.default_rng(8)
+        draws = [rng.random(2 * (3 - m)) for m in range(3)]
+        draws[1][0], draws[2][1] = 2.0**-53, 1.0 - 2.0**-53
+        expected = np.zeros(emissions.shape)
+        for m, u in enumerate(draws):
+            for (j, n), e in np.ndenumerate(emissions[: 3 - m]):
+                expected[j + m, n] += np.searchsorted(full_cdf(e, taps[m]), u[2 * j + n], side="right")
+        assert np.array_equal(binomial_draws(emissions, taps, Uniforms(draws)), expected)
+
+    def test_each_row_fits_its_pmf(self):
+        # chi-square of every row of the default link (3 values x 5 taps) against
+        # the betainc pmf, bins pooled to an expected count of at least 5
+        quantities, taps, n = symbol_quantities(CFG), cir(CH), 20_000
+        rng = np.random.default_rng(9)
+        for v in np.unique(np.rint(quantities)):
+            for p in taps:
+                draws = binomial_draws(np.full((n, 1), v), np.array([p]), rng)[:, 0].astype(int)
+                F = full_cdf(v, p)
+                central = np.flatnonzero(n * np.diff(F, prepend=0.0) >= 5.0)
+                observed = np.bincount(np.clip(draws, central[0], central[-1]) - central[0])
+                expected = n * np.diff(np.concatenate([[0.0], F[central[:-1]], [1.0]]))
+                statistic = np.sum((observed - expected) ** 2 / expected)
+                assert stats.chi2.sf(statistic, central.size - 1) > 1e-4, (v, p)
+
+    def test_row_cap_refusal_before_any_table(self, monkeypatch):
+        monkeypatch.setattr(simulate, "symbol_quantities", refuse_frame)
+        monkeypatch.setattr(simulate, "_simulate_frame", refuse_frame)
+        links = [(MrskConfig(Q=1e15), CH, SimConfig(n_bits=1_000, engine="binomial"))]
+        with pytest.raises(CapacityError, match="BINOMIAL_ROW_CAP"):
+            simulate.run_links(links, workers=1)
 
 
 class TestFrameRunner:
@@ -719,7 +802,7 @@ def reference_frame(mrsk, channel, sim, frame_index, n_symbols):
         mu, var = fir(taps), fir(taps * (1.0 - taps))
         counts = mu + np.sqrt(var) * rng.standard_normal(emissions.shape)
     else:
-        counts = simulate._arrivals_binomial(emissions, taps, rng)
+        counts = simulate._arrivals_binomial(*simulate._binomial_rows(emissions, taps), rng)
     clamps = 0
     with mock.patch.object(modem, "_buckets", lambda e, r: np.searchsorted(e, r, side="right")):
         if mrsk.detector == "ftd":
