@@ -24,7 +24,6 @@ import argparse
 import functools
 import math
 import os
-import signal
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -55,7 +54,7 @@ from .ratio_stats import (
     sample_ratio,
     solid_ratio_pdf,
 )
-from .simulate import BerEstimate, SimConfig, child_seed, close_pool, run_link, run_links
+from .simulate import BerEstimate, SimConfig, child_seed, run_link, run_links
 
 __all__ = ["run_cli", "main", "write_csv", "replay_csv", "ExperimentSpec"]
 
@@ -474,21 +473,7 @@ def run_cli(argv=None) -> int:
 def main() -> None:
     """Console entry point: ``run_cli`` on ``sys.argv``, then exit with its code.
 
-    SIGTERM ends the run as an exception would, exit code 143, so the frame
-    pool is shut down and no pool worker outlives the run.  Pool workers
-    forked from this process inherit the handler but die of the signal.
+    A signal such as SIGTERM ends the run by its default action; the frame
+    pool's workers notice that their parent is gone and exit.
     """
-    pid = os.getpid()
-
-    def terminate(signum, frame):
-        if os.getpid() != pid:
-            signal.signal(signum, signal.SIG_DFL)
-            os.kill(os.getpid(), signum)
-        raise SystemExit(128 + signum)
-
-    signal.signal(signal.SIGTERM, terminate)
-    try:
-        code = run_cli()
-    finally:
-        close_pool()
-    sys.exit(code)
+    sys.exit(run_cli())

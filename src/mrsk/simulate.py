@@ -27,6 +27,7 @@ the other modules) is a module constant, checked before any frame runs.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import threading
 import time
@@ -63,7 +64,6 @@ __all__ = [
     "particle_hit_fraction",
     "ber_confidence",
     "child_seed",
-    "close_pool",
     "FRAME_SYMBOLS",
     "PARTICLE_POPULATION_CAP",
     "PARTICLE_MOLECULE_STEP_CAP",
@@ -88,7 +88,9 @@ PARTICLE_MOLECULE_STEP_CAP = 10**9
 # (M = 1, N = 20)
 SYMBOL_COUNT_CAP = 1 << 19
 # CDF entries of a binomial link's rows, bounded from its largest emission: with
-# their guides 32 bytes an entry (130 MB at the cap), about 80 while being built
+# their guides 32 bytes an entry (130 MB at the cap), about 80 while being built.
+# An entry costs 0.9-1.6 us of betainc once per link, whatever its bits, so the
+# rows beat per-draw rng.binomial only past 15-30 draws an entry (Q = 1e5-1e7)
 BINOMIAL_ROW_CAP = 1 << 22
 # molecule-steps per particle block: ~1 MiB of float64 temporaries at 4 per
 # molecule-step (radii, distances to the surface, normals reused for the
@@ -353,10 +355,17 @@ def _binomial_rows(emissions: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray,
     v, p = np.tile(values, len(taps)), np.repeat(taps, len(values))
     lo, hi = _binomial_window(v, p)
     row = np.repeat(np.arange(v.size), (hi - lo + 1.0).astype(np.int64))
-    ks = lo[row].astype(np.int64) + np.arange(row.size) - np.searchsorted(row, row)
+    at, heads = np.arange(row.size), np.searchsorted(row, np.arange(v.size))  # row r from heads[r]
+    ks = lo[row].astype(np.int64) + at - heads[row]
     cdf = special.betainc(v[row] - ks, ks + 1.0, 1.0 - p[row])  # betainc(0, ., .) = 1 = F(v)
-    keep = (cdf > 2.0**-53) & ((ks == lo[row]) | (np.roll(cdf, 1) < 1.0))  # up to the first F = 1
+    # each row runs from its first F > 2^-53 to its first F = 1, one count after another
+    tail = np.append(heads[1:], row.size)[row] - 1
+    first = np.minimum.reduceat(np.where(cdf > 2.0**-53, at, tail), heads)
+    last = np.minimum.reduceat(np.where(cdf >= 1.0, at, tail), heads)
+    keep = (first[row] <= at) & (at <= last[row])
     cdf, ks, row = cdf[keep], ks[keep], row[keep]
+    for r in np.unique(row[1:][(np.diff(cdf) < 0) & (row[1:] == row[:-1])]):  # betainc rounding
+        cdf[row == r] = np.maximum.accumulate(cdf[row == r])
     cdf[np.append(row[1:] != row[:-1], True)] = np.inf
     size = 1 << np.ceil(np.log2(np.bincount(row).reshape(len(taps), -1).max(1))).astype(np.int64)
     slots = np.repeat(size, len(values))
@@ -444,30 +453,25 @@ def _pool(workers: int) -> tuple[ProcessPoolExecutor, bool]:
         _POOL = None
     if _POOL is not None:
         return _POOL[0], False
-    pool = ProcessPoolExecutor(workers, initializer=_watch_parent, initargs=(os.getpid(),))
+    pool = ProcessPoolExecutor(workers, initializer=_watch_parent)
     _POOL = (pool, workers, os.getpid())
     return pool, True
 
 
-def _watch_parent(parent: int) -> None:
-    """Pool-worker initializer: exit once orphaned, as a parent killed by SIGKILL shuts nothing down."""
+def _watch_parent() -> None:
+    """Pool-worker initializer: exit once orphaned, as a parent killed by SIGKILL shuts nothing down.
+
+    The worker's parent is the pool's maker under fork and spawn but the fork
+    server under forkserver, which lives while workers hold its pipe; so the
+    maker's end is also read from the sentinel ``multiprocessing`` keeps of it.
+    """
+    maker, parent = multiprocessing.parent_process(), os.getppid()
+
     def watch() -> None:
-        while os.getppid() == parent:
+        while os.getppid() == parent and maker.is_alive():
             time.sleep(0.2)
         os._exit(1)
     threading.Thread(target=watch, daemon=True).start()
-
-
-def close_pool() -> None:
-    """Shut the process's frame pool down: queued frames are cancelled, running ones finish.
-
-    Its workers are joined, so none outlives the call; the next pooled call
-    starts a fresh pool.  A pool inherited across a fork is only dropped.
-    """
-    global _POOL
-    if _POOL is not None and _POOL[2] == os.getpid():
-        _POOL[0].shutdown(wait=True, cancel_futures=True)
-    _POOL = None
 
 
 def _map_frames(jobs: list[tuple], workers: int) -> list[tuple[int, int, int, int]]:

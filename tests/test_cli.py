@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -470,18 +471,24 @@ def pooled_sweep(out: Path):
         proc.wait()
 
 
+def all_exit(pids: list[int], seconds: float = 5.0) -> bool:
+    """Whether every process of ``pids`` has stopped running within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not any(map(running, pids))
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="finds pool workers in /proc")
 class TestMain:
     def test_sigterm_mid_sweep_shuts_the_pool_down(self, tmp_path):
-        # a killed CLI run must not leave its pool workers blocked on the call queue
+        # SIGTERM ends the run by its default action: the orphaned workers must exit
         out = tmp_path / "s.csv"
         with pooled_sweep(out) as (proc, workers):
             proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+            assert proc.wait(timeout=60) == -signal.SIGTERM
             assert not out.exists()
-            for pid in workers:  # joined, so not even a zombie is left
-                with pytest.raises(ProcessLookupError):
-                    os.kill(pid, 0)
+            assert all_exit(workers)
 
     def test_sigkill_mid_sweep_leaves_no_worker(self, tmp_path):
         # SIGKILL runs no shutdown: the orphaned workers must notice and exit
@@ -490,10 +497,43 @@ class TestMain:
             proc.kill()
             assert proc.wait(timeout=60) == -signal.SIGKILL
             assert not out.exists()
-            deadline = time.monotonic() + 5
-            while any(map(running, workers)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not any(map(running, workers))
+            assert all_exit(workers)
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_orphaned_workers_exit_under_every_start_method(self, method):
+        # a worker's parent is the pool's maker under fork and spawn, the fork
+        # server under forkserver: working workers outlive several checks of
+        # their parent, and exit once the maker is killed
+        code = (
+            "import multiprocessing, sys, time\n"
+            "from mrsk import simulate\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "pool, _ = simulate._pool(2)\n"
+            "assert list(pool.map(time.sleep, [0.5] * 4)) == [None] * 4\n"
+            "print(*pool._processes, flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, method],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        workers: list[int] = []
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(workers) == 2 and all(map(running, workers))
+            proc.kill()
+            proc.wait(timeout=60)
+            assert all_exit(workers)
+        finally:
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
 
 class TestDocumentedRecipes:

@@ -406,6 +406,14 @@ def binomial_draws(emissions, taps, rng) -> np.ndarray:
     return simulate._arrivals_binomial(*simulate._binomial_rows(emissions, taps), rng)
 
 
+def assert_rows_sorted(emissions, taps):
+    """Each row's counts follow one another and its CDF never falls."""
+    cdf, ks, _ = simulate._binomial_rows(emissions, taps)[1]
+    ends = np.flatnonzero(np.isinf(cdf))[:-1] + 1
+    for row, counts in zip(np.split(cdf, ends), np.split(ks, ends)):
+        assert np.all(np.diff(row) >= 0) and np.all(np.diff(counts) == 1)
+
+
 class TestBinomialEngine:
     @pytest.mark.parametrize(
         "v, p",
@@ -423,6 +431,18 @@ class TestBinomialEngine:
         ])
         got = binomial_draws(np.full((u.size, 1), v), np.array([p]), Uniforms([u]))
         assert np.array_equal(got[:, 0], np.searchsorted(F, u, side="right"))
+        assert_rows_sorted(np.array([[v]]), np.array([p]))
+
+    def test_rows_sorted_whatever_betainc_rounds(self, monkeypatch):
+        # a CDF that dips below 2^-53 after its first entry above it, and below 1
+        # after its first 1, must neither skip a count nor unsort the row: the
+        # draws are those of its running maximum, up to its first 1
+        F = np.array([0.3, 1e-17, 0.6, 1.0, 1.0 - 2.0**-53, 1.0])  # Bin(5, 0.5): k = 0..5
+        monkeypatch.setattr(simulate, "special", mock.Mock(betainc=lambda *args: F.copy()))
+        assert_rows_sorted(np.array([[5.0]]), np.array([0.5]))
+        u = np.concatenate([np.random.default_rng(6).random(1_000), [2.0**-53, 0.3, 0.6]])
+        got = binomial_draws(np.full((u.size, 1), 5.0), np.array([0.5]), Uniforms([u]))
+        assert np.array_equal(got[:, 0], np.searchsorted(np.maximum.accumulate(F), u, side="right"))
 
     def test_frame_shorter_than_memory_equals_full_table_search(self):
         # K = 3 symbols of N = 2 types under L = 5 taps: taps 0..2 draw, each
