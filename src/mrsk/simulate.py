@@ -14,18 +14,20 @@ mapping stays inside :mod:`mrsk.modem`.
 Bit streams are split into frames of ``FRAME_SYMBOLS`` symbols with
 independently derived random streams.  One call of :func:`run_links`
 (:func:`run_link` is its one-link case; a sweep's links are built in
-:mod:`mrsk.cli`) builds each link's tables once and queues the frames of
-all its links together on the process's one frame pool (in-process at
-one worker), which lives until exit and is replaced only when the worker
-bound changes; per-link sums in frame order make the results bit-for-bit
-reproducible for a seed at any worker count.  Each size cap
-(``TRIALS_CAP``, ``SYMBOL_COUNT_CAP``, ``BINOMIAL_ROW_CAP``,
-``PARTICLE_POPULATION_CAP``, ``PARTICLE_MOLECULE_STEP_CAP`` and those of
-the other modules) is a module constant, checked before any frame runs.
+:mod:`mrsk.cli`) checks every link against each size cap (``TRIALS_CAP``,
+``SYMBOL_COUNT_CAP``, ``BINOMIAL_ROW_CAP``, ``PARTICLE_POPULATION_CAP``,
+``PARTICLE_MOLECULE_STEP_CAP`` and those of the other modules, all module
+constants) and queues the frames of all its links together, each frame
+carrying only its link's configs, on the process's one frame pool
+(in-process at one worker), which lives until exit and is replaced only
+when the worker bound changes.  Each process builds a link's tables once,
+at its first frame of the link; per-link sums in frame order make the
+results bit-for-bit reproducible for a seed at any worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -53,23 +55,10 @@ from .modem import (
 from .analysis import check_alphabet
 
 __all__ = [
-    "SimConfig",
-    "BerEstimate",
-    "run_link",
-    "run_links",
-    "ParticleState",
-    "new_particle_state",
-    "release_molecules",
-    "particle_step",
-    "particle_hit_fraction",
-    "ber_confidence",
-    "child_seed",
-    "FRAME_SYMBOLS",
-    "PARTICLE_POPULATION_CAP",
-    "PARTICLE_MOLECULE_STEP_CAP",
-    "SYMBOL_COUNT_CAP",
-    "TRIALS_CAP",
-    "BINOMIAL_ROW_CAP",
+    "SimConfig", "BerEstimate", "run_link", "run_links", "ParticleState", "new_particle_state",
+    "release_molecules", "particle_step", "particle_hit_fraction", "ber_confidence", "child_seed",
+    "FRAME_SYMBOLS", "PARTICLE_POPULATION_CAP", "PARTICLE_MOLECULE_STEP_CAP", "SYMBOL_COUNT_CAP",
+    "TRIALS_CAP", "BINOMIAL_ROW_CAP",
 ]
 
 _Z95 = 1.959963984540054
@@ -89,8 +78,8 @@ PARTICLE_MOLECULE_STEP_CAP = 10**9
 SYMBOL_COUNT_CAP = 1 << 19
 # CDF entries of a binomial link's rows, bounded from its largest emission: with
 # their guides 32 bytes an entry (130 MB at the cap), about 80 while being built.
-# An entry costs 0.9-1.6 us of betainc once per link, whatever its bits, so the
-# rows beat per-draw rng.binomial only past 15-30 draws an entry (Q = 1e5-1e7)
+# An entry costs 0.9-1.6 us of betainc once per process per link, whatever its bits,
+# so the rows beat per-draw rng.binomial only past 15-30 draws an entry (Q = 1e5-1e7)
 BINOMIAL_ROW_CAP = 1 << 22
 # molecule-steps per particle block: ~1 MiB of float64 temporaries at 4 per
 # molecule-step (radii, distances to the surface, normals reused for the
@@ -288,7 +277,9 @@ def particle_step(
 def particle_hit_fraction(
     n_molecules: int, t: float, channel: ChannelParams, dt: float, rng: np.random.Generator
 ) -> float:
-    """Absorbed fraction of a single burst after time t (particle oracle)."""
+    """Absorbed fraction of a burst of ``n_molecules`` >= 1 after time t (particle oracle)."""
+    if n_molecules < 1:
+        raise ValueError(f"n_molecules must be at least 1, got {n_molecules}")
     state = new_particle_state(channel, 1)
     release_molecules(state, [n_molecules])
     particle_step(state, dt, rng, int(round(t / dt)))
@@ -395,19 +386,26 @@ def _arrivals_binomial(ids: np.ndarray, rows: tuple, rng: np.random.Generator) -
     return counts.astype(float)
 
 
-def _simulate_frame(
-    mrsk: MrskConfig,
-    channel: ChannelParams,
-    sim: SimConfig,
-    tables: tuple,
-    frame_index: int,
-    n_symbols: int,
-) -> tuple[int, int, int, int]:
-    """Simulate one independent frame; returns (errors, bits, degenerate, ADMC clamps).
+@functools.lru_cache(maxsize=1)
+def _link_tables(mrsk: MrskConfig, channel: ChannelParams, engine: str, reached: int) -> tuple:
+    """A link's (symbol quantities, taps, binomial rows over its first ``reached`` taps or None).
 
-    ``tables`` are the link's (symbol quantities, taps, binomial rows or None).
+    Pure, and kept for the last link the process asked for: frames are queued
+    link by link and each worker takes its chunks in queue order.  Frames share
+    the result, so its symbol table and taps are read-only.
     """
-    quantities, taps, binomial = tables
+    quantities, taps = symbol_quantities(mrsk), cir(channel)
+    quantities.flags.writeable = taps.flags.writeable = False
+    rows = _binomial_rows(quantities, taps[:reached]) if engine == "binomial" else None
+    return quantities, taps, rows
+
+
+def _simulate_frame(
+    mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig, frame_index: int, n_symbols: int
+) -> tuple[int, int, int, int]:
+    """Simulate one independent frame of a link; returns (errors, bits, degenerate, ADMC clamps)."""
+    reached = min(channel.L, FRAME_SYMBOLS, -(-sim.n_bits // mrsk.bits_per_symbol))
+    quantities, taps, binomial = _link_tables(mrsk, channel, sim.engine, reached)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
     sent = pack(bits.reshape(n_symbols, -1), 1)
@@ -493,80 +491,83 @@ def _map_frames(jobs: list[tuple], workers: int) -> list[tuple[int, int, int, in
                 raise
 
 
+def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
+    """Raise :class:`CapacityError` if the link exceeds a cap; builds no symbol table or rows."""
+    if sim.n_bits > TRIALS_CAP:
+        raise CapacityError(
+            f"requested {sim.n_bits} bits exceeds TRIALS_CAP = {TRIALS_CAP}; request fewer bits"
+        )
+    # symbol_count = 2^bits_per_symbol is compared by its exponent, never built
+    if mrsk.bits_per_symbol >= SYMBOL_COUNT_CAP.bit_length():
+        raise CapacityError(
+            f"N={mrsk.N}, M={mrsk.M} gives 2^{mrsk.bits_per_symbol} symbols, exceeding "
+            f"SYMBOL_COUNT_CAP = {SYMBOL_COUNT_CAP}; reduce N or M"
+        )
+    check_alphabet(mrsk)
+    n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
+    if mrsk.detector == "mlsd":
+        trellis_states(mrsk, channel.L)
+        windows = mrsk.bits_per_symbol * channel.L  # S^L = 2^windows, within the window cap
+        work = n_symbols << windows
+        if work > TRELLIS_WORK_CAP:
+            raise CapacityError(
+                f"sequence detection of {n_symbols} symbols over S^L = 2^{windows} branch "
+                f"windows scores {work:.4g} window-symbols, exceeding "
+                f"TRELLIS_WORK_CAP = 2^{TRELLIS_WORK_CAP.bit_length() - 1}; request fewer "
+                "bits or reduce N, M or L"
+            )
+    if sim.engine == "particle":
+        # retirement bounds the population by L intervals of the largest symbol,
+        # Q (1 + Omega + ... + Omega^(N-1)): every ratio at the top of the alphabet
+        with np.errstate(over="ignore"):  # an infinite bound is refused below
+            largest = mrsk.Q * float(np.sum(mrsk.Omega ** np.arange(mrsk.N, dtype=float)))
+        population = channel.L * largest
+        if population > PARTICLE_POPULATION_CAP:
+            raise CapacityError(
+                f"a particle link may hold {population:.4g} live molecules (L times the largest "
+                f"symbol), exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; "
+                "reduce Q, Omega, N, M or L"
+            )
+        # steps rounded as _arrivals_particle rounds, in floats so a huge Ts / dt stays
+        # comparable; a step costs a block step even with under one molecule alive
+        steps = n_symbols * max(1.0, round(channel.Ts / sim.particle_dt, 0))
+        molecule_steps = steps * max(1.0, population)
+        if molecule_steps > PARTICLE_MOLECULE_STEP_CAP:
+            raise CapacityError(
+                f"a particle link of {n_symbols} symbols at round(Ts/dt) steps each, holding up "
+                f"to {population:.4g} live molecules, takes up to {molecule_steps:.4g} "
+                f"molecule-steps, exceeding PARTICLE_MOLECULE_STEP_CAP = "
+                f"{PARTICLE_MOLECULE_STEP_CAP:.0e}; raise dt, request fewer bits or reduce Q"
+            )
+    taps = cir(channel)  # refuses an L above MEMORY_CAP
+    if sim.engine == "binomial":
+        reached = taps[: min(FRAME_SYMBOLS, n_symbols)]  # the taps a frame reaches
+        # column j takes j (2^M - 1) + 1 values Q Omega^e at most, each rint to two at most
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf are refused
+            lo, hi = _binomial_window(mrsk.Q * np.float64(mrsk.Omega) ** (mrsk.N - 1), reached)
+            entries = mrsk.N * (2 + (mrsk.alphabet_size - 1) * (mrsk.N - 1)) * np.sum(hi - lo + 1)
+        if not entries <= BINOMIAL_ROW_CAP:
+            raise CapacityError(
+                f"binomial rows may hold {entries:.4g} CDF entries, exceeding BINOMIAL_ROW_CAP"
+                f" = {BINOMIAL_ROW_CAP}; reduce Q, Omega, N or M"
+            )
+
+
 def run_links(
     links: list[tuple[MrskConfig, ChannelParams, SimConfig]], workers: int
 ) -> list[BerEstimate]:
     """One estimate per (mrsk, channel, sim) link; all their frames share one queue.
 
-    Every link is checked against the caps before any frame runs; the
-    frames run on the pool of ``workers`` processes.
+    Every link is checked against the caps before any table is built or
+    frame runs; the frames run on the pool of ``workers`` processes.
     """
-    owners, jobs = [], []
+    owners, jobs = [], []  # a job carries configs only, so queueing builds nothing
     for link, (mrsk, channel, sim) in enumerate(links):
-        if sim.n_bits > TRIALS_CAP:
-            raise CapacityError(
-                f"requested {sim.n_bits} bits exceeds TRIALS_CAP = {TRIALS_CAP}; request fewer bits"
-            )
-        # symbol_count = 2^bits_per_symbol is compared by its exponent, never built
-        if mrsk.bits_per_symbol >= SYMBOL_COUNT_CAP.bit_length():
-            raise CapacityError(
-                f"N={mrsk.N}, M={mrsk.M} gives 2^{mrsk.bits_per_symbol} symbols, exceeding "
-                f"SYMBOL_COUNT_CAP = {SYMBOL_COUNT_CAP}; reduce N or M"
-            )
-        check_alphabet(mrsk)
+        _refuse(mrsk, channel, sim)
         n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
-        if mrsk.detector == "mlsd":
-            trellis_states(mrsk, channel.L)
-            windows = mrsk.bits_per_symbol * channel.L  # S^L = 2^windows, within the window cap
-            work = n_symbols << windows
-            if work > TRELLIS_WORK_CAP:
-                raise CapacityError(
-                    f"sequence detection of {n_symbols} symbols over S^L = 2^{windows} branch "
-                    f"windows scores {work:.4g} window-symbols, exceeding "
-                    f"TRELLIS_WORK_CAP = 2^{TRELLIS_WORK_CAP.bit_length() - 1}; request fewer "
-                    "bits or reduce N, M or L"
-                )
-        if sim.engine == "particle":
-            # retirement bounds the population by L intervals of the largest symbol,
-            # Q (1 + Omega + ... + Omega^(N-1)): every ratio at the top of the alphabet
-            with np.errstate(over="ignore"):  # an infinite bound is refused below
-                largest = mrsk.Q * float(np.sum(mrsk.Omega ** np.arange(mrsk.N, dtype=float)))
-            population = channel.L * largest
-            if population > PARTICLE_POPULATION_CAP:
-                raise CapacityError(
-                    f"a particle link may hold {population:.4g} live molecules (L times the largest "
-                    f"symbol), exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; "
-                    "reduce Q, Omega, N, M or L"
-                )
-            # steps rounded as _arrivals_particle rounds, in floats so a huge Ts / dt stays
-            # comparable; a step costs a block step even with under one molecule alive
-            steps = n_symbols * max(1.0, round(channel.Ts / sim.particle_dt, 0))
-            molecule_steps = steps * max(1.0, population)
-            if molecule_steps > PARTICLE_MOLECULE_STEP_CAP:
-                raise CapacityError(
-                    f"a particle link of {n_symbols} symbols at round(Ts/dt) steps each, holding up "
-                    f"to {population:.4g} live molecules, takes up to {molecule_steps:.4g} "
-                    f"molecule-steps, exceeding PARTICLE_MOLECULE_STEP_CAP = "
-                    f"{PARTICLE_MOLECULE_STEP_CAP:.0e}; raise dt, request fewer bits or reduce Q"
-                )
-        taps = cir(channel)  # refuses an L above MEMORY_CAP, so before the symbol table
-        reached = taps[: min(FRAME_SYMBOLS, n_symbols)]  # the taps a frame reaches
-        if sim.engine == "binomial":
-            # column j takes j (2^M - 1) + 1 values Q Omega^e at most, each rint to two at most
-            with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf are refused
-                lo, hi = _binomial_window(mrsk.Q * np.float64(mrsk.Omega) ** (mrsk.N - 1), reached)
-                entries = mrsk.N * (2 + (mrsk.alphabet_size - 1) * (mrsk.N - 1)) * np.sum(hi - lo + 1)
-            if not entries <= BINOMIAL_ROW_CAP:
-                raise CapacityError(
-                    f"binomial rows may hold {entries:.4g} CDF entries, exceeding BINOMIAL_ROW_CAP"
-                    f" = {BINOMIAL_ROW_CAP}; reduce Q, Omega, N or M"
-                )
-        quantities = symbol_quantities(mrsk)
-        rows = _binomial_rows(quantities, reached) if sim.engine == "binomial" else None
-        tables = (quantities, taps, rows)
         for index, start in enumerate(range(0, n_symbols, FRAME_SYMBOLS)):
             owners.append(link)
-            jobs.append((mrsk, channel, sim, tables, index, min(FRAME_SYMBOLS, n_symbols - start)))
+            jobs.append((mrsk, channel, sim, index, min(FRAME_SYMBOLS, n_symbols - start)))
 
     # results do not depend on the worker count: start no more processes than frames or cores
     workers = min(workers, len(jobs), os.cpu_count() or 1)
@@ -574,24 +575,20 @@ def run_links(
         results = _map_frames(jobs, workers)
     else:
         results = [_simulate_frame(*job) for job in jobs]
+        _link_tables.cache_clear()  # the caller keeps no tables; an idle worker keeps one link's
 
     totals = np.zeros((len(links), 4), dtype=np.int64)
     np.add.at(totals, owners, results)
     estimates = []
     for (mrsk, channel, sim), (errors, bits, degenerate, clamps) in zip(links, totals.tolist()):
-        notes: tuple[str, ...] = ()
-        if sim.engine == "particle":
-            step_rms = math.sqrt(2.0 * channel.D * sim.particle_dt)
-            if step_rms > channel.r / 5.0:
-                notes = (
-                    f"particle step rms {step_rms:.3g} um exceeds r/5 = {channel.r / 5.0:.3g} um; "
-                    "absorption accuracy degrades at this dt",
-                )
-        estimates.append(
-            BerEstimate.from_counts(
-                errors, bits, degenerate_frames=degenerate, admc_clamps=clamps, notes=notes
-            )
-        )
+        step_rms = math.sqrt(2.0 * channel.D * sim.particle_dt)
+        coarse = sim.engine == "particle" and step_rms > channel.r / 5.0
+        notes = (
+            f"particle step rms {step_rms:.3g} um exceeds r/5 = {channel.r / 5.0:.3g} um; "
+            "absorption accuracy degrades at this dt",
+        ) if coarse else ()
+        counters = dict(degenerate_frames=degenerate, admc_clamps=clamps, notes=notes)
+        estimates.append(BerEstimate.from_counts(errors, bits, **counters))
     return estimates
 
 

@@ -2,6 +2,7 @@ import functools
 import math
 import multiprocessing.connection
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -204,6 +205,24 @@ def exit_worker(*job):
     os._exit(3)
 
 
+def recording(folder, fn, key):
+    """``fn``, appending a line ``name key(*args)`` to the file named after the calling pid."""
+    def wrapper(*args):
+        with open(folder / str(os.getpid()), "a") as out:
+            out.write(f"{fn.__name__} {key(*args):g}\n")
+        return fn(*args)
+    return wrapper
+
+
+def builds(folder):
+    """The records ``recording`` wrote under ``folder``, by pid, and removes them."""
+    records = {}
+    for path in folder.iterdir():
+        records[int(path.name)] = path.read_text().splitlines()
+        path.unlink()
+    return records
+
+
 class TestFramePool:
     """The process keeps one real frame pool between calls."""
 
@@ -295,6 +314,39 @@ class TestFramePool:
         assert simulate._POOL is None
         monkeypatch.setattr(simulate, "_simulate_frame", frame)
         assert run_link(CFG, CH, sim, workers=2) == run_link(CFG, CH, sim)
+
+    def test_frame_jobs_carry_only_configs(self, monkeypatch):
+        # the rows of a Q = 1e7 binomial link are megabytes; its frame jobs are not
+        jobs = []
+        monkeypatch.setattr(simulate, "_simulate_frame", lambda *job: jobs.append(job) or (0, 1, 0, 0))
+        sim = SimConfig(n_bits=10**6, engine="binomial")
+        simulate.run_links([(MrskConfig(Q=1e7), ChannelParams(), sim)], workers=1)
+        assert len(jobs) == -(-sim.n_bits // simulate.FRAME_SYMBOLS)
+        assert max(len(pickle.dumps(job)) for job in jobs) < 1024
+
+    def test_each_process_builds_a_link_once(self, monkeypatch, no_pool, frame_symbols, tmp_path):
+        # the pool forks after the patches, so its workers record their builds too
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        quantities = recording(tmp_path, symbol_quantities, lambda config: config.Q)
+        rows = recording(tmp_path, simulate._binomial_rows, lambda emissions, taps: emissions[0, 0])
+        monkeypatch.setattr(simulate, "symbol_quantities", quantities)
+        monkeypatch.setattr(simulate, "_binomial_rows", rows)
+        frame_symbols(1000)
+        sim = SimConfig(n_bits=8_000, seed=1, engine="binomial")
+        # A, A' (A at another seed) and B
+        links = [(MrskConfig(Q=200.0), CH, sim), (MrskConfig(Q=200.0), CH, replace(sim, seed=2)),
+                 (MrskConfig(Q=500.0), CH, sim)]
+        simulate._link_tables.cache_clear()
+        serial = simulate.run_links(links, workers=1)
+        expected = ["symbol_quantities 200", "_binomial_rows 200", "symbol_quantities 500",
+                    "_binomial_rows 500"]
+        assert builds(tmp_path) == {os.getpid(): expected}
+        assert simulate.run_links(links, workers=2) == serial
+        records = builds(tmp_path)
+        # the parent builds nothing, and no worker builds a link twice
+        assert os.getpid() not in records
+        assert all(len(set(lines)) == len(lines) for lines in records.values())
+        assert set().union(*records.values()) == set(expected)
 
 
 class TestEngines:
@@ -749,6 +801,10 @@ class TestParticle:
         with pytest.raises(ValueError, match="particle_dt"):
             SimConfig(particle_dt=dt)
 
+    def test_hit_fraction_needs_a_molecule(self):
+        with pytest.raises(ValueError, match="n_molecules"):
+            particle_hit_fraction(0, 1.0, ChannelParams(), 1e-3, np.random.default_rng(0))
+
     def test_release_validation(self):
         state = new_particle_state(CH, 1)
         with pytest.raises(ValueError):
@@ -872,6 +928,6 @@ class TestFrameEquivalence:
             simulate, "_simulate_frame", lambda *job: jobs.append(job) or (0, 1, 0, 0)
         ):
             simulate.run_links([tuple(link)], workers=1)
-        mrsk, channel, sim, tables, index, n_symbols = jobs[which]
-        got = simulate._simulate_frame(mrsk, channel, sim, tables, index, n_symbols)
+        mrsk, channel, sim, index, n_symbols = jobs[which]
+        got = simulate._simulate_frame(mrsk, channel, sim, index, n_symbols)
         assert got == reference_frame(mrsk, channel, sim, index, n_symbols)
