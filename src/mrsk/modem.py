@@ -217,28 +217,28 @@ def _buckets(edges: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     if edges.size > _COUNTED_THRESHOLDS:
         return np.searchsorted(edges, r, side="right")
-    out = np.full(r.shape, edges.size, dtype=np.uint8)
+    out = np.full_like(r, edges.size, dtype=np.uint8)  # r's layout, so each pass runs in order
     for e in edges:
         out -= r < e
     return out
 
 
-def _symbols(ratios: np.ndarray, config: MrskConfig) -> np.ndarray:
-    """Symbol of each row of ratios: each ratio's bucket, its codeword, packed."""
-    return pack(codewords(_buckets(thresholds(config), ratios), config.coding), config.M)
+def _symbols(ratios: np.ndarray, config: MrskConfig, edges: np.ndarray) -> np.ndarray:
+    """Symbol of each row of ratios: each ratio's bucket among ``edges``, its codeword, packed."""
+    return pack(codewords(_buckets(edges, ratios), config.coding), config.M)
 
 
-def detect_ftd(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, int]:
+def detect_ftd(counts: np.ndarray, config: MrskConfig, edges=None) -> tuple[np.ndarray, int]:
     """Fixed-threshold detection of (K, N) counts: (symbols, degenerate symbols).
 
-    Each ratio is bucketed independently against the alphabet thresholds
-    (ties go upward).  A symbol whose raw denominator is at or below the
-    degeneracy epsilon decodes as symbol 0 and is counted.
+    Each ratio is bucketed independently against the alphabet thresholds, ``edges``
+    if the caller holds them (ties go upward).  A symbol whose raw denominator is
+    at or below the degeneracy epsilon decodes as symbol 0 and is counted.
     """
     ratios, degenerate = _ratios(counts, config)
-    symbols = _symbols(ratios, config)
+    symbols = _symbols(ratios, config, thresholds(config) if edges is None else edges)
     symbols[degenerate] = 0
-    return symbols, int(degenerate.sum())
+    return symbols, np.count_nonzero(degenerate)
 
 
 def detect_admc(
@@ -258,14 +258,14 @@ def detect_admc(
         raise ValueError("memory cancellation needs channel memory L >= 2")
     S, eps = config.symbol_count, config.denom_eps
     cancel = taps[1] * np.vstack([symbol_quantities(config), np.zeros(config.N)])
-    ids, clamps, d = [], 0, S
+    edges, ids, clamps, d = thresholds(config), [], 0, S
     block = _block_rows(4 * (S + 1) * config.N)
     for start in range(0, counts.shape[0], block):
         c = counts[start : start + block, None, :] - cancel
         low = (c <= eps).sum(axis=2)
         c = np.maximum(c, eps)
         ratios = c[..., 1:] / c[..., :-1]
-        table = _symbols(ratios, config)
+        table = _symbols(ratios, config, edges)
         flat, path = table.ravel().tolist(), [d]
         for row in range(0, len(flat), S + 1):
             d = flat[row + d]

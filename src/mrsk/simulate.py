@@ -1,16 +1,16 @@
 """Monte Carlo link engines and a Brownian particle simulator.
 
 Three arrival engines share one transmit/detect pipeline: ``statistical``
-draws Gaussian counts from the FIR moments, ``binomial`` per-tap binomial
-counts from per-link inverse-CDF rows, and ``particle`` steps every
-molecule's distance to the absorbing receiver in blocks inside each symbol
-interval, retiring it at age L intervals (the FIR truncation of the others).
-A frame draws random bits and packs each symbol's bits_per_symbol bits
-into the integer that is the symbol (:func:`mrsk.modem.pack`), takes its
-emissions from the per-link :func:`mrsk.modem.symbol_quantities` table,
-draws arrivals, hands the (K, N) counts to a :mod:`mrsk.modem` detector
-and counts bit errors as the popcount of sent ^ detected; the bit
-mapping stays inside :mod:`mrsk.modem`.
+draws type-major Gaussian counts from the FIR moments (the reference type
+emits Q in every symbol, so the link's plan holds its moments), ``binomial``
+per-tap binomial counts from per-link inverse-CDF rows, and ``particle``
+steps every molecule's distance to the absorbing receiver in blocks inside
+each symbol interval, retiring it at age L intervals (the FIR truncation of
+the others).  A frame packs each symbol's random bits into the integer that
+is the symbol (:func:`mrsk.modem.pack`), takes its emissions from the plan's
+:func:`mrsk.modem.symbol_quantities` table, draws arrivals, hands the (K, N)
+counts to a :mod:`mrsk.modem` detector (FTD with the plan's thresholds) and
+counts bit errors as popcount(sent ^ detected); modem keeps the bit mapping.
 Bit streams are split into frames of ``FRAME_SYMBOLS`` symbols with
 independently derived random streams.  One call of :func:`run_links`
 (:func:`run_link` is its one-link case; a sweep's links are built in
@@ -20,7 +20,7 @@ independently derived random streams.  One call of :func:`run_links`
 constants) and queues the frames of all its links together, each frame
 carrying only its link's configs, on the process's one frame pool
 (in-process at one worker), which lives until exit and is replaced only
-when the worker bound changes.  Each process builds a link's tables once,
+when the worker bound changes.  Each process builds a link's plan once,
 at its first frame of the link; per-link sums in frame order make the
 results bit-for-bit reproducible for a seed at any worker count.
 """
@@ -50,6 +50,7 @@ from .modem import (
     detect_mlsd,
     pack,
     symbol_quantities,
+    thresholds,
     trellis_states,
 )
 from .analysis import check_alphabet
@@ -311,22 +312,28 @@ def _arrivals_particle(
 # ---------------------------------------------------------------------------
 
 
-def _arrivals_statistical(
-    emissions: np.ndarray, taps: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Gaussian counts mu + sqrt(var) z of the cold-start FIR moments of (K, N) emissions.
+def _fir_moments(emitted: np.ndarray, taps: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cold-start FIR (mean, sd) of one type's contiguous emissions over its first k symbols."""
+    return np.convolve(taps, emitted)[:k], np.sqrt(np.convolve(taps * (1.0 - taps), emitted)[:k])
 
-    Each moment column is bit for bit ``lfilter(b, [1.0], ., axis=0)``.
+
+def _arrivals_statistical(
+    emissions: np.ndarray, taps: np.ndarray, rng: np.random.Generator, reference=None
+) -> np.ndarray:
+    """Type-major (F-ordered) Gaussian counts mu + sd z of (K, N) emissions, z drawn (K, N).
+
+    Each moment column is bit for bit ``lfilter(b, [1.0], ., axis=0)``.  ``reference``, the
+    moment rows of a first type emitting alike in every symbol, stands in for its sums when
+    it covers K symbols past the taps (up to them numpy sums in another order).
     """
-    k_symbols = len(emissions)
-    mu, var = np.empty(emissions.shape), np.empty(emissions.shape)
-    taps_var = taps * (1.0 - taps)
-    for j, col in enumerate(emissions.T):
-        mu[:, j] = np.convolve(taps, col)[:k_symbols]
-        var[:, j] = np.convolve(taps_var, col)[:k_symbols]
-    counts = rng.standard_normal(emissions.shape)
-    counts *= np.sqrt(var, out=var)
-    counts += mu
+    k = len(emissions)
+    known = reference is not None and taps.size < k <= reference.shape[1]
+    moments = [reference[:, :k]] if known else []
+    moments += [_fir_moments(np.ascontiguousarray(c), taps, k) for c in emissions.T[len(moments):]]
+    counts = np.asfortranarray(rng.standard_normal(emissions.shape))
+    for z, (mu, sd) in zip(counts.T, moments):
+        z *= sd
+        z += mu
     return counts
 
 
@@ -388,16 +395,20 @@ def _arrivals_binomial(ids: np.ndarray, rows: tuple, rng: np.random.Generator) -
 
 @functools.lru_cache(maxsize=1)
 def _link_tables(mrsk: MrskConfig, channel: ChannelParams, engine: str, reached: int) -> tuple:
-    """A link's (symbol quantities, taps, binomial rows over its first ``reached`` taps or None).
+    """A link's plan: (symbol quantities, taps, FTD thresholds, binomial rows over its first
+    ``reached`` taps or None, the reference type's FIR moments over ``FRAME_SYMBOLS``).
 
-    Pure, and kept for the last link the process asked for: frames are queued
-    link by link and each worker takes its chunks in queue order.  Frames share
-    the result, so its symbol table and taps are read-only.
+    Pure, and kept for the last link the process asked for: frames are queued link by
+    link and each worker takes its chunks in queue order.  Frames share its arrays, so
+    they are read-only.
     """
-    quantities, taps = symbol_quantities(mrsk), cir(channel)
-    quantities.flags.writeable = taps.flags.writeable = False
+    quantities, taps, edges = symbol_quantities(mrsk), cir(channel), thresholds(mrsk)
+    # the reference type emits Q in every symbol, so every statistical frame shares its moments
+    reference = np.stack(_fir_moments(np.full(FRAME_SYMBOLS, mrsk.Q), taps, FRAME_SYMBOLS))
+    for table in (quantities, taps, edges, reference):
+        table.flags.writeable = False
     rows = _binomial_rows(quantities, taps[:reached]) if engine == "binomial" else None
-    return quantities, taps, rows
+    return quantities, taps, edges, rows, reference
 
 
 def _simulate_frame(
@@ -405,7 +416,7 @@ def _simulate_frame(
 ) -> tuple[int, int, int, int]:
     """Simulate one independent frame of a link; returns (errors, bits, degenerate, ADMC clamps)."""
     reached = min(channel.L, FRAME_SYMBOLS, -(-sim.n_bits // mrsk.bits_per_symbol))
-    quantities, taps, binomial = _link_tables(mrsk, channel, sim.engine, reached)
+    quantities, taps, edges, binomial, reference = _link_tables(mrsk, channel, sim.engine, reached)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
     sent = pack(bits.reshape(n_symbols, -1), 1)
@@ -413,13 +424,13 @@ def _simulate_frame(
     if sim.engine == "binomial":
         counts = _arrivals_binomial(np.take(binomial[0], sent, axis=0), binomial[1], rng)
     elif sim.engine == "statistical":
-        counts = _arrivals_statistical(np.take(quantities, sent, axis=0), taps, rng)
+        counts = _arrivals_statistical(np.take(quantities, sent, axis=0), taps, rng, reference)
     else:
         counts = _arrivals_particle(np.take(quantities, sent, axis=0), channel, sim.particle_dt, rng)
 
     clamps = 0
     if mrsk.detector == "ftd":
-        detected, degenerate = detect_ftd(counts, mrsk)
+        detected, degenerate = detect_ftd(counts, mrsk, edges)
     elif mrsk.detector == "admc":
         detected, degenerate, clamps = detect_admc(counts, mrsk, taps)
     else:
@@ -492,7 +503,7 @@ def _map_frames(jobs: list[tuple], workers: int) -> list[tuple[int, int, int, in
 
 
 def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
-    """Raise :class:`CapacityError` if the link exceeds a cap; builds no symbol table or rows."""
+    """Raise :class:`CapacityError` past a cap, ValueError for ADMC without memory; builds no table."""
     if sim.n_bits > TRIALS_CAP:
         raise CapacityError(
             f"requested {sim.n_bits} bits exceeds TRIALS_CAP = {TRIALS_CAP}; request fewer bits"
@@ -551,6 +562,8 @@ def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
                 f"binomial rows may hold {entries:.4g} CDF entries, exceeding BINOMIAL_ROW_CAP"
                 f" = {BINOMIAL_ROW_CAP}; reduce Q, Omega, N or M"
             )
+    if mrsk.detector == "admc" and channel.L < 2:  # as detect_admc would, after the arrivals
+        raise ValueError("memory cancellation needs channel memory L >= 2")
 
 
 def run_links(
@@ -574,8 +587,10 @@ def run_links(
     if workers > 1:
         results = _map_frames(jobs, workers)
     else:
-        results = [_simulate_frame(*job) for job in jobs]
-        _link_tables.cache_clear()  # the caller keeps no tables; an idle worker keeps one link's
+        try:
+            results = [_simulate_frame(*job) for job in jobs]
+        finally:  # the caller keeps no tables, even after a raise; an idle worker keeps one link's
+            _link_tables.cache_clear()
 
     totals = np.zeros((len(links), 4), dtype=np.int64)
     np.add.at(totals, owners, results)

@@ -287,6 +287,15 @@ class TestErrors:
         assert "2^20 trellis states" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_admc_without_memory_exit_one_before_any_arrival(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "_arrivals_statistical", refuse_call)
+        argv = ["ber-sim", "--detector", "admc", "--L", "1", "--bits", "1000"]
+        rc, out = run(tmp_path, "x.csv", argv)
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "mrsk: error: memory cancellation needs channel memory L >= 2\n"
+        )
+
     def test_particle_population_refusal_exit_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulate, "_arrivals_particle", refuse_call)
         rc, out = run(tmp_path, "x.csv", ["ber-particle", "--Q", "1e6", "--bits", "1000"])

@@ -449,6 +449,27 @@ class TestBitValues:
         assert pack(np.array([[1, 2], [3, 0]], dtype=np.uint8), 2).tolist() == [6, 12]
 
 
+class TestLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(2, 3), M=st.integers(1, 2), L=st.integers(2, 3), K=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_detectors_ignore_memory_layout(self, N, M, L, K, seed):
+        # the same counts C-ordered, F-ordered (as frames hand them over) and as a strided view
+        cfg, taps = MrskConfig(N=N, M=M, Q=200.0), cir(ChannelParams(Ts=0.3, L=L))
+        counts = np.random.default_rng(seed).uniform(-20.0, 400.0, size=(K, N))  # some degenerate
+        wide = np.zeros((2 * K, 3 * N))
+        wide[::2, ::3] = counts
+        layouts = (np.ascontiguousarray(counts), np.asfortranarray(counts), wide[::2, ::3])
+        for detect in (
+            lambda c: detect_ftd(c, cfg),
+            lambda c: detect_admc(c, cfg, taps),
+            lambda c: detect_mlsd(c, cfg, taps),
+        ):
+            (ids, *counters), *others = [detect(c) for c in layouts]
+            for other_ids, *other_counters in others:
+                assert np.array_equal(other_ids, ids) and other_counters == counters
+
+
 class TestBuckets:
     @settings(max_examples=300, deadline=None)
     @given(

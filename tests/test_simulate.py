@@ -420,6 +420,33 @@ class TestStatisticalEngine:
             got = simulate._arrivals_statistical(emissions, taps, np.random.default_rng(k))
             assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("L", [1, 3, 5, 64])
+    def test_frame_counts_equal_lfilter_across_the_taps(self, monkeypatch, L):
+        # every type's counts, the reference type's included, are draws from the lfilter
+        # moments bit for bit, in frames shorter than the taps, as long and longer
+        frames = []
+
+        def keep(counts, *rest):
+            frames.append(counts)
+            return np.zeros(len(counts), dtype=np.int64), 0
+
+        monkeypatch.setattr(simulate, "detect_ftd", keep)
+        config, channel, sim = MrskConfig(N=3, Q=700.0), ChannelParams(Ts=0.3, L=L), SimConfig(seed=5)
+        taps, table = cir(channel), symbol_quantities(config)
+        try:
+            for k in sorted({1, L - 1, L, L + 1, 2016, simulate.FRAME_SYMBOLS} - {0}):
+                simulate._simulate_frame(config, channel, sim, k, k)
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(k,)))
+                bits = rng.integers(0, 2, size=k * config.bits_per_symbol, dtype=np.uint8)
+                emissions = table[modem.pack(bits.reshape(k, -1), 1)]
+                mu = signal.lfilter(taps, [1.0], emissions, axis=0)
+                var = signal.lfilter(taps * (1.0 - taps), [1.0], emissions, axis=0)
+                counts = frames.pop()
+                assert counts.flags.f_contiguous  # type-major
+                assert np.array_equal(counts, mu + np.sqrt(var) * rng.standard_normal((k, config.N)))
+        finally:
+            simulate._link_tables.cache_clear()
+
     def test_import_leaves_scipy_signal_out(self):
         # none is used, and each would add to every process's start-up
         code = (
@@ -597,6 +624,27 @@ class TestFrameRunner:
             run_link(config, channel, SimConfig(n_bits=4 * (symbols + 1)))
         with pytest.raises(AssertionError, match="before the first frame"):
             run_link(config, channel, SimConfig(n_bits=4 * symbols))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_admc_without_memory_refused_before_any_arrival(self, monkeypatch, frame_symbols, workers):
+        # at L = 1 there is no tap to cancel: detect_admc's refusal, before any table, arrival or fork
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "_POOL", None)
+        for name in ("symbol_quantities", "_arrivals_statistical", "ProcessPoolExecutor"):
+            monkeypatch.setattr(simulate, name, refuse_frame)
+        frame_symbols(500)  # two frames, so two workers would start a pool
+        with pytest.raises(ValueError, match="memory cancellation needs channel memory L >= 2"):
+            run_link(MrskConfig(detector="admc"), ChannelParams(L=1), SimConfig(n_bits=1000), workers)
+
+    def test_raising_frame_leaves_no_tables(self, monkeypatch):
+        # an in-process run drops its link's tables however it ends
+        def fail(*args):
+            raise RuntimeError("detector failed")
+
+        monkeypatch.setattr(simulate, "detect_ftd", fail)
+        with pytest.raises(RuntimeError, match="detector failed"):
+            run_link(CFG, CH, SimConfig(n_bits=1000))
+        assert simulate._link_tables.cache_info().currsize == 0
 
 
 class TestDetectorPathEquivalence:
