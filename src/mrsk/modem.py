@@ -228,15 +228,15 @@ def _symbols(ratios: np.ndarray, config: MrskConfig, edges: np.ndarray) -> np.nd
     return pack(codewords(_buckets(edges, ratios), config.coding), config.M)
 
 
-def detect_ftd(counts: np.ndarray, config: MrskConfig, edges=None) -> tuple[np.ndarray, int]:
+def detect_ftd(counts: np.ndarray, config: MrskConfig) -> tuple[np.ndarray, int]:
     """Fixed-threshold detection of (K, N) counts: (symbols, degenerate symbols).
 
-    Each ratio is bucketed independently against the alphabet thresholds, ``edges``
-    if the caller holds them (ties go upward).  A symbol whose raw denominator is
-    at or below the degeneracy epsilon decodes as symbol 0 and is counted.
+    Each ratio is bucketed independently against the alphabet thresholds
+    (ties go upward).  A symbol whose raw denominator is at or below the
+    degeneracy epsilon decodes as symbol 0 and is counted.
     """
     ratios, degenerate = _ratios(counts, config)
-    symbols = _symbols(ratios, config, thresholds(config) if edges is None else edges)
+    symbols = _symbols(ratios, config, thresholds(config))
     symbols[degenerate] = 0
     return symbols, np.count_nonzero(degenerate)
 

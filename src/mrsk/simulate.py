@@ -9,8 +9,8 @@ each symbol interval, retiring it at age L intervals (the FIR truncation of
 the others).  A frame packs each symbol's random bits into the integer that
 is the symbol (:func:`mrsk.modem.pack`), takes its emissions from the plan's
 :func:`mrsk.modem.symbol_quantities` table, draws arrivals, hands the (K, N)
-counts to a :mod:`mrsk.modem` detector (FTD with the plan's thresholds) and
-counts bit errors as popcount(sent ^ detected); modem keeps the bit mapping.
+counts to a :mod:`mrsk.modem` detector and counts bit errors as
+popcount(sent ^ detected); modem keeps the bit mapping.
 Bit streams are split into frames of ``FRAME_SYMBOLS`` symbols with
 independently derived random streams.  One call of :func:`run_links`
 (:func:`run_link` is its one-link case; a sweep's links are built in
@@ -50,7 +50,6 @@ from .modem import (
     detect_mlsd,
     pack,
     symbol_quantities,
-    thresholds,
     trellis_states,
 )
 from .analysis import check_alphabet
@@ -395,20 +394,21 @@ def _arrivals_binomial(ids: np.ndarray, rows: tuple, rng: np.random.Generator) -
 
 @functools.lru_cache(maxsize=1)
 def _link_tables(mrsk: MrskConfig, channel: ChannelParams, engine: str, reached: int) -> tuple:
-    """A link's plan: (symbol quantities, taps, FTD thresholds, binomial rows over its first
-    ``reached`` taps or None, the reference type's FIR moments over ``FRAME_SYMBOLS``).
+    """A link's plan: (symbol quantities, taps, binomial rows over its first ``reached`` taps
+    or None, the reference type's FIR moments over ``FRAME_SYMBOLS`` or None).
 
     Pure, and kept for the last link the process asked for: frames are queued link by
     link and each worker takes its chunks in queue order.  Frames share its arrays, so
     they are read-only.
     """
-    quantities, taps, edges = symbol_quantities(mrsk), cir(channel), thresholds(mrsk)
-    # the reference type emits Q in every symbol, so every statistical frame shares its moments
-    reference = np.stack(_fir_moments(np.full(FRAME_SYMBOLS, mrsk.Q), taps, FRAME_SYMBOLS))
-    for table in (quantities, taps, edges, reference):
-        table.flags.writeable = False
+    quantities, taps = symbol_quantities(mrsk), cir(channel)
+    quantities.flags.writeable = taps.flags.writeable = False
     rows = _binomial_rows(quantities, taps[:reached]) if engine == "binomial" else None
-    return quantities, taps, edges, rows, reference
+    reference = None
+    if engine == "statistical":  # the reference type emits Q in every symbol, so frames share it
+        reference = np.stack(_fir_moments(np.full(FRAME_SYMBOLS, mrsk.Q), taps, FRAME_SYMBOLS))
+        reference.flags.writeable = False
+    return quantities, taps, rows, reference
 
 
 def _simulate_frame(
@@ -416,7 +416,7 @@ def _simulate_frame(
 ) -> tuple[int, int, int, int]:
     """Simulate one independent frame of a link; returns (errors, bits, degenerate, ADMC clamps)."""
     reached = min(channel.L, FRAME_SYMBOLS, -(-sim.n_bits // mrsk.bits_per_symbol))
-    quantities, taps, edges, binomial, reference = _link_tables(mrsk, channel, sim.engine, reached)
+    quantities, taps, binomial, reference = _link_tables(mrsk, channel, sim.engine, reached)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(frame_index,)))
     bits = rng.integers(0, 2, size=n_symbols * mrsk.bits_per_symbol, dtype=np.uint8)
     sent = pack(bits.reshape(n_symbols, -1), 1)
@@ -430,7 +430,7 @@ def _simulate_frame(
 
     clamps = 0
     if mrsk.detector == "ftd":
-        detected, degenerate = detect_ftd(counts, mrsk, edges)
+        detected, degenerate = detect_ftd(counts, mrsk)
     elif mrsk.detector == "admc":
         detected, degenerate, clamps = detect_admc(counts, mrsk, taps)
     else:
