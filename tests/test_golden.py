@@ -4,7 +4,9 @@ Each recipe is a small CLI run whose whole CSV (spec line included) is
 pinned by its SHA-256 digest.  Together they cover the statistical FTD
 path at N 2-4 and M 1-3 under both codings (the N = 2, M = 1 runs span
 three frames), a degenerate low-Q link, the binomial engine, ADMC, both
-MLSD metrics and the particle engine.
+MLSD metrics and the particle engine, and the closed-form subcommands:
+``pdf`` at a ratio other than one, ``ber-analytic``, ``compare`` over t_b
+and over Q, and the analytic sweep.
 
 A change that alters bytes by design re-records the digests with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
@@ -51,11 +53,26 @@ RECIPES = {
         "ber-particle", "--bits", "1000", "--Q", "50", "--t-b", "0.5", "--L", "2", "--dt", "0.01",
         "--seed", "22",
     ],
+    "pdf_ratio": ["pdf", "--ratio", "2.5", "--grid-points", "201", "--samples", "20000", "--seed", "23"],
+    "analytic_n3_m2": ["ber-analytic", "--N", "3", "--M", "2", "--L", "3", "--t-b", "0.4"],
+    "compare_tb": ["compare", "--param", "t_b", "--values", "0.25,0.5,1.0,1.5"],
+    "compare_q": [
+        "compare", "--param", "Q", "--values", "100,400,1000", "--L", "4", "--ook-alpha", "0.2",
+        "--csk-gamma", "3", "--mosk-lambda-frac", "0.25",
+    ],
+    "analytic_sweep": [
+        "sweep", "--param", "t_b", "--values", "0.2,0.5,0.8", "--engine", "analytic", "--M", "2",
+        "--L", "4",
+    ],
 }
 
 DIGESTS = {
     "admc_n": "12be925e3c2d6319b6b57f5315d5b2136873a926c72d0d0a7523f9b7f5a1e040",
+    "analytic_n3_m2": "cd4d41c00050c43fa61a22fbd06e221ba20f2990b9172fe9d1bd06e388858065",
+    "analytic_sweep": "f7476c38543a7653f3d7106af87b536cf320ba1ce9c376f7a804e1dbf8c5c7a2",
     "binomial_tb": "0e6a20f693f29ac7cb065c56107df087d4653f888ee1458fa6e7bc1f3d12edc7",
+    "compare_q": "7f4112a5329188d8fc035df999b2bf9fbb9a18769cfec612830f1327595c46a1",
+    "compare_tb": "5f2d173495275a9e1dead574149b7b9c299f82b261d8f61b5c604920a7e5a895",
     "ftd_degenerate": "73ba3d453e3d8e202e67a8a84db5fef901f57b2f6ca540ca3f0f1d7988b43ab3",
     "ftd_n2_binary": "89f0e3843319d466079602cda2449cd7c137718f65f634baf94b7323448525cb",
     "ftd_n2_gray": "5da8341cf9dbfe32a26cfa616c19d0748396d890541df1c1098eb34a013584bc",
@@ -66,6 +83,7 @@ DIGESTS = {
     "mlsd_gaussian": "3af909d42e8e414bf39fa6c3146dd638f57179ddd272b616447f98dfa131bce8",
     "mlsd_solid": "0b957e91fa3787dcf4f2776d7f241959b8722fec3b2676e8e3bf75b11059db0c",
     "particle": "c561d98fb5662f9344d21586d249c6e1782953efa786ae2895dc90635ea4a470",
+    "pdf_ratio": "d9a6faf55e9e2a6cd26d7b20c40871f8dfa464fedbcfef56b7e95b3af8ba1e4d",
 }
 
 
