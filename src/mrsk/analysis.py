@@ -20,10 +20,9 @@ sequence cap counts that: ``ftd_ber`` refuses exactly when
 symbol_count^L exceeds ``SEQUENCE_CAP``, after the taps (refused above
 ``channel.MEMORY_CAP``) and the alphabet refusal of :func:`check_alphabet`.
 
-Error rates for adaptive memory cancellation are deliberately not
-derived here: the conditioning on past decisions makes the exact
-recursion grow combinatorially, so that detector is evaluated by
-simulation only (``simulate.run_link`` with ``detector="admc"``).
+Adaptive memory cancellation has no closed form here: its exact law, a
+finite Markov chain over (last L sent symbols, previous decision), is not
+implemented, so it is simulated (``simulate.run_link``, ``detector="admc"``).
 """
 
 from __future__ import annotations
@@ -152,9 +151,11 @@ def ftd_ber(config: MrskConfig, channel: ChannelParams) -> BerResult:
 
     The per-bit error probability of the newest symbol, averaged over all
     symbol_count^L equally likely transmit sequences, one ratio position
-    at a time over the digit windows that position reads.  Refuses with
-    :class:`CapacityError` when L exceeds ``channel.MEMORY_CAP``, 2^M
-    exceeds ``ALPHABET_CAP`` or symbol_count^L exceeds ``SEQUENCE_CAP``.
+    at a time over the digit windows that position reads; one half when
+    every tap is 0, as every symbol then decodes as symbol 0 (all bits 0).
+    Refuses with :class:`CapacityError` when L exceeds
+    ``channel.MEMORY_CAP``, 2^M exceeds ``ALPHABET_CAP`` or
+    symbol_count^L exceeds ``SEQUENCE_CAP``.
     """
     taps = cir(channel)
     check_alphabet(config)
@@ -166,6 +167,8 @@ def ftd_ber(config: MrskConfig, channel: ChannelParams) -> BerResult:
             f"(S = 2^{config.bits_per_symbol} symbols, L = {channel.L}) exceeds "
             f"SEQUENCE_CAP = {SEQUENCE_CAP}; use the simulation path"
         )
+    if not taps.any():
+        return BerResult(ber=0.5)
     ham = hamming_table(config.M, config.coding)
     errors = sum(_position_errors(config, taps, j, ham) for j in range(config.N - 1))
     return BerResult(ber=errors / config.bits_per_symbol)

@@ -1,14 +1,15 @@
 """Reference modulations on the identical diffusive channel.
 
 On-off keying, binary concentration shift keying and binary molecule
-shift keying are evaluated in closed form by enumerating all 2^L bit
-histories and integrating Gaussian arrival tails.  Release-time shift
-keying rides a first-arrival timing channel whose delay is Levy
-distributed; both of its detectors threshold the arrival time, so its
-error rate is exact too, from the Levy CDF at the threshold and at the
-bit interval (tests/rtsk_oracle.py is its Monte Carlo check).  The
-OOK and MoSK thresholds are the reference settings; the sweeps that
-find their optima are in tests/test_baselines.py.
+shift keying are evaluated in closed form from one enumeration of all
+2^L bit histories and their Gaussian arrival tails.  OOK is CSK with a
+silent bit 0: one threshold rule serves both, with levels (0, Q) and
+(Q, Gamma*Q).  Release-time shift keying rides a first-arrival timing
+channel whose delay is Levy distributed; both of its detectors threshold
+the arrival time, so its error rate is exact too, from the Levy CDF at
+the threshold and at the bit interval (tests/rtsk_oracle.py is its Monte
+Carlo check).  The OOK and MoSK thresholds are the reference settings;
+the sweeps that find their optima are in tests/test_baselines.py.
 All four consume :mod:`mrsk.channel`, so the comparison against the
 ratio scheme shares one physics implementation.  Each sends one bit per
 symbol, so the ``channel.Ts`` it is given is its bit interval.
@@ -28,6 +29,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelParams, arrival_moments, cir
+from .errors import CapacityError
 from .modem import radix_digits
 
 __all__ = [
@@ -42,7 +44,11 @@ __all__ = [
     "levy_scale",
     "levy_cdf",
     "levy_median",
+    "HISTORY_CAP",
 ]
+
+# bit histories 2^L the count baselines enumerate: `compare` peaks near 600 MB at the cap
+HISTORY_CAP = 1 << 20
 
 
 def _check_count(Q: float) -> None:
@@ -110,8 +116,22 @@ class RtskConfig:
 
 
 # ---------------------------------------------------------------------------
-# shared enumeration helpers
+# count keying: one history enumeration, one threshold rule
 # ---------------------------------------------------------------------------
+
+
+def _histories(levels, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moments (mu, var), each (2^L, types), of every L-bit history, and its current bit.
+
+    Row b of the (2, types) ``levels`` is what each type emits for bit b.
+    Refused above ``HISTORY_CAP`` histories, before any array is built.
+    """
+    L = taps.size
+    if L >= HISTORY_CAP.bit_length():  # 2^L is compared by its exponent, never built
+        raise CapacityError(f"2^{L} bit histories exceed HISTORY_CAP = {HISTORY_CAP}; reduce L")
+    hist = radix_digits(np.arange(1 << L), 2, L)
+    mu, var = arrival_moments(np.asarray(levels)[hist], taps)
+    return mu, var, hist[:, -1]
 
 
 def _p_above(threshold: float, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -121,27 +141,21 @@ def _p_above(threshold: float, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     upward, matching the count detectors' tie-break.
     """
     sigma = np.sqrt(var)
-    out = np.empty_like(mu)
-    deterministic = sigma == 0.0
-    out[deterministic] = (mu[deterministic] >= threshold).astype(float)
-    ok = ~deterministic
-    out[ok] = special.ndtr((mu[ok] - threshold) / sigma[ok])
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = special.ndtr((mu - threshold) / sigma)
+    return np.where(sigma == 0.0, mu >= threshold, tail)
+
+
+def _threshold_ber(low: float, high: float, threshold: float, taps: np.ndarray) -> float:
+    """BER of one type sent at ``low`` or ``high`` per bit, deciding 1 at ``threshold`` and up."""
+    mu, var, current = _histories([[low], [high]], taps)
+    p1 = _p_above(threshold, mu[:, 0], var[:, 0])
+    return float(np.where(current == 1, 1.0 - p1, p1).mean())
 
 
 def ook_ber(config: OokConfig, channel: ChannelParams) -> float:
-    """Closed-form OOK error rate with threshold alpha*Q.
-
-    Averages the Gaussian tail against the threshold over every bit
-    history of length L (one bit per symbol interval channel.Ts).
-    """
-    taps = cir(channel)
-    hist = radix_digits(np.arange(1 << channel.L), 2, channel.L)  # oldest bit first
-    mu, var = arrival_moments(config.Q * hist[..., None], taps)
-    p1 = _p_above(config.alpha * config.Q, mu[:, 0], var[:, 0])
-    current = hist[:, -1]
-    err = np.where(current == 1.0, 1.0 - p1, p1)
-    return float(err.mean())
+    """Closed-form OOK error rate: CSK with a silent bit 0 (levels 0 and Q), threshold alpha*Q."""
+    return _threshold_ber(0.0, config.Q, config.alpha * config.Q, cir(channel))
 
 
 def csk_ber(config: CskConfig, channel: ChannelParams) -> float:
@@ -151,14 +165,8 @@ def csk_ber(config: CskConfig, channel: ChannelParams) -> float:
     geometric mean of the two expected isolated-pulse counts.
     """
     taps = cir(channel)
-    hist = radix_digits(np.arange(1 << channel.L), 2, channel.L)  # oldest bit first
-    levels = config.Q * np.where(hist == 1.0, config.Gamma, 1.0)
-    mu, var = arrival_moments(levels[..., None], taps)
     threshold = math.sqrt(config.Gamma) * config.Q * taps[0]
-    p1 = _p_above(threshold, mu[:, 0], var[:, 0])
-    current = hist[:, -1]
-    err = np.where(current == 1.0, 1.0 - p1, p1)
-    return float(err.mean())
+    return _threshold_ber(config.Q, config.Q * config.Gamma, threshold, taps)
 
 
 def mosk_ber(config: MoskConfig, channel: ChannelParams) -> float:
@@ -169,15 +177,9 @@ def mosk_ber(config: MoskConfig, channel: ChannelParams) -> float:
     when neither or both clear it the receiver guesses, contributing a
     half error, and when only the wrong type clears it the bit is lost.
     """
-    taps = cir(channel)
-    hist = radix_digits(np.arange(1 << channel.L), 2, channel.L)  # oldest bit first
-    # type emissions follow the history bits: type 0 encodes bit 0, type 1 bit 1
-    mu, var = arrival_moments(config.Q * np.stack([1.0 - hist, hist], axis=-1), taps)
-    p0_above = _p_above(config.Lambda, mu[:, 0], var[:, 0])
-    p1_above = _p_above(config.Lambda, mu[:, 1], var[:, 1])
-    current = hist[:, -1]
-    pt = np.where(current == 1.0, p1_above, p0_above)
-    po = np.where(current == 1.0, p0_above, p1_above)
+    mu, var, current = _histories(config.Q * np.eye(2), cir(channel))
+    above = _p_above(config.Lambda, mu, var)
+    pt, po = np.where(current[:, None] == 1, above[:, ::-1], above).T  # sent type, other type
     wrong_only = (1.0 - pt) * po
     ambiguous = pt * po + (1.0 - pt) * (1.0 - po)
     return float((wrong_only + 0.5 * ambiguous).mean())

@@ -29,6 +29,7 @@ from scipy import special
 
 from .channel import arrival_moments
 from .errors import CapacityError
+from .ratio_stats import gaussian_ratio_params
 
 __all__ = [
     "MrskConfig",
@@ -135,11 +136,7 @@ def ratio_alphabet(config: MrskConfig) -> np.ndarray:
     Strictly increasing and geometric; for M = 1 this is {Omega^-1, Omega}.
     """
     k = config.alphabet_size
-    if k == 2:
-        exponents = np.array([-1.0, 1.0])
-    else:
-        exponents = -1.0 + 2.0 * np.arange(k) / (k - 1)
-    return config.Omega**exponents
+    return config.Omega ** (-1.0 + 2.0 * np.arange(k) / (k - 1))
 
 
 def thresholds(config: MrskConfig) -> np.ndarray:
@@ -292,8 +289,7 @@ def _window_constants(config: MrskConfig, taps: np.ndarray, n: int) -> np.ndarra
     if config.mlsd_metric == "solid":
         lnerf = np.log(special.erf(mu_d / np.sqrt(2.0 * var_d)))
         return np.stack([mu_d, var_d, mu_n, var_n, lnerf], axis=-1)
-    beta = mu_n / mu_d
-    lam2 = beta * beta * (var_n / (mu_n * mu_n) + var_d / (mu_d * mu_d))
+    beta, lam2 = gaussian_ratio_params(mu_n, var_n, mu_d, var_d)
     return np.stack([beta, lam2, 0.5 * np.log(lam2)], axis=-1)
 
 

@@ -6,6 +6,12 @@ Gaussian approximation.  An empirical sampler bins drawn ratios as the
 ground truth against all three; the whole-array sampler it must match
 bit for bit is tests/ratio_oracle.py.
 
+:func:`gaussian_ratio_params` is the one formula for the Gaussian law's
+beta and lambda^2, MLSD's included.  The solid law keeps moment-form
+twins (FTD's bucket CDF, the MLSD metric): they round differently from
+(p, q, r), enough to move ``pdf`` digits, and a (p, q, r) MLSD metric
+would recompute log erf(q) per block, 1.3-1.45 times slower.
+
 The solid approximation is parameterized by the dimensionless triple
 (p, q, r): p and q are signal-to-noise ratios of numerator and
 denominator, r the expected ratio.  Its CDF is
@@ -140,20 +146,16 @@ def solid_ratio_cdf(eta0, sp: SolidParams):
     return out if out.ndim else float(out)
 
 
-def gaussian_ratio_params(pair: GaussPair) -> tuple[float, float]:
-    """Mean beta and variance lambda^2 of the Gaussian ratio approximation."""
-    if pair.mu_y == 0:
-        raise ValueError("denominator mean must be nonzero")
-    beta = pair.mu_x / pair.mu_y
-    lam2 = beta**2 * (
-        pair.sigma_x**2 / pair.mu_x**2 + pair.sigma_y**2 / pair.mu_y**2
-    )
+def gaussian_ratio_params(mu_x, var_x, mu_y, var_y):
+    """Mean beta and variance lambda^2 of the Gaussian X/Y, from floats or arrays of moments."""
+    beta = mu_x / mu_y
+    lam2 = beta**2 * (var_x / mu_x**2 + var_y / mu_y**2)
     return beta, lam2
 
 
 def gaussian_ratio_pdf(eta, pair: GaussPair):
     """Gaussian approximation N(beta, lambda^2) of the ratio density."""
-    beta, lam2 = gaussian_ratio_params(pair)
+    beta, lam2 = gaussian_ratio_params(pair.mu_x, pair.sigma_x**2, pair.mu_y, pair.sigma_y**2)
     eta_arr = np.asarray(eta, dtype=float)
     out = np.exp(-((eta_arr - beta) ** 2) / (2.0 * lam2)) / np.sqrt(2.0 * np.pi * lam2)
     return out if out.ndim else float(out)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,21 @@ class TestFtdBer:
         monkeypatch.setattr(analysis, "hamming_table", refuse_call)
         with pytest.raises(CapacityError, match="MEMORY_CAP"):
             ftd_ber(MrskConfig(N=10**6), ChannelParams(L=1 << 40))
+
+    @pytest.mark.parametrize("N, M", [(2, 1), (2, 2), (3, 2)])
+    def test_all_zero_taps_give_one_half(self, N, M):
+        # at d = 1000 every tap underflows to 0, so every count is 0: every
+        # symbol is degenerate and decodes as symbol 0, whose bits are all 0
+        from mrsk.simulate import SimConfig, run_link
+
+        cfg = MrskConfig(N=N, M=M)
+        ch = ChannelParams(d=1000.0, Ts=cfg.bits_per_symbol * 0.1, L=5)
+        assert not cir(ch).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ftd_ber(cfg, ch).ber == 0.5
+        est = run_link(cfg, ch, SimConfig(n_bits=40_000, seed=31))
+        assert abs(est.ber - 0.5) < 3 * math.sqrt(0.25 / est.bits)
 
     def test_matches_monte_carlo(self):
         from mrsk.simulate import SimConfig, run_link

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from baseline_oracle import csk_ber_oracle, mosk_ber_oracle, ook_ber_oracle
 from rtsk_oracle import rtsk_error_counts, sample_levy
 
 from mrsk.analysis import ftd_ber
@@ -21,7 +23,7 @@ from mrsk.baselines import (
     ook_ber,
     rtsk_ber,
 )
-from mrsk.channel import ChannelParams
+from mrsk.channel import ChannelParams, cir
 from mrsk.modem import MrskConfig
 
 TB = 1.0
@@ -134,6 +136,36 @@ class TestMosk:
         best, _, bers = optimize_mosk_lambda(CH)
         assert best < 0.34 * 1000.0
         assert bers.min() < 1e-3 * mosk_ber(MoskConfig(Lambda=0.34 * 1000.0), CH)
+
+
+class TestCountBaselinesOracle:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        L=st.integers(1, 8),
+        t_b=st.floats(0.01, 3.0),
+        d=st.sampled_from([6.0, 10.0, 20.0]),
+        Q=st.floats(1.0, 1e5),
+        alpha=st.floats(0.0, 0.99),
+        Gamma=st.floats(1.001, 20.0),
+        lambda_frac=st.floats(0.001, 1.5),
+    )
+    # every tap 0: every history's counts have zero variance
+    @example(L=3, t_b=0.1, d=1000.0, Q=1000.0, alpha=0.0, Gamma=2.0, lambda_frac=0.34)
+    def test_match_plain_loop_oracle(self, L, t_b, d, Q, alpha, Gamma, lambda_frac):
+        # OOK's all-zero history is always zero-variance; alpha = 0 puts it on the threshold.
+        # The oracle reads a wrong-side tail directly, the baselines as one minus the
+        # right side, which rounds to about 1e-16 absolute: hence the absolute slack
+        ch = ChannelParams(d=d, Ts=t_b, L=L)
+        taps = cir(ch)
+        for got, want in (
+            (ook_ber(OokConfig(Q=Q, alpha=alpha), ch), ook_ber_oracle(Q, alpha, taps)),
+            (csk_ber(CskConfig(Q=Q, Gamma=Gamma), ch), csk_ber_oracle(Q, Gamma, taps)),
+            (
+                mosk_ber(MoskConfig(Q=Q, Lambda=lambda_frac * Q), ch),
+                mosk_ber_oracle(Q, lambda_frac * Q, taps),
+            ),
+        ):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestRtsk:

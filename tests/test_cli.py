@@ -700,6 +700,7 @@ REFUSED_ARGV = [
     ["ber-particle"],  # 10^5 symbols of 500 steps among up to ~18,600 molecules
     ["ber-sim", "--N", "3", "--M", "2", "--L", "4", "--detector", "mlsd"],  # 25,000 symbols x 2^16 windows
     ["ber-sim", "--engine", "binomial", "--Q", "1e15", "--bits", "1000"],  # rows of ~6·10^9 entries
+    ["compare", "--L", "21"],  # 2^21 bit histories: (2^21, 21, 2) float arrays
 ]
 
 

@@ -33,6 +33,11 @@ def pair_for_ratio(x: float, q_molecules: float = Q) -> GaussPair:
     )
 
 
+def pair_moments(pair: GaussPair) -> tuple[float, float, float, float]:
+    """(mu_x, var_x, mu_y, var_y) of a pair, the arguments of gaussian_ratio_params."""
+    return pair.mu_x, pair.sigma_x**2, pair.mu_y, pair.sigma_y**2
+
+
 FIG_RATIOS = (np.e, 1.0, np.exp(-1))
 
 
@@ -94,7 +99,7 @@ class TestSolidPdf:
         for x in FIG_RATIOS:
             pair = pair_for_ratio(x)
             sp = SolidParams.from_pair(pair)
-            beta, lam2 = gaussian_ratio_params(pair)
+            beta, lam2 = gaussian_ratio_params(*pair_moments(pair))
             grid = np.linspace(beta - 8 * np.sqrt(lam2), beta + 8 * np.sqrt(lam2), 4001)
             fe = exact_ratio_pdf(grid, pair)
             fs = solid_ratio_pdf(grid, sp)
@@ -159,7 +164,7 @@ class TestSolidCdf:
     def test_finite_difference_matches_pdf(self):
         pair = pair_for_ratio(np.e)
         sp = SolidParams.from_pair(pair)
-        _, lam2 = gaussian_ratio_params(pair)
+        _, lam2 = gaussian_ratio_params(*pair_moments(pair))
         lam = np.sqrt(lam2)
         grid = np.linspace(sp.r - 5 * lam, sp.r + 5 * lam, 1000)
         h = 1e-3 * lam
@@ -183,22 +188,22 @@ class TestSolidCdf:
 class TestGaussianApprox:
     def test_peak_value(self):
         pair = pair_for_ratio(np.e)
-        beta, lam2 = gaussian_ratio_params(pair)
+        beta, lam2 = gaussian_ratio_params(*pair_moments(pair))
         assert gaussian_ratio_pdf(beta, pair) == pytest.approx(
             1.0 / np.sqrt(2 * np.pi * lam2), rel=1e-14
         )
 
     def test_spread_scales_inverse_sqrt_q(self):
         # quadrupling the molecule budget halves lambda, beta untouched
-        b1, l1 = gaussian_ratio_params(pair_for_ratio(np.e, Q))
-        b4, l4 = gaussian_ratio_params(pair_for_ratio(np.e, 4 * Q))
+        b1, l1 = gaussian_ratio_params(*pair_moments(pair_for_ratio(np.e, Q)))
+        b4, l4 = gaussian_ratio_params(*pair_moments(pair_for_ratio(np.e, 4 * Q)))
         assert b1 == pytest.approx(b4, rel=1e-14)
         assert np.sqrt(l1) == pytest.approx(2 * np.sqrt(l4), rel=1e-12)
 
     def test_kl_divergence_to_exact(self):
         for x in FIG_RATIOS:
             pair = pair_for_ratio(x)
-            beta, lam2 = gaussian_ratio_params(pair)
+            beta, lam2 = gaussian_ratio_params(*pair_moments(pair))
             lam = np.sqrt(lam2)
             grid = np.linspace(beta - 8 * lam, beta + 8 * lam, 4001)
             fe = exact_ratio_pdf(grid, pair)
