@@ -17,8 +17,9 @@ Monte Carlo oracles whenever the expected ratio differs from one.
 
 The last ratio position needs all symbol_count^L windows, so the
 sequence cap counts that: ``ftd_ber`` refuses exactly when
-symbol_count^L exceeds ``SEQUENCE_CAP``, after the taps (refused above
-``channel.MEMORY_CAP``) and the alphabet refusal of :func:`check_alphabet`.
+symbol_count^L exceeds ``SEQUENCE_CAP`` (:func:`check_sequences`), after
+the taps (refused above ``channel.MEMORY_CAP``) and the alphabet refusal
+of :func:`check_alphabet`.
 
 Adaptive memory cancellation has no closed form here: its exact law, a
 finite Markov chain over (last L sent symbols, previous decision), is not
@@ -40,6 +41,7 @@ __all__ = [
     "BerResult",
     "hamming_table",
     "check_alphabet",
+    "check_sequences",
     "ftd_ber",
     "ALPHABET_CAP",
     "SEQUENCE_CAP",
@@ -76,6 +78,18 @@ def check_alphabet(config: MrskConfig) -> None:
         raise CapacityError(
             f"M={config.M} gives 2^{config.M} alphabet entries, exceeding "
             f"ALPHABET_CAP = {ALPHABET_CAP} (M <= {ALPHABET_CAP.bit_length() - 1}); reduce M"
+        )
+
+
+def check_sequences(config: MrskConfig, L: int) -> None:
+    """Refuse, with :class:`CapacityError`, symbol_count^L above ``SEQUENCE_CAP`` sequences."""
+    # symbol_count = 2^bits_per_symbol, so symbol_count^L is compared by its exponent
+    exponent = config.bits_per_symbol * L
+    if exponent >= SEQUENCE_CAP.bit_length():
+        raise CapacityError(
+            f"enumerating S^L = 2^{exponent} symbol sequences "
+            f"(S = 2^{config.bits_per_symbol} symbols, L = {L}) exceeds "
+            f"SEQUENCE_CAP = {SEQUENCE_CAP}; use the simulation path"
         )
 
 
@@ -159,14 +173,7 @@ def ftd_ber(config: MrskConfig, channel: ChannelParams) -> BerResult:
     """
     taps = cir(channel)
     check_alphabet(config)
-    # symbol_count = 2^bits_per_symbol, so symbol_count^L is compared by its exponent
-    exponent = config.bits_per_symbol * channel.L
-    if exponent >= SEQUENCE_CAP.bit_length():
-        raise CapacityError(
-            f"enumerating S^L = 2^{exponent} symbol sequences "
-            f"(S = 2^{config.bits_per_symbol} symbols, L = {channel.L}) exceeds "
-            f"SEQUENCE_CAP = {SEQUENCE_CAP}; use the simulation path"
-        )
+    check_sequences(config, channel.L)
     if not taps.any():
         return BerResult(ber=0.5)
     ham = hamming_table(config.M, config.coding)

@@ -31,7 +31,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import ftd_ber
+from .analysis import check_sequences, ftd_ber
 from .baselines import (
     CskConfig,
     MoskConfig,
@@ -46,6 +46,7 @@ from .channel import ChannelParams, hit_fraction
 from .errors import CapacityError
 from .modem import MrskConfig
 from .ratio_stats import (
+    SAMPLE_DENOM_EPS,
     GaussPair,
     SolidParams,
     exact_ratio_pdf,
@@ -234,6 +235,16 @@ def _run_pdf(spec: ExperimentSpec) -> str:
     p1 = hit_fraction(channel.Ts, channel)
     mu_x, mu_y = spec.Q * spec.ratio * p1, spec.Q * p1
     pair = GaussPair(mu_x, mu_y, math.sqrt(mu_x * (1 - p1)), math.sqrt(mu_y * (1 - p1)))
+    # the sampler redraws each pair with |Y| <= eps: n / P(|Y| > eps) draws are expected
+    scale = pair.sigma_y * math.sqrt(2.0)
+    kept = 0.5 * (
+        math.erfc((SAMPLE_DENOM_EPS - mu_y) / scale) + math.erfc((SAMPLE_DENOM_EPS + mu_y) / scale)
+    )
+    if spec.samples > kept * PDF_SAMPLES_CAP:
+        raise CapacityError(
+            f"--samples {spec.samples} at P(|Y| > {SAMPLE_DENOM_EPS}) = {kept:.3g} expects more "
+            f"draws than the cap PDF_SAMPLES_CAP = {PDF_SAMPLES_CAP}; raise --Q"
+        )
     sp = SolidParams.from_pair(pair)
     beta, lam2 = gaussian_ratio_params(pair.mu_x, pair.sigma_x**2, pair.mu_y, pair.sigma_y**2)
     lam = math.sqrt(lam2)
@@ -309,8 +320,11 @@ def _run_compare(spec: ExperimentSpec) -> str:
     """Every scheme at each point, in closed form; a baseline's symbol interval is the bit time."""
     if spec.param not in ("t_b", "Q"):
         raise CliError("compare sweeps t_b or Q only")
+    points = _points(spec)
+    for _, point in points:  # every point's sequence cap before any point's work
+        check_sequences(point.mrsk, point.L)
     lines = [spec.serialize(), CSV_HEADER]
-    for value, point in _points(spec):
+    for value, point in points:
         q, t_b = point.Q, point.t_b
         bit_channel = replace(point.channel, Ts=t_b)
         ook = OokConfig(Q=q, alpha=spec.ook_alpha)

@@ -2,9 +2,10 @@
 
 Three analytic descriptions of eta = X/Y are provided: the exact density,
 a closed-form "solid" approximation whose CDF is elementary, and a plain
-Gaussian approximation.  An empirical sampler bins drawn ratios as the
-ground truth against all three; the whole-array sampler it must match
-bit for bit is tests/ratio_oracle.py.
+Gaussian approximation.  An empirical sampler bins drawn ratios, each
+read from one (numerator, denominator) pair of standard normals, as the
+ground truth against all three; the whole-array sampler of the same pair
+stream it must match bit for bit is tests/ratio_oracle.py.
 
 :func:`gaussian_ratio_params` is the one formula for the Gaussian law's
 beta and lambda^2, MLSD's included.  The solid law keeps moment-form
@@ -27,7 +28,6 @@ tests/test_ratio_stats.py.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,8 +48,8 @@ __all__ = [
     "SAMPLE_DENOM_EPS",
 ]
 
-# denominators drawn per block of the sampler (512 KiB of float64)
-_SAMPLE_BLOCK = 1 << 16
+# (numerator, denominator) pairs drawn per block of the sampler (512 KiB of float64)
+_SAMPLE_BLOCK = 1 << 15
 # the sampler redraws denominators of at most this magnitude
 SAMPLE_DENOM_EPS = 1e-12
 
@@ -164,56 +164,29 @@ def gaussian_ratio_pdf(eta, pair: GaussPair):
 def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator, edges) -> RatioSample:
     """Bin n independent ratios X/Y into the increasing bin ``edges``.
 
-    Draws whose denominator magnitude is at most ``SAMPLE_DENOM_EPS`` are
-    redrawn (both coordinates) so the sample matches the conditional law
-    the analytic forms approximate; the redraw count is reported.  All n
-    numerators come first, then the n denominators, then the redraws of
-    each round (numerators, then denominators).  ``counts`` holds what
-    ``np.histogram`` counts of those ratios, in memory of a few blocks.
-
-    The denominators start where the n numerators end, and the ziggurat
-    takes a varying number of raw draws per normal, so the numerators are
-    drawn twice: once into one reused block to pass them, and once more,
-    a block at a time beside their denominators, from a copy of the
-    generator taken before them.  Bin counts add over blocks, and the
-    values a redraw replaces are never counted, so the counts are those of
-    the whole sample.
+    Each ratio reads one pair of standard normals z, scaled as
+    z * (sigma_x, sigma_y) + (mu_x, mu_y).  Pairs whose denominator
+    magnitude is at most ``SAMPLE_DENOM_EPS`` are redrawn, as pairs, in
+    rounds after the n pairs, so the sample matches the conditional law
+    the analytic forms approximate; the redraw count is reported.  The
+    pairs are drawn and binned a block at a time, which leaves the stream
+    independent of the block size and ``counts`` what ``np.histogram``
+    counts of the whole sample, in memory of a few blocks.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     edges = np.asarray(edges, dtype=float)
-    numerators = copy.deepcopy(rng)
-    passed = np.empty(min(n, _SAMPLE_BLOCK))
-    for start in range(0, n, _SAMPLE_BLOCK):
-        rng.standard_normal(out=passed[: min(_SAMPLE_BLOCK, n - start)])
-    del passed
     counts = np.zeros(edges.size - 1, dtype=np.intp)
-    bad = 0
-    for start in range(0, n, _SAMPLE_BLOCK):
-        size = min(_SAMPLE_BLOCK, n - start)
-        block, small = _bin_ratios(
-            numerators.normal(pair.mu_x, pair.sigma_x, size=size),
-            rng.normal(pair.mu_y, pair.sigma_y, size=size),
-            edges,
-        )
-        counts += block
-        bad += small
-    redraws = 0
-    while bad:  # the still-small ones go again
+    redraws, todo = 0, n
+    while todo:  # the first round, then each round of redraws
+        bad = 0
+        for start in range(0, todo, _SAMPLE_BLOCK):
+            z = rng.standard_normal((min(_SAMPLE_BLOCK, todo - start), 2))
+            x = z[:, 0] * pair.sigma_x + pair.mu_x
+            y = z[:, 1] * pair.sigma_y + pair.mu_y
+            keep = np.abs(y) > SAMPLE_DENOM_EPS
+            bad += keep.size - int(np.count_nonzero(keep))
+            counts += np.histogram(x[keep] / y[keep], edges)[0]
         redraws += bad
-        block, bad = _bin_ratios(
-            rng.normal(pair.mu_x, pair.sigma_x, size=bad),
-            rng.normal(pair.mu_y, pair.sigma_y, size=bad),
-            edges,
-        )
-        counts += block
+        todo = bad
     return RatioSample(counts=counts, redraws=redraws)
-
-
-def _bin_ratios(x: np.ndarray, y: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, int]:
-    """Bin counts of the ratios x/y whose denominators are not small, and how many are."""
-    small = (y <= SAMPLE_DENOM_EPS) & (y >= -SAMPLE_DENOM_EPS)
-    bad = int(np.count_nonzero(small))
-    if bad:
-        x, y = x[~small], y[~small]
-    return np.histogram(np.divide(x, y, out=x), edges)[0], bad

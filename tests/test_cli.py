@@ -701,6 +701,8 @@ REFUSED_ARGV = [
     ["ber-sim", "--N", "3", "--M", "2", "--L", "4", "--detector", "mlsd"],  # 25,000 symbols x 2^16 windows
     ["ber-sim", "--engine", "binomial", "--Q", "1e15", "--bits", "1000"],  # rows of ~6·10^9 entries
     ["compare", "--L", "21"],  # 2^21 bit histories: (2^21, 21, 2) float arrays
+    ["pdf", "--Q", "1e-30", "--samples", "10"],  # sigma_y ~ 5e-16: every denominator is redrawn
+    ["compare", "--M", "2", "--L", "20"],  # 4^20 sequences, refused before the 2^20-history baselines
 ]
 
 

@@ -83,7 +83,7 @@ DIGESTS = {
     "mlsd_gaussian": "3af909d42e8e414bf39fa6c3146dd638f57179ddd272b616447f98dfa131bce8",
     "mlsd_solid": "0b957e91fa3787dcf4f2776d7f241959b8722fec3b2676e8e3bf75b11059db0c",
     "particle": "c561d98fb5662f9344d21586d249c6e1782953efa786ae2895dc90635ea4a470",
-    "pdf_ratio": "d9a6faf55e9e2a6cd26d7b20c40871f8dfa464fedbcfef56b7e95b3af8ba1e4d",
+    "pdf_ratio": "b1b57da63aac2087faace8d9b37f1d812ba371061568215a354033a354f915ba",
 }
 
 

@@ -242,10 +242,10 @@ class TestSampleRatio:
         assert sample.counts.tolist() == [20_000]
 
     def test_redraws_match_the_abs_form(self, monkeypatch):
-        # the sampler's blocked denominators, two-sided test and replayed
-        # numerators against whole-array draws, the |y| <= eps loop and
-        # x / y, on a seed that forces redraws and a size spanning several
-        # blocks; edges spanning every ratio count each exactly once
+        # the sampler's blocked pairs and redraw rounds against whole-array
+        # draws, the |y| <= eps loop and x / y, on a seed that forces
+        # redraws and a size spanning several blocks; edges spanning every
+        # ratio count each exactly once
         pair = GaussPair(10.0, 0.5, 1.0, 1.0)
         n, eps = 150_001, 0.2
         monkeypatch.setattr(ratio_stats, "SAMPLE_DENOM_EPS", eps)
@@ -266,17 +266,20 @@ class TestSampleRatio:
     )
     def test_binned_counts_equal_histogram_of_values(self, monkeypatch, pair, eps, edges):
         # the counts streamed over three blocks and a partial one against
-        # np.histogram of the whole sample, bit for bit, densities included
+        # np.histogram of the whole sample, bit for bit, densities included;
+        # the same at blocks of 7 and 4096 pairs, as the stream is blockless
         monkeypatch.setattr(ratio_stats, "SAMPLE_DENOM_EPS", eps)
         n = 3 * ratio_stats._SAMPLE_BLOCK + 1
         values, redraws = ratio_values(pair, n, np.random.default_rng(3))
-        binned = sample_ratio(pair, n, np.random.default_rng(3), edges=edges)
-        assert binned.redraws == redraws
         assert (redraws > n // 10) == (eps == 0.2)
         counts, _ = np.histogram(values, edges)
-        assert np.array_equal(binned.counts, counts)
         density, _ = np.histogram(values, edges, density=True)
-        assert np.array_equal(binned.counts / np.diff(edges) / binned.counts.sum(), density)
+        for block in (ratio_stats._SAMPLE_BLOCK, 7, 4096):
+            monkeypatch.setattr(ratio_stats, "_SAMPLE_BLOCK", block)
+            binned = sample_ratio(pair, n, np.random.default_rng(3), edges=edges)
+            assert binned.redraws == redraws
+            assert np.array_equal(binned.counts, counts)
+            assert np.array_equal(binned.counts / np.diff(edges) / binned.counts.sum(), density)
 
     def test_binned_sample_memory_is_a_few_blocks(self):
         # 10^6 samples into the pdf recipe's 4001 bins: the values (8 MB) are never held
