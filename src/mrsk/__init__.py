@@ -13,7 +13,7 @@ from .analysis import BerResult, ftd_ber
 from .channel import ChannelParams, arrival_moments, cir, hit_fraction
 from .errors import CapacityError
 from .modem import MrskConfig, detect_admc, detect_ftd, detect_mlsd
-from .ratio_stats import GaussPair, SolidParams
+from .ratio_stats import GaussPair
 from .simulate import BerEstimate, SimConfig, run_link, run_links
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "GaussPair",
     "MrskConfig",
     "SimConfig",
-    "SolidParams",
     "arrival_moments",
     "cir",
     "detect_admc",

@@ -9,11 +9,9 @@ symbol_count^L sequences.  The FIR moments of a window are sums over
 its L intervals of per-interval emission factors, computed in blocks
 as a (head, tail) split of the window's digits: head factors times tail
 factors, contracted over the intervals.  Each window's moments give the
-solid-approximation probability of every decision bucket (CDF at the
-thresholds, then differences), dotted with the Hamming row of the true
-index.  The erf argument uses the ratio-normalized form
-(mu_den * E - mu_num); the unnormalized variant fails the quadrature and
-Monte Carlo oracles whenever the expected ratio differs from one.
+probability of every decision bucket, :func:`ratio_stats.solid_ratio_cdf`
+at the thresholds and then differences, dotted with the Hamming row of
+the true index.
 
 The last ratio position needs all symbol_count^L windows, so the
 sequence cap counts that: ``ftd_ber`` refuses exactly when
@@ -31,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channel import ChannelParams, cir
 from .errors import CapacityError
 from .modem import MrskConfig, codewords, ratio_alphabet, thresholds
+from .ratio_stats import solid_ratio_cdf
 
 __all__ = [
     "BerResult",
@@ -102,18 +100,12 @@ def _bucket_probs(
 ) -> np.ndarray:
     """P(received ratio falls in each threshold bucket), shape (..., len(edges) + 1).
 
-    Evaluates the solid-approximation CDF at the interior thresholds with
-    the moments substituted; the outer edges are -inf and +inf, where the
-    CDF is exactly 0 and 1.
+    The solid CDF at the interior thresholds, then differences; the outer
+    edges are -inf and +inf, where the CDF is exactly 0 and 1.
     """
-    mn, vn, md, vd = (
-        np.asarray(a, dtype=float) for a in (mu_num, var_num, mu_den, var_den)
-    )
     # thresholds on the leading axis keep the inner loops long
-    e = edges.reshape(edges.shape + (1,) * md.ndim)
-    g = (md * e - mn) / np.sqrt(2.0 * (vn + vd * e * e))
-    q = md / np.sqrt(2.0 * vd)
-    cdf = 0.5 * (1.0 + special.erf(g) / special.erf(q))
+    e = edges.reshape(edges.shape + (1,) * np.ndim(mu_den))
+    cdf = solid_ratio_cdf(e, mu_num, var_num, mu_den, var_den)
     return np.moveaxis(np.diff(cdf, axis=0, prepend=0.0, append=1.0), 0, -1)
 
 

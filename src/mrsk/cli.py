@@ -48,7 +48,6 @@ from .modem import MrskConfig
 from .ratio_stats import (
     SAMPLE_DENOM_EPS,
     GaussPair,
-    SolidParams,
     exact_ratio_pdf,
     gaussian_ratio_params,
     gaussian_ratio_pdf,
@@ -245,7 +244,6 @@ def _run_pdf(spec: ExperimentSpec) -> str:
             f"--samples {spec.samples} at P(|Y| > {SAMPLE_DENOM_EPS}) = {kept:.3g} expects more "
             f"draws than the cap PDF_SAMPLES_CAP = {PDF_SAMPLES_CAP}; raise --Q"
         )
-    sp = SolidParams.from_pair(pair)
     beta, lam2 = gaussian_ratio_params(pair.mu_x, pair.sigma_x**2, pair.mu_y, pair.sigma_y**2)
     lam = math.sqrt(lam2)
     edges = np.linspace(beta - 8 * lam, beta + 8 * lam, spec.grid_points + 1)
@@ -257,7 +255,7 @@ def _run_pdf(spec: ExperimentSpec) -> str:
         [
             centers,
             exact_ratio_pdf(centers, pair),
-            solid_ratio_pdf(centers, sp),
+            solid_ratio_pdf(centers, pair),
             gaussian_ratio_pdf(centers, pair),
             empirical,
         ]

@@ -7,15 +7,17 @@ read from one (numerator, denominator) pair of standard normals, as the
 ground truth against all three; the whole-array sampler of the same pair
 stream it must match bit for bit is tests/ratio_oracle.py.
 
-:func:`gaussian_ratio_params` is the one formula for the Gaussian law's
-beta and lambda^2, MLSD's included.  The solid law keeps moment-form
-twins (FTD's bucket CDF, the MLSD metric): they round differently from
-(p, q, r), enough to move ``pdf`` digits, and a (p, q, r) MLSD metric
-would recompute log erf(q) per block, 1.3-1.45 times slower.
+The three densities ``pdf`` prints take a :class:`GaussPair`; the solid
+CDF and :func:`gaussian_ratio_params` take floats or arrays of moments:
+FTD's closed-form BER reads the one, MLSD's Gaussian metric the other.
+MLSD's solid metric keeps a log-density kernel of its own: it takes
+log erf(q) once per window, where a call of the density would recompute
+it per block, 1.3-1.45 times slower.
 
 The solid approximation is parameterized by the dimensionless triple
-(p, q, r): p and q are signal-to-noise ratios of numerator and
-denominator, r the expected ratio.  Its CDF is
+(p, q, r) = (mu_x / (sqrt(2) sigma_x), mu_y / (sqrt(2) sigma_y), mu_x / mu_y):
+the numerator's and denominator's signal-to-noise ratios and the expected
+ratio.  Its CDF is
 
     Psi(eta0) = (1 + erf(g(eta0)) / erf(q)) / 2,
     g(eta0)   = p (eta0/r - 1) / sqrt(1 + (p/q)^2 (eta0/r)^2),
@@ -37,7 +39,6 @@ from scipy import special
 
 __all__ = [
     "GaussPair",
-    "SolidParams",
     "RatioSample",
     "exact_ratio_pdf",
     "solid_ratio_pdf",
@@ -76,29 +77,6 @@ class GaussPair:
             )
 
 
-@dataclass(frozen=True)
-class SolidParams:
-    """Dimensionless (p, q, r) triple of the solid approximation."""
-
-    p: float
-    q: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.p <= 0 or self.q <= 0 or self.r <= 0:
-            raise ValueError(f"p, q, r must be positive, got {self.p}, {self.q}, {self.r}")
-
-    @classmethod
-    def from_pair(cls, pair: GaussPair) -> "SolidParams":
-        if pair.mu_x <= 0 or pair.mu_y <= 0:
-            raise ValueError("solid parameters need positive means")
-        return cls(
-            p=pair.mu_x / (np.sqrt(2.0) * pair.sigma_x),
-            q=pair.mu_y / (np.sqrt(2.0) * pair.sigma_y),
-            r=pair.mu_x / pair.mu_y,
-        )
-
-
 class RatioSample(NamedTuple):
     """Bin counts of the ratios drawn by :func:`sample_ratio`, and its redraws."""
 
@@ -121,29 +99,34 @@ def exact_ratio_pdf(eta, pair: GaussPair):
     return out if out.ndim else float(out)
 
 
-def solid_ratio_pdf(eta, sp: SolidParams):
+def solid_ratio_pdf(eta, pair: GaussPair):
     """Solid-approximation density; integrates to one over the real line.
 
     The expression can dip below zero far in the negative tail (where its
     numerator changes sign); that dip is part of the approximation and is
     exponentially small for q >= 2.
     """
+    if pair.mu_x <= 0 or pair.mu_y <= 0:
+        raise ValueError("the solid approximation needs positive means")
+    p = pair.mu_x / (np.sqrt(2.0) * pair.sigma_x)
+    q = pair.mu_y / (np.sqrt(2.0) * pair.sigma_y)
+    r = pair.mu_x / pair.mu_y
     eta_arr = np.asarray(eta, dtype=float)
-    t = eta_arr / sp.r
-    w = (sp.p / sp.q) ** 2
+    t = eta_arr / r
+    w = (p / q) ** 2
     denom = 1.0 + w * t * t
-    pref = sp.p / (sp.r * np.sqrt(np.pi) * special.erf(sp.q))
-    out = pref * (1.0 + w * t) / denom**1.5 * np.exp(-sp.p**2 * (t - 1.0) ** 2 / denom)
+    pref = p / (r * np.sqrt(np.pi) * special.erf(q))
+    out = pref * (1.0 + w * t) / denom**1.5 * np.exp(-p**2 * (t - 1.0) ** 2 / denom)
     return out if out.ndim else float(out)
 
 
-def solid_ratio_cdf(eta0, sp: SolidParams):
-    """Closed-form CDF of the solid approximation."""
-    eta_arr = np.asarray(eta0, dtype=float)
-    t = eta_arr / sp.r
-    g = sp.p * (t - 1.0) / np.sqrt(1.0 + (sp.p / sp.q) ** 2 * t * t)
-    out = 0.5 * (1.0 + special.erf(g) / special.erf(sp.q))
-    return out if out.ndim else float(out)
+def solid_ratio_cdf(eta, mu_x, var_x, mu_y, var_y):
+    """Closed-form CDF of the solid approximation, from floats or arrays of moments.
+
+    Psi in the moments: g = (mu_y eta - mu_x) / sqrt(2 (var_x + var_y eta^2)).
+    """
+    g = (mu_y * eta - mu_x) / np.sqrt(2.0 * (var_x + var_y * eta * eta))
+    return 0.5 * (1.0 + special.erf(g) / special.erf(mu_y / np.sqrt(2.0 * var_y)))
 
 
 def gaussian_ratio_params(mu_x, var_x, mu_y, var_y):

@@ -37,7 +37,6 @@ from mrsk.modem import (
 )
 from mrsk.ratio_stats import (
     GaussPair,
-    SolidParams,
     exact_ratio_pdf,
     solid_ratio_cdf,
     solid_ratio_pdf,
@@ -71,14 +70,15 @@ def test_distribution_agreement():
     worst_sup, worst_ks = 0.0, 0.0
     for x in (math.exp(-1), 1.0, math.e):
         pair = fig2_pair(x)
-        sp = SolidParams.from_pair(pair)
-        spread = sp.r / sp.p
-        grid = np.linspace(sp.r - 10 * spread, sp.r + 10 * spread, 4001)
+        r = pair.mu_x / pair.mu_y
+        spread = r / (pair.mu_x / (np.sqrt(2.0) * pair.sigma_x))  # r / p
+        grid = np.linspace(r - 10 * spread, r + 10 * spread, 4001)
         fe = exact_ratio_pdf(grid, pair)
-        fs = solid_ratio_pdf(grid, sp)
+        fs = solid_ratio_pdf(grid, pair)
         worst_sup = max(worst_sup, float(np.max(np.abs(fe - fs)) / fe.max()))
         values, _ = ratio_values(pair, 10_000, np.random.default_rng(17))
-        ks = stats.kstest(values, lambda t: solid_ratio_cdf(t, sp)).statistic
+        moments = pair.mu_x, pair.sigma_x**2, pair.mu_y, pair.sigma_y**2
+        ks = stats.kstest(values, lambda t: solid_ratio_cdf(t, *moments)).statistic
         worst_ks = max(worst_ks, float(ks))
     elapsed = time.perf_counter() - t0
     report(
@@ -92,25 +92,27 @@ def test_cdf_correctness():
     """CDF differences equal density quadrature to 1e-6; the erf argument
     without the ratio normalization fails the same oracle for r != 1."""
 
-    def printed_cdf(eta, sp):
-        g = (sp.p / sp.r) * (eta - 1.0) / np.sqrt(1.0 + (sp.p / sp.q) ** 2 * (eta / sp.r) ** 2)
-        return 0.5 * (1.0 + special.erf(g) / special.erf(sp.q))
+    def printed_cdf(eta, p, q, r):
+        g = (p / r) * (eta - 1.0) / np.sqrt(1.0 + (p / q) ** 2 * (eta / r) ** 2)
+        return 0.5 * (1.0 + special.erf(g) / special.erf(q))
 
     rng = np.random.default_rng(42)
     worst = 0.0
     worst_printed = 0.0
     for _ in range(100):
-        sp = SolidParams(
-            p=rng.uniform(2, 40), q=rng.uniform(2, 40), r=rng.uniform(math.exp(-1), math.e)
-        )
-        width = 6.0 * sp.r / sp.p
-        a = rng.uniform(sp.r - 4 * width, sp.r + 3 * width)
+        p, q, r = rng.uniform(2, 40), rng.uniform(2, 40), rng.uniform(math.exp(-1), math.e)
+        # the pair of solid triple (p, q, r) at mu_y = 1
+        sigma_x, sigma_y = r / (math.sqrt(2.0) * p), 1.0 / (math.sqrt(2.0) * q)
+        pair, moments = GaussPair(r, 1.0, sigma_x, sigma_y), (r, sigma_x**2, 1.0, sigma_y**2)
+        width = 6.0 * r / p
+        a = rng.uniform(r - 4 * width, r + 3 * width)
         b = a + rng.uniform(0.1, 2.0) * width
-        quad_val, _ = integrate.quad(lambda t: solid_ratio_pdf(t, sp), a, b, limit=200)
-        worst = max(worst, abs((solid_ratio_cdf(b, sp) - solid_ratio_cdf(a, sp)) - quad_val))
-        if abs(sp.r - 1.0) > 0.2:
+        quad_val, _ = integrate.quad(lambda t: solid_ratio_pdf(t, pair), a, b, limit=200)
+        cdf_diff = solid_ratio_cdf(b, *moments) - solid_ratio_cdf(a, *moments)
+        worst = max(worst, abs(cdf_diff - quad_val))
+        if abs(r - 1.0) > 0.2:
             worst_printed = max(
-                worst_printed, abs((printed_cdf(b, sp) - printed_cdf(a, sp)) - quad_val)
+                worst_printed, abs((printed_cdf(b, p, q, r) - printed_cdf(a, p, q, r)) - quad_val)
             )
     report(
         "cdf-correctness",

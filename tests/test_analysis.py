@@ -21,7 +21,7 @@ from mrsk.modem import (
     symbol_quantities,
     thresholds,
 )
-from mrsk.ratio_stats import GaussPair, SolidParams, solid_ratio_cdf
+from mrsk.ratio_stats import GaussPair, solid_ratio_cdf
 
 CH = ChannelParams(Ts=0.5, L=5)
 
@@ -83,10 +83,7 @@ class TestBucketProbs:
             probs = _bucket_probs(
                 np.array([mu_n]), np.array([var_n]), np.array([mu_d]), np.array([var_d]), edges
             )[0]
-            sp = SolidParams.from_pair(
-                GaussPair(mu_n, mu_d, math.sqrt(var_n), math.sqrt(var_d))
-            )
-            cdf_vals = np.array([solid_ratio_cdf(e, sp) for e in edges])
+            cdf_vals = np.array([solid_ratio_cdf(e, mu_n, var_n, mu_d, var_d) for e in edges])
             expected = np.diff(np.concatenate([[0.0], cdf_vals, [1.0]]))
             assert probs == pytest.approx(expected, abs=1e-14)
 
@@ -165,8 +162,8 @@ class TestFtdBer:
                 sigma_x=math.sqrt(cfg.Q * x * p1 * (1 - p1)),
                 sigma_y=math.sqrt(cfg.Q * p1 * (1 - p1)),
             )
-            sp = SolidParams.from_pair(pair)
-            below_threshold = solid_ratio_cdf(1.0, sp)
+            moments = pair.mu_x, pair.sigma_x**2, pair.mu_y, pair.sigma_y**2
+            below_threshold = solid_ratio_cdf(1.0, *moments)
             err += below_threshold if x > 1 else (1.0 - below_threshold)
         assert ftd_ber(cfg, ch).ber == pytest.approx(err / 2.0, rel=1e-12)
 

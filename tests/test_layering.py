@@ -21,7 +21,6 @@ MODULES = sorted(SRC.glob("*.py"))
 ENTRY_POINTS = {
     "cli.main": "the console script of pyproject.toml",
     "cli.replay_csv": "the README's replay API",
-    "ratio_stats.solid_ratio_cdf": "the paper's closed-form CDF, checked against quadrature",
     "simulate.particle_hit_fraction": "perfbench's hit-fraction experiments",
 }
 

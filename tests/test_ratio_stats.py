@@ -10,7 +10,6 @@ from mrsk import ratio_stats
 from mrsk.channel import ChannelParams, hit_fraction
 from mrsk.ratio_stats import (
     GaussPair,
-    SolidParams,
     exact_ratio_pdf,
     gaussian_ratio_params,
     gaussian_ratio_pdf,
@@ -36,6 +35,20 @@ def pair_for_ratio(x: float, q_molecules: float = Q) -> GaussPair:
 def pair_moments(pair: GaussPair) -> tuple[float, float, float, float]:
     """(mu_x, var_x, mu_y, var_y) of a pair, the arguments of gaussian_ratio_params."""
     return pair.mu_x, pair.sigma_x**2, pair.mu_y, pair.sigma_y**2
+
+
+def solid_pair(p: float, q: float, r: float) -> GaussPair:
+    """The pair whose solid-law triple is (p, q, r), at mu_y = 1."""
+    return GaussPair(mu_x=r, mu_y=1.0, sigma_x=r / (np.sqrt(2) * p), sigma_y=1.0 / (np.sqrt(2) * q))
+
+
+def solid_triple(pair: GaussPair) -> tuple[float, float, float]:
+    """(p, q, r) of a pair: the numerator's and denominator's SNRs and the expected ratio."""
+    return (
+        pair.mu_x / (np.sqrt(2.0) * pair.sigma_x),
+        pair.mu_y / (np.sqrt(2.0) * pair.sigma_y),
+        pair.mu_x / pair.mu_y,
+    )
 
 
 FIG_RATIOS = (np.e, 1.0, np.exp(-1))
@@ -80,17 +93,16 @@ class TestExactPdf:
 class TestSolidPdf:
     def test_normalization_fig2_cases(self):
         for x in FIG_RATIOS:
-            sp = SolidParams.from_pair(pair_for_ratio(x))
-            val = integrate_density(lambda t: solid_ratio_pdf(t, sp), sp.r)
+            pair = pair_for_ratio(x)
+            val = integrate_density(lambda t: solid_ratio_pdf(t, pair), pair.mu_x / pair.mu_y)
             assert val == pytest.approx(1.0, abs=1e-4)
 
     def test_normalization_random_envelope(self):
         rng = np.random.default_rng(123)
         for _ in range(50):
-            sp = SolidParams(
-                p=rng.uniform(2, 40), q=rng.uniform(2, 40), r=rng.uniform(np.exp(-1), np.e)
-            )
-            val = integrate_density(lambda t: solid_ratio_pdf(t, sp), sp.r)
+            p, q, r = rng.uniform(2, 40), rng.uniform(2, 40), rng.uniform(np.exp(-1), np.e)
+            pair = solid_pair(p, q, r)
+            val = integrate_density(lambda t: solid_ratio_pdf(t, pair), r)
             assert val == pytest.approx(1.0, abs=1e-4)
 
     def test_close_to_exact(self):
@@ -98,78 +110,83 @@ class TestSolidPdf:
         # reference transmit ratios
         for x in FIG_RATIOS:
             pair = pair_for_ratio(x)
-            sp = SolidParams.from_pair(pair)
             beta, lam2 = gaussian_ratio_params(*pair_moments(pair))
             grid = np.linspace(beta - 8 * np.sqrt(lam2), beta + 8 * np.sqrt(lam2), 4001)
             fe = exact_ratio_pdf(grid, pair)
-            fs = solid_ratio_pdf(grid, sp)
+            fs = solid_ratio_pdf(grid, pair)
             assert np.max(np.abs(fe - fs)) < 0.02 * fe.max()
 
     def test_peak_location(self):
         for x in FIG_RATIOS:
-            sp = SolidParams.from_pair(pair_for_ratio(x))
-            grid = np.linspace(0.3 * sp.r, 2.5 * sp.r, 20001)
-            peak_at = grid[np.argmax(solid_ratio_pdf(grid, sp))]
-            assert abs(peak_at - sp.r) / sp.r < 0.02
+            pair = pair_for_ratio(x)
+            r = pair.mu_x / pair.mu_y
+            grid = np.linspace(0.3 * r, 2.5 * r, 20001)
+            peak_at = grid[np.argmax(solid_ratio_pdf(grid, pair))]
+            assert abs(peak_at - r) / r < 0.02
 
     def test_parameter_construction(self):
+        # the density reads the pair's (p, q, r): at eta = r it is
+        # p / (r sqrt(pi) erf(q) sqrt(1 + (p/q)^2))
         pair = pair_for_ratio(np.e)
-        sp = SolidParams.from_pair(pair)
-        assert sp.p == pytest.approx(pair.mu_x / (np.sqrt(2) * pair.sigma_x), rel=1e-14)
-        assert sp.q == pytest.approx(pair.mu_y / (np.sqrt(2) * pair.sigma_y), rel=1e-14)
-        assert sp.r == pytest.approx(np.e, rel=1e-14)
+        p, q, r = solid_triple(pair)
+        assert r == pytest.approx(np.e, rel=1e-14)
+        peak = p / (r * np.sqrt(np.pi) * special.erf(q) * np.sqrt(1 + (p / q) ** 2))
+        assert solid_ratio_pdf(r, pair) == pytest.approx(peak, rel=1e-14)
 
 
 class TestSolidCdf:
     def test_median_at_expected_ratio(self):
         for x in FIG_RATIOS:
-            sp = SolidParams.from_pair(pair_for_ratio(x))
-            assert solid_ratio_cdf(sp.r, sp) == 0.5
+            pair = pair_for_ratio(x)
+            assert solid_ratio_cdf(pair.mu_x / pair.mu_y, *pair_moments(pair)) == 0.5
 
     def test_limits(self):
-        sp = SolidParams.from_pair(pair_for_ratio(np.e))
-        assert solid_ratio_cdf(1e9, sp) == pytest.approx(1.0, abs=1e-12)
-        assert solid_ratio_cdf(-1e9, sp) == pytest.approx(0.0, abs=1e-12)
+        moments = pair_moments(pair_for_ratio(np.e))
+        assert solid_ratio_cdf(1e9, *moments) == pytest.approx(1.0, abs=1e-12)
+        assert solid_ratio_cdf(-1e9, *moments) == pytest.approx(0.0, abs=1e-12)
 
     def test_interval_probabilities_match_quadrature(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            sp = SolidParams(
-                p=rng.uniform(2, 40), q=rng.uniform(2, 40), r=rng.uniform(np.exp(-1), np.e)
-            )
-            width = 6.0 * sp.r / sp.p
-            a = rng.uniform(sp.r - 4 * width, sp.r + 3 * width)
+            p, q, r = rng.uniform(2, 40), rng.uniform(2, 40), rng.uniform(np.exp(-1), np.e)
+            pair = solid_pair(p, q, r)
+            moments = pair_moments(pair)
+            width = 6.0 * r / p
+            a = rng.uniform(r - 4 * width, r + 3 * width)
             b = a + rng.uniform(0.1, 2.0) * width
-            quad_val, err = integrate.quad(lambda t: solid_ratio_pdf(t, sp), a, b, limit=200)
+            quad_val, err = integrate.quad(lambda t: solid_ratio_pdf(t, pair), a, b, limit=200)
             assert err < 5e-8
-            cdf_val = solid_ratio_cdf(b, sp) - solid_ratio_cdf(a, sp)
+            cdf_val = solid_ratio_cdf(b, *moments) - solid_ratio_cdf(a, *moments)
             assert abs(cdf_val - quad_val) < 1e-6
 
     def test_unnormalized_erf_argument_fails_quadrature(self):
         # regression for the ratio normalization of the erf argument: the
         # variant with (eta - 1) instead of (eta/r - 1) disagrees with the
         # density's own integral whenever r != 1
-        def printed_cdf(eta, sp):
-            g = (sp.p / sp.r) * (eta - 1.0) / np.sqrt(1.0 + (sp.p / sp.q) ** 2 * (eta / sp.r) ** 2)
-            return 0.5 * (1.0 + special.erf(g) / special.erf(sp.q))
+        def printed_cdf(eta, p, q, r):
+            g = (p / r) * (eta - 1.0) / np.sqrt(1.0 + (p / q) ** 2 * (eta / r) ** 2)
+            return 0.5 * (1.0 + special.erf(g) / special.erf(q))
 
-        sp = SolidParams.from_pair(pair_for_ratio(np.e))  # r = e != 1
-        a, b = sp.r - 0.3, sp.r + 0.3
-        quad_val, _ = integrate.quad(lambda t: solid_ratio_pdf(t, sp), a, b, limit=200)
-        assert abs((printed_cdf(b, sp) - printed_cdf(a, sp)) - quad_val) > 1e-3
+        pair = pair_for_ratio(np.e)  # r = e != 1
+        triple = solid_triple(pair)
+        a, b = triple[2] - 0.3, triple[2] + 0.3
+        quad_val, _ = integrate.quad(lambda t: solid_ratio_pdf(t, pair), a, b, limit=200)
+        assert abs((printed_cdf(b, *triple) - printed_cdf(a, *triple)) - quad_val) > 1e-3
         # while at r = 1 both forms coincide
-        sp1 = SolidParams.from_pair(pair_for_ratio(1.0))
-        assert printed_cdf(1.2, sp1) == pytest.approx(solid_ratio_cdf(1.2, sp1), abs=1e-14)
+        pair1 = pair_for_ratio(1.0)
+        assert printed_cdf(1.2, *solid_triple(pair1)) == pytest.approx(
+            solid_ratio_cdf(1.2, *pair_moments(pair1)), abs=1e-14
+        )
 
     def test_finite_difference_matches_pdf(self):
         pair = pair_for_ratio(np.e)
-        sp = SolidParams.from_pair(pair)
-        _, lam2 = gaussian_ratio_params(*pair_moments(pair))
+        moments, r = pair_moments(pair), pair.mu_x / pair.mu_y
+        _, lam2 = gaussian_ratio_params(*moments)
         lam = np.sqrt(lam2)
-        grid = np.linspace(sp.r - 5 * lam, sp.r + 5 * lam, 1000)
+        grid = np.linspace(r - 5 * lam, r + 5 * lam, 1000)
         h = 1e-3 * lam
-        fd = (solid_ratio_cdf(grid + h, sp) - solid_ratio_cdf(grid - h, sp)) / (2 * h)
-        pdf = solid_ratio_pdf(grid, sp)
+        fd = (solid_ratio_cdf(grid + h, *moments) - solid_ratio_cdf(grid - h, *moments)) / (2 * h)
+        pdf = solid_ratio_pdf(grid, pair)
         assert np.max(np.abs(fd - pdf) / pdf) < 1e-4
 
     def test_monotone_on_positive_grids(self):
@@ -177,11 +194,9 @@ class TestSolidCdf:
         # so the CDF is nondecreasing on the physical (positive) range
         rng = np.random.default_rng(3)
         for _ in range(20):
-            sp = SolidParams(
-                p=rng.uniform(2, 40), q=rng.uniform(2, 40), r=rng.uniform(np.exp(-1), np.e)
-            )
-            grid = np.linspace(0.0, 10 * sp.r, 2000)
-            vals = solid_ratio_cdf(grid, sp)
+            p, q, r = rng.uniform(2, 40), rng.uniform(2, 40), rng.uniform(np.exp(-1), np.e)
+            grid = np.linspace(0.0, 10 * r, 2000)
+            vals = solid_ratio_cdf(grid, *pair_moments(solid_pair(p, q, r)))
             assert np.all(np.diff(vals) >= -1e-15)
 
 
@@ -218,9 +233,8 @@ class TestSampleRatio:
     def test_ks_against_solid_cdf(self):
         for x in FIG_RATIOS:
             pair = pair_for_ratio(x)
-            sp = SolidParams.from_pair(pair)
             values, _ = ratio_values(pair, 10_000, np.random.default_rng(17))
-            ks = stats.kstest(values, lambda t: solid_ratio_cdf(t, sp)).statistic
+            ks = stats.kstest(values, lambda t: solid_ratio_cdf(t, *pair_moments(pair))).statistic
             assert ks < 0.02
 
     def test_median_near_expected_ratio(self):
@@ -310,10 +324,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             GaussPair(1.0, 1.0, 0.0, 1.0)
 
-    def test_solid_params_reject_nonpositive(self):
-        with pytest.raises(ValueError):
-            SolidParams(0.0, 1.0, 1.0)
-
-    def test_from_pair_needs_positive_means(self):
-        with pytest.raises(ValueError):
-            SolidParams.from_pair(GaussPair(-5.0, 10.0, 1.0, 1.0))
+    def test_solid_pdf_needs_positive_means(self):
+        for pair in (GaussPair(-5.0, 10.0, 1.0, 1.0), GaussPair(5.0, 0.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="positive means"):
+                solid_ratio_pdf(1.0, pair)
