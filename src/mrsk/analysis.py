@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import ChannelParams, cir
 from .errors import CapacityError
-from .modem import MrskConfig, codewords, ratio_alphabet, thresholds
+from .modem import MrskConfig, check_moments, codewords, ratio_alphabet, thresholds
 from .ratio_stats import solid_ratio_cdf
 
 __all__ = [
@@ -161,11 +161,13 @@ def ftd_ber(config: MrskConfig, channel: ChannelParams) -> BerResult:
     every tap is 0, as every symbol then decodes as symbol 0 (all bits 0).
     Refuses with :class:`CapacityError` when L exceeds
     ``channel.MEMORY_CAP``, 2^M exceeds ``ALPHABET_CAP`` or
-    symbol_count^L exceeds ``SEQUENCE_CAP``.
+    symbol_count^L exceeds ``SEQUENCE_CAP``, then with ValueError when
+    the moments overflow (:func:`modem.check_moments`).
     """
     taps = cir(channel)
     check_alphabet(config)
     check_sequences(config, channel.L)
+    check_moments(config)
     if not taps.any():
         return BerResult(ber=0.5)
     ham = hamming_table(config.M, config.coding)

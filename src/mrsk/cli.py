@@ -44,9 +44,8 @@ from .baselines import (
 )
 from .channel import ChannelParams, hit_fraction
 from .errors import CapacityError
-from .modem import MrskConfig
+from .modem import MrskConfig, check_moments
 from .ratio_stats import (
-    SAMPLE_DENOM_EPS,
     GaussPair,
     exact_ratio_pdf,
     gaussian_ratio_params,
@@ -234,16 +233,6 @@ def _run_pdf(spec: ExperimentSpec) -> str:
     p1 = hit_fraction(channel.Ts, channel)
     mu_x, mu_y = spec.Q * spec.ratio * p1, spec.Q * p1
     pair = GaussPair(mu_x, mu_y, math.sqrt(mu_x * (1 - p1)), math.sqrt(mu_y * (1 - p1)))
-    # the sampler redraws each pair with |Y| <= eps: n / P(|Y| > eps) draws are expected
-    scale = pair.sigma_y * math.sqrt(2.0)
-    kept = 0.5 * (
-        math.erfc((SAMPLE_DENOM_EPS - mu_y) / scale) + math.erfc((SAMPLE_DENOM_EPS + mu_y) / scale)
-    )
-    if spec.samples > kept * PDF_SAMPLES_CAP:
-        raise CapacityError(
-            f"--samples {spec.samples} at P(|Y| > {SAMPLE_DENOM_EPS}) = {kept:.3g} expects more "
-            f"draws than the cap PDF_SAMPLES_CAP = {PDF_SAMPLES_CAP}; raise --Q"
-        )
     beta, lam2 = gaussian_ratio_params(pair.mu_x, pair.sigma_x**2, pair.mu_y, pair.sigma_y**2)
     lam = math.sqrt(lam2)
     edges = np.linspace(beta - 8 * lam, beta + 8 * lam, spec.grid_points + 1)
@@ -319,8 +308,9 @@ def _run_compare(spec: ExperimentSpec) -> str:
     if spec.param not in ("t_b", "Q"):
         raise CliError("compare sweeps t_b or Q only")
     points = _points(spec)
-    for _, point in points:  # every point's sequence cap before any point's work
+    for _, point in points:  # every point's sequence cap and moment range before any work
         check_sequences(point.mrsk, point.L)
+        check_moments(point.mrsk)
     lines = [spec.serialize(), CSV_HEADER]
     for value, point in points:
         q, t_b = point.Q, point.t_b

@@ -39,6 +39,7 @@ __all__ = [
     "pack",
     "radix_digits",
     "symbol_quantities",
+    "check_moments",
     "detect_ftd",
     "detect_admc",
     "detect_mlsd",
@@ -192,6 +193,16 @@ def symbol_quantities(config: MrskConfig) -> np.ndarray:
     by_codeword[codewords(np.arange(config.alphabet_size), config.coding)] = ratio_alphabet(config)
     ratios = by_codeword[radix_digits(np.arange(config.symbol_count), config.alphabet_size, config.N - 1)]
     return config.Q * np.concatenate([np.ones((len(ratios), 1)), np.cumprod(ratios, axis=1)], axis=1)
+
+
+def check_moments(config: MrskConfig) -> None:
+    """Raise ValueError unless (max(Q, 1) Omega^(N-1))^2 is a finite float, compared in logs.
+
+    Q Omega^(N-1) bounds every emission and so every moment; MLSD multiplies two moments.
+    """
+    log_peak = math.log(max(config.Q, 1.0)) + (config.N - 1) * math.log(config.Omega)
+    if not 2.0 * log_peak < np.log(np.finfo(float).max):
+        raise ValueError(f"emissions up to e^{log_peak:.4g} overflow when squared; reduce Q, Omega or N")
 
 
 # ---------------------------------------------------------------------------

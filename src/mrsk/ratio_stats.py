@@ -37,6 +37,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
+from .errors import CapacityError
+
 __all__ = [
     "GaussPair",
     "RatioSample",
@@ -47,12 +49,15 @@ __all__ = [
     "gaussian_ratio_pdf",
     "sample_ratio",
     "SAMPLE_DENOM_EPS",
+    "SAMPLE_DRAWS_CAP",
 ]
 
 # (numerator, denominator) pairs drawn per block of the sampler (512 KiB of float64)
 _SAMPLE_BLOCK = 1 << 15
 # the sampler redraws denominators of at most this magnitude
 SAMPLE_DENOM_EPS = 1e-12
+# sample_ratio refuses, before any draw, n ratios that expect more pair draws
+SAMPLE_DRAWS_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,23 @@ def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator, edges) -> Ra
     z * (sigma_x, sigma_y) + (mu_x, mu_y).  Pairs whose denominator
     magnitude is at most ``SAMPLE_DENOM_EPS`` are redrawn, as pairs, in
     rounds after the n pairs, so the sample matches the conditional law
-    the analytic forms approximate; the redraw count is reported.  The
-    pairs are drawn and binned a block at a time, which leaves the stream
+    the analytic forms approximate; the redraw count is reported, and n
+    ratios that expect more than ``SAMPLE_DRAWS_CAP`` pair draws are
+    refused with :class:`CapacityError` before any draw.  The pairs are
+    drawn and binned a block at a time, which leaves the stream
     independent of the block size and ``counts`` what ``np.histogram``
     counts of the whole sample, in memory of a few blocks.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    # n / P(|Y| > eps) pair draws are expected; P is 0 or tiny when the law sits within eps
+    eps, scale = SAMPLE_DENOM_EPS, pair.sigma_y * math.sqrt(2.0)
+    kept = 0.5 * (math.erfc((eps - pair.mu_y) / scale) + math.erfc((eps + pair.mu_y) / scale))
+    if n > kept * SAMPLE_DRAWS_CAP:
+        raise CapacityError(
+            f"{n} ratios at P(|Y| > {eps}) = {kept:.3g} expect more pair draws than "
+            f"SAMPLE_DRAWS_CAP = {SAMPLE_DRAWS_CAP}"
+        )
     edges = np.asarray(edges, dtype=float)
     counts = np.zeros(edges.size - 1, dtype=np.intp)
     redraws, todo = 0, n

@@ -45,6 +45,7 @@ from .errors import CapacityError
 from .modem import (
     TRELLIS_WORK_CAP,
     MrskConfig,
+    check_moments,
     detect_admc,
     detect_ftd,
     detect_mlsd,
@@ -503,7 +504,7 @@ def _map_frames(jobs: list[tuple], workers: int) -> list[tuple[int, int, int, in
 
 
 def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
-    """Raise :class:`CapacityError` past a cap, ValueError for ADMC without memory; builds no table."""
+    """Raise :class:`CapacityError` past a cap, ValueError for overflow or ADMC at L = 1; no table."""
     if sim.n_bits > TRIALS_CAP:
         raise CapacityError(
             f"requested {sim.n_bits} bits exceeds TRIALS_CAP = {TRIALS_CAP}; request fewer bits"
@@ -527,11 +528,11 @@ def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
                 f"TRELLIS_WORK_CAP = 2^{TRELLIS_WORK_CAP.bit_length() - 1}; request fewer "
                 "bits or reduce N, M or L"
             )
+    check_moments(mrsk)
     if sim.engine == "particle":
         # retirement bounds the population by L intervals of the largest symbol,
         # Q (1 + Omega + ... + Omega^(N-1)): every ratio at the top of the alphabet
-        with np.errstate(over="ignore"):  # an infinite bound is refused below
-            largest = mrsk.Q * float(np.sum(mrsk.Omega ** np.arange(mrsk.N, dtype=float)))
+        largest = mrsk.Q * float(np.sum(mrsk.Omega ** np.arange(mrsk.N, dtype=float)))
         population = channel.L * largest
         if population > PARTICLE_POPULATION_CAP:
             raise CapacityError(
@@ -554,9 +555,8 @@ def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
     if sim.engine == "binomial":
         reached = taps[: min(FRAME_SYMBOLS, n_symbols)]  # the taps a frame reaches
         # column j takes j (2^M - 1) + 1 values Q Omega^e at most, each rint to two at most
-        with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf are refused
-            lo, hi = _binomial_window(mrsk.Q * np.float64(mrsk.Omega) ** (mrsk.N - 1), reached)
-            entries = mrsk.N * (2 + (mrsk.alphabet_size - 1) * (mrsk.N - 1)) * np.sum(hi - lo + 1)
+        lo, hi = _binomial_window(mrsk.Q * np.float64(mrsk.Omega) ** (mrsk.N - 1), reached)
+        entries = mrsk.N * (2 + (mrsk.alphabet_size - 1) * (mrsk.N - 1)) * np.sum(hi - lo + 1)
         if not entries <= BINOMIAL_ROW_CAP:
             raise CapacityError(
                 f"binomial rows may hold {entries:.4g} CDF entries, exceeding BINOMIAL_ROW_CAP"

@@ -324,6 +324,41 @@ class TestErrors:
         assert rc == 1 and not out.exists()
         assert capsys.readouterr().err.startswith("mrsk: error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--engine", "analytic", "--values", "1:0:2"], "range step must be positive"),
+            (["ber-analytic", "--config", os.path.join(os.devnull, "missing.cfg")], "cannot read config"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_usage_errors_exit_one(self, argv, message, tmp_path, capsys):
+        rc, out = run(tmp_path, "x.csv", argv)
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("mrsk: error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ber-analytic", "--omega", "1e200", "--N", "3"],
+            ["ber-sim", "--detector", "mlsd", "--L", "2", "--Q", "1e160", "--bits", "1000"],
+            ["ber-analytic", "--N", "3", "--omega", "1e100", "--Q", "1e100"],
+            ["compare", "--param", "Q", "--values", "100,1e160"],
+        ],
+        ids=" ".join,
+    )
+    def test_overflowing_moments_exit_one(self, argv, tmp_path, capsys, monkeypatch):
+        # (Q Omega^(N-1))^2 overflows a float: refused before any table or point's work,
+        # where NaN or meaningless BERs came out
+        monkeypatch.setattr(simulate, "symbol_quantities", refuse_call)
+        monkeypatch.setattr(analysis, "hamming_table", refuse_call)
+        monkeypatch.setattr(cli, "ook_ber", refuse_call)
+        rc, out = run(tmp_path, "x.csv", argv)
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("mrsk: error: ") and "overflow when squared" in err
+
     def test_symbol_count_refusal_exit_two(self, tmp_path, capsys, monkeypatch):
         # refused before any per-link table is built
         monkeypatch.setattr(simulate, "symbol_quantities", refuse_call)
@@ -602,6 +637,14 @@ class TestSpecSerialization:
     def test_rejects_foreign_lines(self):
         with pytest.raises(ValueError):
             ExperimentSpec.deserialize("param,value,scheme")
+
+    def test_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="unknown spec key 'bogus'"):
+            ExperimentSpec.deserialize("# spec: subcommand='pdf' bogus=1")
+
+    def test_run_spec_rejects_unknown_subcommands(self):
+        with pytest.raises(cli.CliError, match="unknown subcommand 'bogus'"):
+            cli.run_spec(ExperimentSpec(subcommand="bogus"))
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError, match="at least one value"):

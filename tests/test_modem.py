@@ -167,6 +167,10 @@ class TestCoding:
             bdiffs = [bin(int(binary[i]) ^ int(binary[i + 1])).count("1") for i in range(len(binary) - 1)]
             assert max(bdiffs) > 1
 
+    def test_unknown_coding_rejected(self):
+        with pytest.raises(ValueError, match="unknown coding 'bogus'"):
+            codewords(np.arange(4), "bogus")
+
     def test_length_must_divide(self):
         with pytest.raises(ValueError):
             encode_bits_to_indices([1, 0, 1], MrskConfig(N=2, M=2))

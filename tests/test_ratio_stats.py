@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +317,33 @@ class TestSampleRatio:
         a = sample_ratio(pair, 100, np.random.default_rng(9), edges)
         b = sample_ratio(pair, 100, np.random.default_rng(9), edges)
         assert np.array_equal(a.counts, b.counts) and a.counts.sum() == 100
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            GaussPair(1e-30, 1e-30, 5e-16, 5e-16),  # P(|Y| > eps) underflows to 0
+            GaussPair(1.0, 0.0, 1.0, 1e-13),  # P(|Y| > eps) ~ 1.5e-23
+        ],
+    )
+    def test_denominator_within_eps_refused_before_any_draw(self, pair):
+        # in a fresh interpreter with a timeout, so a sampler that redraws for
+        # ever fails here instead of hanging the suite
+        code = (
+            "import numpy as np\n"
+            "from mrsk.errors import CapacityError\n"
+            "from mrsk.ratio_stats import GaussPair, sample_ratio\n"
+            "rng = np.random.default_rng(0); before = rng.bit_generator.state\n"
+            "try:\n"
+            f"    sample_ratio({pair!r}, 10, rng, [0.0, 1.0])\n"
+            "except CapacityError as exc:\n"
+            "    print('SAMPLE_DRAWS_CAP' in str(exc), rng.bit_generator.state == before)\n"
+        )
+        src = str(Path(ratio_stats.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout.split() == ["True", "True"], done.stderr
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

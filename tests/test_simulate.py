@@ -132,6 +132,10 @@ class TestConfidence:
         assert (lo, hi) == (wlo, whi)
         assert lo < 5 / 1000 < hi
 
+    def test_needs_bits(self):
+        with pytest.raises(ValueError, match="simulated bits"):
+            ber_confidence(0, 0)
+
     def test_normal_above_thirty(self):
         lo, hi = ber_confidence(400, 10_000)
         p = 0.04
@@ -852,6 +856,12 @@ class TestParticle:
     def test_hit_fraction_needs_a_molecule(self):
         with pytest.raises(ValueError, match="n_molecules"):
             particle_hit_fraction(0, 1.0, ChannelParams(), 1e-3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dt, n_steps", [(0.0, 1), (-1e-3, 1), (1e-3, -1)])
+    def test_step_validation(self, dt, n_steps):
+        state = new_particle_state(CH, 1)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            particle_step(state, dt, np.random.default_rng(0), n_steps)
 
     def test_release_validation(self):
         state = new_particle_state(CH, 1)
