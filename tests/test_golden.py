@@ -6,7 +6,9 @@ path at N 2-4 and M 1-3 under both codings (the N = 2, M = 1 runs span
 three frames), a degenerate low-Q link, the binomial engine, ADMC, both
 MLSD metrics and the particle engine, and the closed-form subcommands:
 ``pdf`` at a ratio other than one, ``ber-analytic``, ``compare`` over t_b
-and over Q, and the analytic sweep.
+and over Q, and the analytic sweep.  One burst's absorbed fraction pins
+the Brownian stepper's own draw stream, apart from the particle link's
+release order.
 
 A change that alters bytes by design re-records the digests with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in CHANGES.md.
@@ -19,7 +21,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from mrsk.channel import ChannelParams
 from mrsk.cli import run_cli
+from mrsk.simulate import particle_hit_fraction
 
 RECORDED_NUMPY = "2.4.6"
 
@@ -86,6 +90,15 @@ DIGESTS = {
     "pdf_ratio": "b1b57da63aac2087faace8d9b37f1d812ba371061568215a354033a354f915ba",
 }
 
+STEPPER_SEED = 24
+STEPPER_REPR = "0.2124"
+
+
+def stepper_repr() -> str:
+    """repr of one 5000-molecule burst's absorbed fraction after 250 steps of 1 ms."""
+    rng = np.random.default_rng(STEPPER_SEED)
+    return repr(particle_hit_fraction(5000, 0.25, ChannelParams(), 1e-3, rng))
+
 
 def csv_digest(argv, path) -> str:
     assert run_cli(argv + ["-o", str(path)]) == 0
@@ -106,6 +119,14 @@ def test_recipe_bytes_unchanged(name, tmp_path):
     )
 
 
+def test_stepper_stream_unchanged():
+    got = stepper_repr()
+    assert got == STEPPER_REPR, (
+        f"stepper: hit fraction {got} differs from the recorded {STEPPER_REPR}; recorded under "
+        f"NumPy {RECORDED_NUMPY}, running NumPy {np.__version__}"
+    )
+
+
 if __name__ == "__main__":  # print the digests to record
     import contextlib
     import io
@@ -117,3 +138,4 @@ if __name__ == "__main__":  # print the digests to record
             with contextlib.redirect_stdout(io.StringIO()):
                 digest = csv_digest(RECIPES[name], Path(tmp) / "out.csv")
             print(f'    "{name}": "{digest}",')
+    print(f'STEPPER_REPR = "{stepper_repr()}"')
