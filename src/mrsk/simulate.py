@@ -4,10 +4,11 @@ Three arrival engines share one transmit/detect pipeline: ``statistical``
 draws type-major Gaussian counts from the FIR moments (the reference type
 emits Q in every symbol, so the link's plan holds its moments), ``binomial``
 per-tap binomial counts from per-link inverse-CDF rows, and ``particle``
-steps every molecule's distance to the absorbing receiver in blocks inside
-each symbol interval, retiring it at age L intervals (the FIR truncation of
-the others).  A frame packs each symbol's random bits into the integer that
-is the symbol (:func:`mrsk.modem.pack`), takes its emissions from the plan's
+steps each molecule's distance to the absorbing receiver for L intervals
+from its release (the FIR truncation of the others); molecules never
+interact, so a cohort of consecutive symbols steps together.  A frame
+packs each symbol's random bits into the integer that is the symbol
+(:func:`mrsk.modem.pack`), takes its emissions from the plan's
 :func:`mrsk.modem.symbol_quantities` table, draws arrivals, hands the (K, N)
 counts to a :mod:`mrsk.modem` detector and counts bit errors as
 popcount(sent ^ detected); modem keeps the bit mapping.
@@ -183,25 +184,20 @@ class ParticleState:
     The receiver sphere sits at the origin and the transmitter point at
     distance d from it.  Absorption reads nothing but a molecule's distance
     from the receiver centre, so ``positions`` holds only that distance,
-    one float per live molecule.  ``ages`` counts the steps each live
-    molecule has taken and ``interval_counts`` accumulates absorptions per
-    molecule type since the last reset.
+    one float per live molecule, and ``types`` its tally bin; a link's
+    state holds one cohort, a run of symbols released at once, with one bin
+    per (symbol, type).  ``interval_counts`` accumulates absorptions per bin
+    since the last reset.
     """
 
     channel: ChannelParams
     positions: np.ndarray
     types: np.ndarray
-    ages: np.ndarray
     interval_counts: np.ndarray
 
     @property
     def alive(self) -> int:
         return self.positions.shape[0]
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop every molecule whose ``mask`` entry is False."""
-        self.positions = self.positions[mask]
-        self.types, self.ages = self.types[mask], self.ages[mask]
 
 
 def new_particle_state(channel: ChannelParams, n_types: int) -> ParticleState:
@@ -209,7 +205,6 @@ def new_particle_state(channel: ChannelParams, n_types: int) -> ParticleState:
         channel=channel,
         positions=np.empty(0),
         types=np.empty(0, dtype=np.int64),
-        ages=np.empty(0, dtype=np.int64),
         interval_counts=np.zeros(n_types, dtype=np.int64),
     )
 
@@ -224,7 +219,6 @@ def release_molecules(state: ParticleState, counts_by_type) -> None:
         return
     state.positions = np.concatenate([state.positions, np.full(n, state.channel.d)])
     state.types = np.concatenate([state.types, np.repeat(np.arange(counts.size), counts)])
-    state.ages = np.concatenate([state.ages, np.zeros(n, dtype=np.int64)])
 
 
 def particle_step(
@@ -268,9 +262,8 @@ def particle_step(
         hit |= np.multiply(gap[:-1], gap[1:], out=spread) < bridge
         absorbed = hit.any(axis=0)
         state.interval_counts += np.bincount(state.types[absorbed], minlength=len(state.interval_counts))
-        state.positions = radii[-1]
-        state.keep(~absorbed)  # copies, so the block is freed
-        state.ages += b
+        # boolean indexing copies, so the block is freed
+        state.positions, state.types = radii[-1][~absorbed], state.types[~absorbed]
         n_steps -= b
     return state
 
@@ -288,22 +281,26 @@ def particle_hit_fraction(
 
 
 def _arrivals_particle(
-    emissions: np.ndarray,
-    channel: ChannelParams,
-    dt: float,
-    rng: np.random.Generator,
+    emissions: np.ndarray, channel: ChannelParams, dt: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-interval absorbed counts of a frame of emissions (K, N); retires molecules at age L·Ts."""
+    """Per-interval absorbed counts of a frame of emissions (K, N), a cohort of symbols at a time.
+
+    A cohort holds about one block of molecules, all of one age: after its step call m, symbol
+    k's tallies land in row k + m, and it is dropped after L calls (age L·Ts)."""
     k_symbols, n_types = emissions.shape
-    state = new_particle_state(channel, n_types)
     n_steps = max(1, int(round(channel.Ts / dt)))
+    released = np.rint(emissions).astype(np.int64)
+    size = max(1, _PARTICLE_BLOCK_STEPS // int(released.sum(axis=1).max(initial=1)))
     counts = np.zeros((k_symbols, n_types))
-    for k in range(k_symbols):
-        release_molecules(state, np.rint(emissions[k]).astype(np.int64))
-        particle_step(state, dt, rng, n_steps)
-        counts[k] = state.interval_counts
-        state.interval_counts[:] = 0
-        state.keep(state.ages < channel.L * n_steps)
+    for start in range(0, k_symbols, size):
+        cohort = released[start : start + size]
+        state = new_particle_state(channel, cohort.size)
+        release_molecules(state, cohort.ravel())
+        for row in range(start, min(start + channel.L, k_symbols)):
+            particle_step(state, dt, rng, n_steps)
+            tallies = state.interval_counts.reshape(cohort.shape)
+            counts[row : row + len(cohort)] += tallies[: k_symbols - row]
+            state.interval_counts[:] = 0
     return counts
 
 

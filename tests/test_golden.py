@@ -86,7 +86,7 @@ DIGESTS = {
     "ftd_n4_gray": "f1f86d3fddd860d2b6af61fab426fb3c472ec44b90c7a37e657f81099fc506bb",
     "mlsd_gaussian": "3af909d42e8e414bf39fa6c3146dd638f57179ddd272b616447f98dfa131bce8",
     "mlsd_solid": "0b957e91fa3787dcf4f2776d7f241959b8722fec3b2676e8e3bf75b11059db0c",
-    "particle": "c561d98fb5662f9344d21586d249c6e1782953efa786ae2895dc90635ea4a470",
+    "particle": "96a2fcac53df88cdff2496e5cbd0b9291e9d5598aa1b1541ca0c28143734f168",
     "pdf_ratio": "b1b57da63aac2087faace8d9b37f1d812ba371061568215a354033a354f915ba",
 }
 
