@@ -236,8 +236,8 @@ def particle_step(
     draws, normals then exponentials; a molecule absorbed at any step of a
     block is tallied once.
     """
-    if dt <= 0 or n_steps < 0:
-        raise ValueError("dt must be positive and n_steps nonnegative")
+    if not 0 < dt < math.inf or n_steps < 0:  # NaN fails too
+        raise ValueError(f"dt must be positive and finite, n_steps >= 0; got {dt}, {n_steps}")
     ch = state.channel
     var = 2.0 * ch.D * dt
     while n_steps and state.alive:
@@ -271,12 +271,33 @@ def particle_step(
 def particle_hit_fraction(
     n_molecules: int, t: float, channel: ChannelParams, dt: float, rng: np.random.Generator
 ) -> float:
-    """Absorbed fraction of a burst of ``n_molecules`` >= 1 after time t (particle oracle)."""
+    """Absorbed fraction of a burst of ``n_molecules`` >= 1 after time t (particle oracle).
+
+    Refuses a burst past ``PARTICLE_POPULATION_CAP`` molecules or past
+    ``PARTICLE_MOLECULE_STEP_CAP`` molecule-steps with :class:`CapacityError`,
+    before any allocation.
+    """
     if n_molecules < 1:
         raise ValueError(f"n_molecules must be at least 1, got {n_molecules}")
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise ValueError(f"hit time t must be finite and nonnegative, got {t}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if n_molecules > PARTICLE_POPULATION_CAP:
+        raise CapacityError(
+            f"a burst of {n_molecules} molecules exceeds PARTICLE_POPULATION_CAP = "
+            f"{PARTICLE_POPULATION_CAP}; release fewer molecules"
+        )
+    steps = round(t / dt, 0)  # a float, so a huge t / dt stays comparable
+    if n_molecules * steps > PARTICLE_MOLECULE_STEP_CAP:
+        raise CapacityError(
+            f"a burst of {n_molecules} molecules over round(t/dt) = {steps:.4g} steps takes "
+            f"{n_molecules * steps:.4g} molecule-steps, exceeding PARTICLE_MOLECULE_STEP_CAP = "
+            f"{PARTICLE_MOLECULE_STEP_CAP:.0e}; raise dt, shorten t or release fewer molecules"
+        )
     state = new_particle_state(channel, 1)
     release_molecules(state, [n_molecules])
-    particle_step(state, dt, rng, int(round(t / dt)))
+    particle_step(state, dt, rng, int(steps))
     return float(state.interval_counts[0]) / n_molecules
 
 

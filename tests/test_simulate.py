@@ -856,7 +856,42 @@ class TestParticle:
         with pytest.raises(ValueError, match="n_molecules"):
             particle_hit_fraction(0, 1.0, ChannelParams(), 1e-3, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("dt, n_steps", [(0.0, 1), (-1e-3, 1), (1e-3, -1)])
+    @pytest.mark.parametrize(
+        "t, dt, match",
+        [
+            (1.0, 0.0, "dt must be positive"),
+            (1.0, math.inf, "dt must be positive"),
+            (1.0, math.nan, "dt must be positive"),
+            (math.inf, 1e-3, "hit time t"),
+            (math.nan, 1e-3, "hit time t"),
+            (-1.0, 1e-3, "hit time t"),
+        ],
+    )
+    def test_hit_fraction_validation(self, t, dt, match):
+        with pytest.raises(ValueError, match=match):
+            particle_hit_fraction(10, t, ChannelParams(), dt, np.random.default_rng(0))
+
+    def test_hit_fraction_caps_refused_before_any_allocation(self, monkeypatch):
+        monkeypatch.setattr(simulate, "new_particle_state", refuse_frame)
+        rng = np.random.default_rng(0)
+        cap = simulate.PARTICLE_POPULATION_CAP
+        with pytest.raises(CapacityError, match="PARTICLE_POPULATION_CAP"):
+            particle_hit_fraction(cap + 1, 0.0, ChannelParams(), 1e-3, rng)
+        # molecules times round(t / dt) steps; a t / dt past the floats is refused, not raised on
+        for n, t, dt in ((1000, 1.0, 1e-7), (1, 1e300, 1e-300)):
+            with pytest.raises(CapacityError, match="PARTICLE_MOLECULE_STEP_CAP"):
+                particle_hit_fraction(n, t, ChannelParams(), dt, rng)
+        monkeypatch.undo()
+        # the step cap is exact: 100 molecules of round(0.05 / 1e-3) = 50 steps
+        monkeypatch.setattr(simulate, "PARTICLE_MOLECULE_STEP_CAP", 100 * 50)
+        particle_hit_fraction(100, 0.05, ChannelParams(), 1e-3, rng)
+        monkeypatch.setattr(simulate, "PARTICLE_MOLECULE_STEP_CAP", 100 * 50 - 1)
+        with pytest.raises(CapacityError, match="PARTICLE_MOLECULE_STEP_CAP"):
+            particle_hit_fraction(100, 0.05, ChannelParams(), 1e-3, rng)
+
+    @pytest.mark.parametrize(
+        "dt, n_steps", [(0.0, 1), (-1e-3, 1), (1e-3, -1), (math.nan, 1), (math.inf, 1)]
+    )
     def test_step_validation(self, dt, n_steps):
         state = new_particle_state(CH, 1)
         with pytest.raises(ValueError, match="dt must be positive"):
