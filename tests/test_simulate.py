@@ -775,8 +775,14 @@ class TestParticle:
         frac = particle_hit_fraction(20_000, 1.0, ch, 1e-3, np.random.default_rng(42))
         assert frac == pytest.approx(hit_fraction(1.0, ch), rel=0.025)
 
-    def test_interval_counts_match_moments(self):
+    # the block budget sets the cohort size, block // (molecules of the largest symbol)
+    @pytest.mark.parametrize(
+        "block", [simulate._PARTICLE_BLOCK_STEPS, 40_000, 60_000],
+        ids=["one-symbol-cohorts", "two-symbol-cohorts", "one-cohort"],
+    )
+    def test_interval_counts_match_moments(self, block, monkeypatch):
         # per-interval tallies against the FIR moments at 10^4 molecules
+        monkeypatch.setattr(simulate, "_PARTICLE_BLOCK_STEPS", block)
         ch = ChannelParams(Ts=0.5, L=3)
         taps = cir(ch)
         rng = np.random.default_rng(7)
@@ -786,15 +792,22 @@ class TestParticle:
             mu, _ = arrival_moments(emissions[: k + 1], taps)
             assert counts[k] == pytest.approx(mu, rel=0.05)
 
-    def test_molecules_retire_after_memory(self):
-        # one burst, then empty symbols: nothing is counted L or more intervals
-        # after the release, though free molecules would still hit then
+    @pytest.mark.parametrize(
+        "block, at",
+        [(simulate._PARTICLE_BLOCK_STEPS, 0), (2_000, 0), (6_000, 2), (2_000, 7)],
+        ids=["one-cohort", "one-symbol-cohorts", "burst-ends-a-cohort", "burst-ends-the-frame"],
+    )
+    def test_molecules_retire_after_memory(self, block, at, monkeypatch):
+        # one burst among empty symbols: nothing is counted before it, or L or more
+        # intervals after the release, though free molecules would still hit then.
+        # At 3-symbol cohorts a burst on symbol 2 is tallied into the next cohort's rows
+        monkeypatch.setattr(simulate, "_PARTICLE_BLOCK_STEPS", block)
         ch = ChannelParams(Ts=0.25, L=2)
         emissions = np.zeros((8, 1))
-        emissions[0] = 2_000
+        emissions[at] = 2_000
         counts = simulate._arrivals_particle(emissions, ch, 1e-2, np.random.default_rng(9))
-        assert np.all(counts[: ch.L] > 0)
-        assert np.all(counts[ch.L :] == 0)
+        assert np.all(counts[at : at + ch.L] > 0)
+        assert np.all(counts[:at] == 0) and np.all(counts[at + ch.L :] == 0)
 
     def test_burst_split_is_multinomial(self):
         # one burst of n over L intervals splits as Multinomial(n; p_1..p_L):
