@@ -65,8 +65,7 @@ class BerResult:
 def hamming_table(M: int, coding: str) -> np.ndarray:
     """(2^M, 2^M) table of codeword bit differences, 0-based indices."""
     codes = codewords(np.arange(1 << M), coding)
-    x = codes[:, None] ^ codes[None, :]
-    return sum((x >> b) & 1 for b in range(M))
+    return np.bitwise_count(codes[:, None] ^ codes).astype(np.int64)
 
 
 def check_alphabet(config: MrskConfig) -> None:
