@@ -68,11 +68,13 @@ _Z95 = 1.959963984540054
 FRAME_SYMBOLS = 8192
 # bits one link may simulate
 TRIALS_CAP = 10**9
-# live molecules a particle link may hold: L intervals of its largest symbol
+# molecules a particle link may have in flight, L intervals of its largest symbol
+# (each molecule steps L intervals), and molecules of one hit-fraction burst; a
+# link's live population, one cohort, is at most max(one block, one symbol)
 PARTICLE_POPULATION_CAP = 10**6
 # molecule-steps a particle link may take, symbols times round(Ts / dt) times
-# its population bound (at least 1: a block step costs ~0.3 us even in a
-# near-empty medium); about 30 ns each, so ~30 s at the cap
+# its molecules in flight (at least 1: a block step costs ~0.3 us even in a
+# near-empty medium), or one hit-fraction burst; about 30 ns each, so ~30 s at the cap
 PARTICLE_MOLECULE_STEP_CAP = 10**9
 # symbols a link may tabulate: its (S, N) emission table and the (S, N-1)
 # digits it is built from take 8 (2N - 1) S bytes, about 160 MB at the cap
@@ -548,14 +550,15 @@ def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
             )
     check_moments(mrsk)
     if sim.engine == "particle":
-        # retirement bounds the population by L intervals of the largest symbol,
-        # Q (1 + Omega + ... + Omega^(N-1)): every ratio at the top of the alphabet
+        # each molecule steps L intervals, so at most L intervals of the largest symbol,
+        # Q (1 + Omega + ... + Omega^(N-1)), are in flight: every ratio at the top of the
+        # alphabet.  That bounds the cohorts' molecules and each interval's molecule-steps
         largest = mrsk.Q * float(np.sum(mrsk.Omega ** np.arange(mrsk.N, dtype=float)))
         population = channel.L * largest
         if population > PARTICLE_POPULATION_CAP:
             raise CapacityError(
-                f"a particle link may hold {population:.4g} live molecules (L times the largest "
-                f"symbol), exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; "
+                f"a particle link may have {population:.4g} molecules in flight (L times the "
+                f"largest symbol), exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; "
                 "reduce Q, Omega, N, M or L"
             )
         # steps rounded as _arrivals_particle rounds, in floats so a huge Ts / dt stays
@@ -565,7 +568,7 @@ def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
         if molecule_steps > PARTICLE_MOLECULE_STEP_CAP:
             raise CapacityError(
                 f"a particle link of {n_symbols} symbols at round(Ts/dt) steps each, holding up "
-                f"to {population:.4g} live molecules, takes up to {molecule_steps:.4g} "
+                f"to {population:.4g} molecules in flight, takes up to {molecule_steps:.4g} "
                 f"molecule-steps, exceeding PARTICLE_MOLECULE_STEP_CAP = "
                 f"{PARTICLE_MOLECULE_STEP_CAP:.0e}; raise dt, request fewer bits or reduce Q"
             )

@@ -836,7 +836,7 @@ class TestParticle:
         run_link(big, ChannelParams(L=2), replace(sim, engine="statistical"))
 
     def test_step_cap_refused_before_any_frame(self, monkeypatch):
-        # the cap counts molecule-steps: symbols x round(Ts / dt) x the population bound
+        # the cap counts molecule-steps: symbols x round(Ts / dt) x the molecules in flight
         monkeypatch.setattr(simulate, "_arrivals_particle", refuse_frame)
         monkeypatch.setattr(simulate, "symbol_quantities", refuse_frame)
         cfg, ch = MrskConfig(Q=50.0), ChannelParams(Ts=0.5, L=2)
