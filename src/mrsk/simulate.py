@@ -290,7 +290,7 @@ def particle_hit_fraction(
             f"a burst of {n_molecules} molecules exceeds PARTICLE_POPULATION_CAP = "
             f"{PARTICLE_POPULATION_CAP}; release fewer molecules"
         )
-    steps = round(t / dt, 0)  # a float, so a huge t / dt stays comparable
+    steps = round(float(t) / float(dt), 0)  # Python floats: a huge t / dt is inf, unwarned
     if n_molecules * steps > PARTICLE_MOLECULE_STEP_CAP:
         raise CapacityError(
             f"a burst of {n_molecules} molecules over round(t/dt) = {steps:.4g} steps takes "

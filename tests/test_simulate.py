@@ -890,8 +890,10 @@ class TestParticle:
         cap = simulate.PARTICLE_POPULATION_CAP
         with pytest.raises(CapacityError, match="PARTICLE_POPULATION_CAP"):
             particle_hit_fraction(cap + 1, 0.0, ChannelParams(), 1e-3, rng)
-        # molecules times round(t / dt) steps; a t / dt past the floats is refused, not raised on
-        for n, t, dt in ((1000, 1.0, 1e-7), (1, 1e300, 1e-300)):
+        # molecules times round(t / dt) steps; a t / dt past the floats, NumPy scalars too, is
+        # refused, not raised or warned on
+        huge = np.float64(1e300)
+        for n, t, dt in ((1000, 1.0, 1e-7), (1, 1e300, 1e-300), (1, huge, 1.0 / huge)):
             with pytest.raises(CapacityError, match="PARTICLE_MOLECULE_STEP_CAP"):
                 particle_hit_fraction(n, t, ChannelParams(), dt, rng)
         monkeypatch.undo()
