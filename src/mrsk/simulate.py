@@ -561,9 +561,9 @@ def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
                 f"largest symbol), exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; "
                 "reduce Q, Omega, N, M or L"
             )
-        # steps rounded as _arrivals_particle rounds, in floats so a huge Ts / dt stays
-        # comparable; a step costs a block step even with under one molecule alive
-        steps = n_symbols * max(1.0, round(channel.Ts / sim.particle_dt, 0))
+        # steps rounded as _arrivals_particle rounds, in Python floats so a huge Ts / dt is
+        # inf, unwarned; a step costs a block step even with under one molecule alive
+        steps = n_symbols * max(1.0, round(float(channel.Ts) / float(sim.particle_dt), 0))
         molecule_steps = steps * max(1.0, population)
         if molecule_steps > PARTICLE_MOLECULE_STEP_CAP:
             raise CapacityError(

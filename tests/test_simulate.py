@@ -840,8 +840,8 @@ class TestParticle:
         monkeypatch.setattr(simulate, "_arrivals_particle", refuse_frame)
         monkeypatch.setattr(simulate, "symbol_quantities", refuse_frame)
         cfg, ch = MrskConfig(Q=50.0), ChannelParams(Ts=0.5, L=2)
-        # 1000 symbols of round(0.5 / dt) steps, the last too many for an integer count
-        for dt in (1e-3, 1e-6, 1e-9, 1e-320):
+        # 1000 symbols of round(0.5 / dt) steps, the last two too many for an integer count
+        for dt in (1e-3, 1e-6, 1e-9, 1e-320, np.float64(1e-320)):
             with pytest.raises(CapacityError, match="PARTICLE_MOLECULE_STEP_CAP"):
                 run_link(cfg, ch, SimConfig(n_bits=20_000, engine="particle", particle_dt=dt))
         monkeypatch.undo()
