@@ -60,14 +60,12 @@ __all__ = ["run_cli", "main", "write_csv", "replay_csv", "ExperimentSpec"]
 CSV_HEADER = "param,value,scheme,detector,coding,ber,ci_low,ci_high,trials"
 PDF_HEADER = "eta,exact,solid,gaussian,empirical"
 OUT_DIR_ENV = "MRSK_OUT_DIR"
-# pdf refuses larger requests before any draw: the samples are binned a block
-# at a time, so only the draw time grows with them; the per-point arrays and
-# CSV rows take about 200 bytes per point
-PDF_SAMPLES_CAP = 10_000_000
+# pdf refuses more grid points before any draw: the per-point arrays and CSV
+# rows take about 200 bytes per point (sample_ratio bounds --samples)
 PDF_GRID_POINTS_CAP = 100_000
 # a larger --workers is a typo: the pool never exceeds the frame or core count
 WORKERS_CAP = 256
-# points a start:step:stop range may expand to
+# points a values list or start:step:stop range may hold
 VALUES_CAP = 10_000
 
 _SUBCOMMANDS = ("pdf", "ber-analytic", "ber-sim", "ber-particle", "compare", "sweep")
@@ -136,7 +134,7 @@ class ExperimentSpec:
         for token in line[len("# spec: ") :].split():
             key, _, raw = token.partition("=")
             if key == "values":
-                kwargs[key] = tuple(float(x) for x in raw.split(","))
+                kwargs[key] = _parse_values(raw)
             elif key not in _SPEC_TYPES:
                 raise ValueError(f"unknown spec key {key!r}")
             elif _SPEC_TYPES[key] is str:
@@ -220,15 +218,14 @@ class CliError(RuntimeError):
 
 
 def _run_pdf(spec: ExperimentSpec) -> str:
-    for name, cap in (("samples", PDF_SAMPLES_CAP), ("grid_points", PDF_GRID_POINTS_CAP)):
-        value, flag = getattr(spec, name), "--" + name.replace("_", "-")
+    for flag, value in (("--samples", spec.samples), ("--grid-points", spec.grid_points)):
         if value < 1:
             raise CliError(f"{flag} must be positive, got {value}")
-        if value > cap:
-            raise CapacityError(
-                f"{flag} {value} exceeds the cap PDF_{name.upper()}_CAP = {cap}; "
-                f"request at most {cap}"
-            )
+    if spec.grid_points > PDF_GRID_POINTS_CAP:
+        raise CapacityError(
+            f"--grid-points {spec.grid_points} exceeds the cap PDF_GRID_POINTS_CAP = "
+            f"{PDF_GRID_POINTS_CAP}; request at most {PDF_GRID_POINTS_CAP}"
+        )
     channel = spec.channel
     p1 = hit_fraction(channel.Ts, channel)
     mu_x, mu_y = spec.Q * spec.ratio * p1, spec.Q * p1
@@ -367,21 +364,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_values(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise CliError(f"range must be start:step:stop, got {raw!r}")
+    """The points of a comma list or start:step:stop range, refused past ``VALUES_CAP`` unbuilt."""
+    parts = raw.strip().split(":")
+    if len(parts) == 1:
+        points = parts[0].count(",") + 1
+    elif len(parts) == 3:
         start, step, stop = (float(p) for p in parts)
         if not all(map(math.isfinite, (start, step, stop))):
             raise CliError(f"range bounds and step must be finite, got {raw!r}")
         if step <= 0:
             raise CliError("range step must be positive")
-        span = (stop - start) / step + 1e-9
-        if span >= VALUES_CAP:
-            raise CapacityError(f"range {raw!r} exceeds VALUES_CAP = {VALUES_CAP} points")
-        return tuple(start + k * step for k in range(math.floor(span) + 1))
-    return tuple(float(p) for p in raw.split(","))
+        span = (stop - start) / step + 1e-9  # may overflow to +-inf, so it is clipped to count
+        points = math.floor(min(max(span, -1.0), VALUES_CAP)) + 1
+    else:
+        raise CliError(f"range must be start:step:stop, got {raw!r}")
+    if points > VALUES_CAP:
+        raise CapacityError(f"the values hold more than VALUES_CAP = {VALUES_CAP} points")
+    if len(parts) == 1:
+        return tuple(float(p) for p in parts[0].split(","))
+    return tuple(start + k * step for k in range(points))
 
 
 def _load_config(path) -> dict[str, str]:

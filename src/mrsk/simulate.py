@@ -270,6 +270,26 @@ def particle_step(
     return state
 
 
+def _particle_steps(t: float, dt: float) -> float:
+    """round(t / dt) in Python floats, where a t / dt past the floats is inf, unwarned."""
+    return round(float(t) / float(dt), 0)
+
+
+def _check_particle_budget(molecules: float, steps: float) -> None:
+    """Refuse ``molecules`` past ``PARTICLE_POPULATION_CAP``, or ``steps`` among them (at least
+    one) past ``PARTICLE_MOLECULE_STEP_CAP`` molecule-steps, with :class:`CapacityError`."""
+    if molecules > PARTICLE_POPULATION_CAP:
+        raise CapacityError(
+            f"{molecules:.7g} molecules in flight exceed PARTICLE_POPULATION_CAP = "
+            f"{PARTICLE_POPULATION_CAP}; release fewer molecules (reduce Q, Omega, N, M or L)"
+        )
+    if steps * max(1.0, molecules) > PARTICLE_MOLECULE_STEP_CAP:
+        raise CapacityError(
+            f"{steps:.4g} steps among {molecules:.4g} molecules exceed PARTICLE_MOLECULE_STEP_CAP"
+            f" = {PARTICLE_MOLECULE_STEP_CAP:.0e} molecule-steps; raise dt or simulate less time"
+        )
+
+
 def particle_hit_fraction(
     n_molecules: int, t: float, channel: ChannelParams, dt: float, rng: np.random.Generator
 ) -> float:
@@ -285,18 +305,8 @@ def particle_hit_fraction(
         raise ValueError(f"hit time t must be finite and nonnegative, got {t}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if n_molecules > PARTICLE_POPULATION_CAP:
-        raise CapacityError(
-            f"a burst of {n_molecules} molecules exceeds PARTICLE_POPULATION_CAP = "
-            f"{PARTICLE_POPULATION_CAP}; release fewer molecules"
-        )
-    steps = round(float(t) / float(dt), 0)  # Python floats: a huge t / dt is inf, unwarned
-    if n_molecules * steps > PARTICLE_MOLECULE_STEP_CAP:
-        raise CapacityError(
-            f"a burst of {n_molecules} molecules over round(t/dt) = {steps:.4g} steps takes "
-            f"{n_molecules * steps:.4g} molecule-steps, exceeding PARTICLE_MOLECULE_STEP_CAP = "
-            f"{PARTICLE_MOLECULE_STEP_CAP:.0e}; raise dt, shorten t or release fewer molecules"
-        )
+    steps = _particle_steps(t, dt)
+    _check_particle_budget(n_molecules, steps)
     state = new_particle_state(channel, 1)
     release_molecules(state, [n_molecules])
     particle_step(state, dt, rng, int(steps))
@@ -311,7 +321,7 @@ def _arrivals_particle(
     A cohort holds about one block of molecules, all of one age: after its step call m, symbol
     k's tallies land in row k + m, and it is dropped after L calls (age L·Ts)."""
     k_symbols, n_types = emissions.shape
-    n_steps = max(1, int(round(channel.Ts / dt)))
+    n_steps = max(1, int(_particle_steps(channel.Ts, dt)))
     released = np.rint(emissions).astype(np.int64)
     size = max(1, _PARTICLE_BLOCK_STEPS // int(released.sum(axis=1).max(initial=1)))
     counts = np.zeros((k_symbols, n_types))
@@ -552,26 +562,11 @@ def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
     if sim.engine == "particle":
         # each molecule steps L intervals, so at most L intervals of the largest symbol,
         # Q (1 + Omega + ... + Omega^(N-1)), are in flight: every ratio at the top of the
-        # alphabet.  That bounds the cohorts' molecules and each interval's molecule-steps
+        # alphabet.  That bounds the cohorts' molecules and each interval's molecule-steps;
+        # an interval takes at least one step, as in _arrivals_particle
         largest = mrsk.Q * float(np.sum(mrsk.Omega ** np.arange(mrsk.N, dtype=float)))
-        population = channel.L * largest
-        if population > PARTICLE_POPULATION_CAP:
-            raise CapacityError(
-                f"a particle link may have {population:.4g} molecules in flight (L times the "
-                f"largest symbol), exceeding PARTICLE_POPULATION_CAP = {PARTICLE_POPULATION_CAP}; "
-                "reduce Q, Omega, N, M or L"
-            )
-        # steps rounded as _arrivals_particle rounds, in Python floats so a huge Ts / dt is
-        # inf, unwarned; a step costs a block step even with under one molecule alive
-        steps = n_symbols * max(1.0, round(float(channel.Ts) / float(sim.particle_dt), 0))
-        molecule_steps = steps * max(1.0, population)
-        if molecule_steps > PARTICLE_MOLECULE_STEP_CAP:
-            raise CapacityError(
-                f"a particle link of {n_symbols} symbols at round(Ts/dt) steps each, holding up "
-                f"to {population:.4g} molecules in flight, takes up to {molecule_steps:.4g} "
-                f"molecule-steps, exceeding PARTICLE_MOLECULE_STEP_CAP = "
-                f"{PARTICLE_MOLECULE_STEP_CAP:.0e}; raise dt, request fewer bits or reduce Q"
-            )
+        steps = n_symbols * max(1.0, _particle_steps(channel.Ts, sim.particle_dt))
+        _check_particle_budget(channel.L * largest, steps)
     taps = cir(channel)  # refuses an L above MEMORY_CAP
     if sim.engine == "binomial":
         reached = taps[: min(FRAME_SYMBOLS, n_symbols)]  # the taps a frame reaches

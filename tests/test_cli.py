@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrsk import analysis, channel, cli, simulate
+from mrsk import analysis, channel, cli, ratio_stats, simulate
 from mrsk.cli import (
     CSV_HEADER,
     ExperimentSpec,
@@ -23,6 +23,7 @@ from mrsk.cli import (
     run_cli,
     write_csv,
 )
+from mrsk.errors import CapacityError
 from mrsk.simulate import BerEstimate, child_seed
 
 
@@ -329,6 +330,8 @@ class TestErrors:
         [
             (["sweep", "--engine", "analytic", "--values", "1:0:2"], "range step must be positive"),
             (["ber-analytic", "--config", os.path.join(os.devnull, "missing.cfg")], "cannot read config"),
+            # (stop - start) / step overflows to -inf: an empty range, not a traceback
+            (["sweep", "--engine", "analytic", "--values=1e308:1e-300:-1e308"], "at least one value"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )
@@ -381,16 +384,30 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, cap", [("--samples", "PDF_SAMPLES_CAP"), ("--grid-points", "PDF_GRID_POINTS_CAP")]
+        "flag, cap", [("--samples", "SAMPLE_DRAWS_CAP"), ("--grid-points", "PDF_GRID_POINTS_CAP")]
     )
     def test_pdf_size_caps_exit_two(self, tmp_path, capsys, monkeypatch, flag, cap):
-        # refused before anything is allocated: the sampler is never reached
-        monkeypatch.setattr(cli, "sample_ratio", refuse_call)
-        rc, out = run(tmp_path, "x.csv", ["pdf", flag, str(getattr(cli, cap) + 1)])
+        # refused before any draw: the grid before the sampler is reached, the samples by
+        # the sampler itself, which leaves its generator as it found it
+        owner = ratio_stats if cap == "SAMPLE_DRAWS_CAP" else cli
+        states = []
+
+        def sampler(pair, n, rng, edges):
+            assert flag == "--samples", "the grid is refused before the sampler"
+            states.append(rng.bit_generator.state)
+            try:
+                return ratio_stats.sample_ratio(pair, n, rng, edges)
+            finally:
+                states.append(rng.bit_generator.state)
+
+        monkeypatch.setattr(cli, "sample_ratio", sampler)
+        rc, out = run(tmp_path, "x.csv", ["pdf", flag, str(getattr(owner, cap) + 1)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert cap in err and str(getattr(cli, cap)) in err
+        assert cap in err and str(getattr(owner, cap)) in err
         assert not out.exists()
+        if flag == "--samples":
+            assert len(states) == 2 and states[0] == states[1]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_must_be_positive(self, tmp_path, capsys, monkeypatch, workers):
@@ -420,6 +437,34 @@ class TestErrors:
             assert rc == 2 and not out.exists()
             assert "VALUES_CAP = 10000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["--values", "config file", "spec line"])
+    def test_values_list_cap_on_every_source(self, source, tmp_path, capsys, monkeypatch):
+        # VALUES_CAP listed points are admitted from every source that reads values, and one
+        # more is refused before any point is built: run_spec, which builds them, is never
+        # reached (ranges: test_values_range_cap_exit_two)
+        def read(n):
+            raw = ",".join(map(str, range(1, n + 1)))
+            if source == "spec line":
+                (tmp_path / "old.csv").write_text(f"# spec: subcommand='sweep' values={raw}\n")
+                cli.replay_csv(tmp_path / "old.csv")
+                return
+            argv = ["sweep", "--engine", "analytic", "--values", raw]
+            if source == "config file":
+                (tmp_path / "run.cfg").write_text(f"values={raw}\n")
+                argv[-2:] = ["--config", str(tmp_path / "run.cfg")]
+            rc = run_cli(argv + ["-o", os.devnull])
+            if rc == 2:
+                raise CapacityError(capsys.readouterr().err)
+            assert rc == 0
+
+        seen = []
+        monkeypatch.setattr(cli, "run_spec", lambda spec, workers=1: seen.append(spec) or "")
+        read(cli.VALUES_CAP)
+        assert len(seen[0].values) == cli.VALUES_CAP
+        monkeypatch.setattr(cli, "run_spec", refuse_call)
+        with pytest.raises(CapacityError, match="VALUES_CAP = 10000"):
+            read(cli.VALUES_CAP + 1)
+
     def test_non_finite_range_exit_one(self, tmp_path, capsys):
         # a usage error, before any point count is computed
         for values in ("inf:1:2", "-inf:1:2", "0:inf:1", "0:nan:1", "0:1:inf"):
@@ -428,7 +473,7 @@ class TestErrors:
             assert "must be finite" in capsys.readouterr().err
 
     def test_pdf_caps_admit_the_largest_recipe(self):
-        assert cli.PDF_SAMPLES_CAP >= 1_000_000 and cli.PDF_GRID_POINTS_CAP >= 4001
+        assert ratio_stats.SAMPLE_DRAWS_CAP >= 1_000_000 and cli.PDF_GRID_POINTS_CAP >= 4001
 
 
 class TestConfigFile:
@@ -704,7 +749,7 @@ FLAG_POOLS = {
     "--values": (["0.5", "2", "0.25,0.5", "1:1:2"], [NAN, "", "1:2", "0:1e-9:1", "0:1:inf", "inf:1:2", "x"]),
     "--ratio": (["2.718281828459045", "1"], ["0", "-1", NAN]),
     "--grid-points": (["11"], ["0", "-1", str(cli.PDF_GRID_POINTS_CAP + 1)]),
-    "--samples": (["100"], ["0", "-1", str(cli.PDF_SAMPLES_CAP + 1)]),
+    "--samples": (["100"], ["0", "-1", str(ratio_stats.SAMPLE_DRAWS_CAP + 1)]),
     "--ook-alpha": (["0.78"], ["0", "-1", NAN]),
     "--csk-gamma": (["2"], ["1", "0", NAN]),
     "--mosk-lambda-frac": (["0.34"], ["0", NAN]),

@@ -860,6 +860,53 @@ class TestParticle:
             with pytest.raises(CapacityError, match="PARTICLE_MOLECULE_STEP_CAP"):
                 run_link(link, ch, sim)
 
+    def test_link_and_burst_share_one_step_rule_and_budget(self, monkeypatch):
+        # round(t / dt) from NumPy scalars too; a t / dt past the floats is inf, unwarned
+        # (RuntimeWarning is an error here), and so refused rather than raised on
+        huge = np.float64(1e300)
+        assert simulate._particle_steps(np.float64(0.5), np.float64(0.01)) == 50
+        assert simulate._particle_steps(huge, 1.0 / huge) == math.inf
+        rules, steps = [], simulate._particle_steps
+
+        def rule(t, dt):
+            rules.append(steps(t, dt))
+            return rules[-1]
+
+        monkeypatch.setattr(simulate, "_particle_steps", rule)
+        rng = np.random.default_rng(0)
+        cfg, ch = MrskConfig(Q=5.0), ChannelParams(Ts=np.float64(0.5), L=2)
+        sim = SimConfig(n_bits=1_000, engine="particle", particle_dt=np.float64(0.01))
+        # a link: 1000 symbols of 50 steps among up to L Q (1 + Omega) molecules, at the
+        # exact step budget and one molecule-step under it; its frames take the same rule
+        link_steps = 1000 * 50 * (2 * 5.0 * (1 + math.e))
+        monkeypatch.setattr(simulate, "PARTICLE_MOLECULE_STEP_CAP", math.ceil(link_steps))
+        run_link(cfg, ch, sim)
+        assert rules == [50.0] * (1 + 1)  # _refuse, then the one frame
+        monkeypatch.setattr(simulate, "PARTICLE_MOLECULE_STEP_CAP", math.ceil(link_steps) - 1)
+        with pytest.raises(CapacityError, match="PARTICLE_MOLECULE_STEP_CAP"):
+            run_link(cfg, ch, sim)
+        # a burst: 100 molecules of round(0.05 / 1e-3) = 50 steps, at and one under the budget
+        t, dt = np.float64(0.05), np.float64(1e-3)
+        monkeypatch.setattr(simulate, "PARTICLE_MOLECULE_STEP_CAP", 100 * 50)
+        particle_hit_fraction(100, t, ChannelParams(), dt, rng)
+        monkeypatch.setattr(simulate, "PARTICLE_MOLECULE_STEP_CAP", 100 * 50 - 1)
+        with pytest.raises(CapacityError, match="PARTICLE_MOLECULE_STEP_CAP"):
+            particle_hit_fraction(100, t, ChannelParams(), dt, rng)
+        assert rules[-2:] == [50.0, 50.0]
+        # the population budget, exactly, for a burst and a link (L Q (1 + Omega) molecules)
+        monkeypatch.undo()
+        monkeypatch.setattr(simulate, "_simulate_frame", lambda *job: (0, 1, 0, 0))
+        monkeypatch.setattr(simulate, "PARTICLE_POPULATION_CAP", 100)
+        monkeypatch.setattr(simulate, "new_particle_state", refuse_frame)
+        with pytest.raises(CapacityError, match="PARTICLE_POPULATION_CAP = 100;"):
+            particle_hit_fraction(101, t, ChannelParams(), dt, rng)
+        population = 2 * 5.0 * (1 + math.e)
+        monkeypatch.setattr(simulate, "PARTICLE_POPULATION_CAP", population)
+        run_link(cfg, ch, sim)
+        monkeypatch.setattr(simulate, "PARTICLE_POPULATION_CAP", math.nextafter(population, 0))
+        with pytest.raises(CapacityError, match="PARTICLE_POPULATION_CAP"):
+            run_link(cfg, ch, sim)
+
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
     def test_particle_dt_positive_and_finite(self, dt):
         with pytest.raises(ValueError, match="particle_dt"):
