@@ -66,8 +66,9 @@ _COUNTED_THRESHOLDS = 31
 # leaves at most 2^10 states), so at most 64 MiB for 8192 symbols
 TRELLIS_STATE_CAP = 1 << 13
 TRELLIS_WINDOW_CAP = 1 << 20
-# window-symbols a sequence-detected link may score, symbols times S^L: the
-# caps above bound memory, this one time (about 90 ns each, so ~95 s at the cap)
+# candidates a link's detector may score, symbols times S^L windows for MLSD or
+# S + 1 decisions for ADMC: the caps above bound memory, this one time (about
+# 90 ns an MLSD window, so ~95 s at the cap; about 105 ns an ADMC decision)
 TRELLIS_WORK_CAP = 1 << 30
 
 

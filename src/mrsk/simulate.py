@@ -547,16 +547,21 @@ def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
         )
     check_alphabet(mrsk)
     n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
-    if mrsk.detector == "mlsd":
-        trellis_states(mrsk, channel.L)
-        windows = mrsk.bits_per_symbol * channel.L  # S^L = 2^windows, within the window cap
-        work = n_symbols << windows
+    if mrsk.detector != "ftd":
+        # a symbol costs MLSD its S^L branch windows (within the window cap) and ADMC its S + 1
+        # tabulated decisions, one per previous decision and one from the cold start
+        bits = mrsk.bits_per_symbol
+        if mrsk.detector == "mlsd":
+            trellis_states(mrsk, channel.L)
+            per_symbol, what = 1 << bits * channel.L, f"S^L = 2^{bits * channel.L} branch windows"
+        else:
+            per_symbol, what = (1 << bits) + 1, f"S + 1 = 2^{bits} + 1 decisions"
+        work = n_symbols * per_symbol
         if work > TRELLIS_WORK_CAP:
             raise CapacityError(
-                f"sequence detection of {n_symbols} symbols over S^L = 2^{windows} branch "
-                f"windows scores {work:.4g} window-symbols, exceeding "
-                f"TRELLIS_WORK_CAP = 2^{TRELLIS_WORK_CAP.bit_length() - 1}; request fewer "
-                "bits or reduce N, M or L"
+                f"{mrsk.detector} detection of {n_symbols} symbols over {what} scores "
+                f"{work:.4g} candidate-symbols, exceeding TRELLIS_WORK_CAP = "
+                f"2^{TRELLIS_WORK_CAP.bit_length() - 1}; request fewer bits or reduce N, M or L"
             )
     check_moments(mrsk)
     if sim.engine == "particle":

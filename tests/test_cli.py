@@ -465,6 +465,15 @@ class TestErrors:
         with pytest.raises(CapacityError, match="VALUES_CAP = 10000"):
             read(cli.VALUES_CAP + 1)
 
+    def test_admc_work_refusal_exit_two(self, tmp_path, capsys, monkeypatch):
+        # S = 2^18 symbols: 4,445 symbols x (S + 1) tabulated decisions pass TRELLIS_WORK_CAP,
+        # refused before any arrival
+        monkeypatch.setattr(simulate, "_arrivals_statistical", refuse_call)
+        argv = ["ber-sim", "--detector", "admc", "--N", "3", "--M", "9", "--bits", "80000"]
+        rc, out = run(tmp_path, "x.csv", argv)
+        assert rc == 2 and not out.exists()
+        assert "TRELLIS_WORK_CAP = 2^30" in capsys.readouterr().err
+
     def test_non_finite_range_exit_one(self, tmp_path, capsys):
         # a usage error, before any point count is computed
         for values in ("inf:1:2", "-inf:1:2", "0:inf:1", "0:nan:1", "0:1:inf"):
@@ -791,6 +800,7 @@ REFUSED_ARGV = [
     ["compare", "--L", "21"],  # 2^21 bit histories: (2^21, 21, 2) float arrays
     ["pdf", "--Q", "1e-30", "--samples", "10"],  # sigma_y ~ 5e-16: every denominator is redrawn
     ["compare", "--M", "2", "--L", "20"],  # 4^20 sequences, refused before the 2^20-history baselines
+    ["ber-sim", "--detector", "admc", "--N", "3", "--M", "9"],  # 5,556 symbols x (2^18 + 1) decisions
 ]
 
 

@@ -629,6 +629,17 @@ class TestFrameRunner:
         with pytest.raises(AssertionError, match="before the first frame"):
             run_link(config, channel, SimConfig(n_bits=4 * symbols))
 
+    def test_admc_work_refusal_before_any_arrival(self, monkeypatch):
+        # ADMC tabulates S + 1 decisions a symbol: at S = 2^18 refused one symbol past
+        # TRELLIS_WORK_CAP candidate-symbols, and run at the cap
+        monkeypatch.setattr(simulate, "_arrivals_statistical", refuse_frame)
+        config, channel = MrskConfig(N=3, M=9, detector="admc"), ChannelParams(Ts=1.0, L=2)
+        symbols = modem.TRELLIS_WORK_CAP // (config.symbol_count + 1)
+        with pytest.raises(CapacityError, match=r"TRELLIS_WORK_CAP = 2\^30"):
+            run_link(config, channel, SimConfig(n_bits=18 * (symbols + 1)))
+        with pytest.raises(AssertionError, match="before the first frame"):
+            run_link(config, channel, SimConfig(n_bits=18 * symbols))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_admc_without_memory_refused_before_any_arrival(self, monkeypatch, frame_symbols, workers):
         # at L = 1 there is no tap to cancel: detect_admc's refusal, before any table, arrival or fork
