@@ -397,8 +397,10 @@ def _load_config(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "subcommand" or key not in {*_SPEC_TYPES, "values"}:  # no spec flag reads it
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = value
     return out
 
 

@@ -503,6 +503,17 @@ class TestConfigFile:
         rc, _ = run(tmp_path, "x.csv", ["ber-analytic", "--config", str(cfg)])
         assert rc == 1
 
+    @pytest.mark.parametrize("key", ["omgea", "workers", "subcommand", "t-b", "output"])
+    def test_unknown_config_key_exit_one(self, key, tmp_path, capsys, monkeypatch):
+        # a key no spec flag reads is refused, naming the file and the key, before any work
+        monkeypatch.setattr(cli, "run_spec", refuse_call)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"Q=500\n{key}=3.0\n")
+        rc, out = run(tmp_path, "x.csv", ["ber-analytic", "--config", str(cfg)])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: unknown config key {key!r}" in err
+
 
 class TestOutputDir:
     def test_env_var_default_directory(self, tmp_path, monkeypatch, capsys):
