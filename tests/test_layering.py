@@ -5,9 +5,10 @@ one implementation that other modules call instead of reaching into
 its helpers; every name a module exports in ``__all__`` exists and has
 a caller in the package or a listed entry point, so helpers whose only
 callers are tests live in ``tests/``; size caps are module constants,
-not parameters or config fields; and only ``cli`` names the bit time
+not parameters or config fields; only ``cli`` names the bit time
 ``t_b``, which its experiment spec turns into the symbol interval every
-other module reads.
+other module reads; and no module keeps orphans, an import it never reads
+or a private module-level name it never reads.
 """
 
 import ast
@@ -246,3 +247,45 @@ def test_only_cli_names_the_bit_time(path):
     # and every other module reads the symbol interval of the channel it is given
     found = bit_time_names(parse(path))
     assert not found, f"{path.name} names t_b at {found}; take the interval from channel.Ts"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports and never reads; a name in ``__all__`` is re-exported, so read."""
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - read - set(declared_all(tree) or ()))
+
+
+def unread_private_names(tree: ast.Module) -> list[str]:
+    """Private module-level names (dunders aside) that no other top-level statement reads."""
+    private = {n for n in top_level_names(tree) if n.startswith("_") and not n.endswith("__")}
+    return sorted(private - own_reads(tree))
+
+
+def test_orphan_rules_find_what_they_name():
+    # sys and y are never read, z is re-exported; _f reads only itself and _CAP nothing reads
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os, sys\nfrom .x import y, z\n"
+        "__all__ = ['z']\n__version__ = '1'\n_CAP = 1\n_USED = 2\n\n\n"
+        "def _f():\n    return _f(_USED, os.sep)\n"
+    )
+    assert unused_imports(tree) == ["sys", "y"]
+    assert unread_private_names(tree) == ["_CAP", "_f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_read(path):
+    unused = unused_imports(parse(path))
+    assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_private_name_is_read(path):
+    orphans = unread_private_names(parse(path))
+    assert not orphans, f"{path.name} defines private names it never reads: {orphans}"
