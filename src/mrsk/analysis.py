@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, cir
-from .errors import CapacityError
+from .errors import check_cap
 from .modem import MrskConfig, check_moments, codewords, ratio_alphabet, thresholds
 from .ratio_stats import solid_ratio_cdf
 
@@ -70,24 +70,20 @@ def hamming_table(M: int, coding: str) -> np.ndarray:
 
 def check_alphabet(config: MrskConfig) -> None:
     """Refuse, with :class:`CapacityError`, an alphabet above ``ALPHABET_CAP`` entries."""
-    # 2^M is compared by its exponent, never built
-    if config.M >= ALPHABET_CAP.bit_length():
-        raise CapacityError(
-            f"M={config.M} gives 2^{config.M} alphabet entries, exceeding "
-            f"ALPHABET_CAP = {ALPHABET_CAP} (M <= {ALPHABET_CAP.bit_length() - 1}); reduce M"
-        )
+    check_cap(
+        1 << min(config.M, ALPHABET_CAP.bit_length()), "ALPHABET_CAP", ALPHABET_CAP,
+        f"the alphabet (M={config.M} gives 2^{config.M} alphabet entries)", "reduce M",
+    )
 
 
 def check_sequences(config: MrskConfig, L: int) -> None:
     """Refuse, with :class:`CapacityError`, symbol_count^L above ``SEQUENCE_CAP`` sequences."""
-    # symbol_count = 2^bits_per_symbol, so symbol_count^L is compared by its exponent
-    exponent = config.bits_per_symbol * L
-    if exponent >= SEQUENCE_CAP.bit_length():
-        raise CapacityError(
-            f"enumerating S^L = 2^{exponent} symbol sequences "
-            f"(S = 2^{config.bits_per_symbol} symbols, L = {L}) exceeds "
-            f"SEQUENCE_CAP = {SEQUENCE_CAP}; use the simulation path"
-        )
+    bits = config.bits_per_symbol  # symbol_count = 2^bits
+    check_cap(
+        1 << min(bits * L, SEQUENCE_CAP.bit_length()), "SEQUENCE_CAP", SEQUENCE_CAP,
+        f"enumerating S^L = 2^{bits * L} symbol sequences (S = 2^{bits} symbols, L = {L})",
+        "use the simulation path",
+    )
 
 
 def _bucket_probs(

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelParams, arrival_moments, cir
-from .errors import CapacityError
+from .errors import check_cap
 from .modem import radix_digits
 
 __all__ = [
@@ -127,8 +127,10 @@ def _histories(levels, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     Refused above ``HISTORY_CAP`` histories, before any array is built.
     """
     L = taps.size
-    if L >= HISTORY_CAP.bit_length():  # 2^L is compared by its exponent, never built
-        raise CapacityError(f"2^{L} bit histories exceed HISTORY_CAP = {HISTORY_CAP}; reduce L")
+    check_cap(
+        1 << min(L, HISTORY_CAP.bit_length()), "HISTORY_CAP", HISTORY_CAP,
+        f"a table of 2^{L} bit histories", "reduce L",
+    )
     hist = radix_digits(np.arange(1 << L), 2, L)
     mu, var = arrival_moments(np.asarray(levels)[hist], taps)
     return mu, var, hist[:, -1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import CapacityError
+from .errors import check_cap
 
 __all__ = [
     "ChannelParams",
@@ -84,10 +84,7 @@ def cir(params: ChannelParams) -> np.ndarray:
     so the taps telescope back to hit_fraction(L*Ts) exactly.  Refused
     with :class:`CapacityError` when L exceeds ``MEMORY_CAP``.
     """
-    if params.L > MEMORY_CAP:
-        raise CapacityError(
-            f"channel memory L={params.L} exceeds MEMORY_CAP = {MEMORY_CAP} intervals; reduce L"
-        )
+    check_cap(params.L, "MEMORY_CAP", MEMORY_CAP, f"channel memory L={params.L}", "reduce L")
     return np.diff(hit_fraction(np.arange(params.L + 1) * params.Ts, params))
 
 

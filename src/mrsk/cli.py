@@ -14,8 +14,9 @@ time ``t_b`` becomes a symbol interval.
 Flags override keys from an optional flat ``key=value`` config file.
 When no output path is given, files land in ``$MRSK_OUT_DIR`` (or the
 working directory).  Exit codes: 0 success, 1 usage or I/O error,
-2 capability refusal, printed as one ``mrsk: refused:`` line naming the
-violated cap (a module constant; the README lists them all).
+2 capability refusal, printed as the one line
+``mrsk: refused: <what> exceeds NAME = <cap>; <advice>`` that names the
+violated cap, a module constant (the README lists them all).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .baselines import (
     rtsk_ber,
 )
 from .channel import ChannelParams, hit_fraction
-from .errors import CapacityError
+from .errors import CapacityError, check_cap
 from .modem import MrskConfig, check_moments
 from .ratio_stats import (
     GaussPair,
@@ -221,11 +222,10 @@ def _run_pdf(spec: ExperimentSpec) -> str:
     for flag, value in (("--samples", spec.samples), ("--grid-points", spec.grid_points)):
         if value < 1:
             raise CliError(f"{flag} must be positive, got {value}")
-    if spec.grid_points > PDF_GRID_POINTS_CAP:
-        raise CapacityError(
-            f"--grid-points {spec.grid_points} exceeds the cap PDF_GRID_POINTS_CAP = "
-            f"{PDF_GRID_POINTS_CAP}; request at most {PDF_GRID_POINTS_CAP}"
-        )
+    check_cap(
+        spec.grid_points, "PDF_GRID_POINTS_CAP", PDF_GRID_POINTS_CAP,
+        f"--grid-points {spec.grid_points}", "request fewer grid points",
+    )
     channel = spec.channel
     p1 = hit_fraction(channel.Ts, channel)
     mu_x, mu_y = spec.Q * spec.ratio * p1, spec.Q * p1
@@ -378,8 +378,7 @@ def _parse_values(raw: str) -> tuple[float, ...]:
         points = math.floor(min(max(span, -1.0), VALUES_CAP)) + 1
     else:
         raise CliError(f"range must be start:step:stop, got {raw!r}")
-    if points > VALUES_CAP:
-        raise CapacityError(f"the values hold more than VALUES_CAP = {VALUES_CAP} points")
+    check_cap(points, "VALUES_CAP", VALUES_CAP, "the values' point count", "give fewer points")
     if len(parts) == 1:
         return tuple(float(p) for p in parts[0].split(","))
     return tuple(start + k * step for k in range(points))
@@ -454,8 +453,7 @@ def run_cli(argv=None) -> int:
     try:
         if args.workers < 1:
             raise CliError(f"--workers must be positive, got {args.workers}")
-        if args.workers > WORKERS_CAP:
-            raise CapacityError(f"--workers {args.workers} exceeds the cap WORKERS_CAP = {WORKERS_CAP}")
+        check_cap(args.workers, "WORKERS_CAP", WORKERS_CAP, f"--workers {args.workers}", "use fewer")
         spec = _resolve_spec(args)
         text = run_spec(spec, workers=args.workers)
         out = Path(args.output) if args.output else _default_output(args.subcommand)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special
 
 from .channel import arrival_moments
-from .errors import CapacityError
+from .errors import check_cap
 from .ratio_stats import gaussian_ratio_params
 
 __all__ = [
@@ -334,15 +334,17 @@ def trellis_states(config: MrskConfig, L: int) -> int:
     Refused with :class:`CapacityError` when the states exceed
     ``TRELLIS_STATE_CAP`` or the S^L branch windows ``TRELLIS_WINDOW_CAP``.
     """
-    # S = 2^bits_per_symbol, so powers of S are compared by their exponents, never built
-    bits = config.bits_per_symbol
+    bits = config.bits_per_symbol  # S = 2^bits
     states, windows = bits * (L - 1), bits * L
-    if states >= TRELLIS_STATE_CAP.bit_length() or windows >= TRELLIS_WINDOW_CAP.bit_length():
-        raise CapacityError(
-            f"sequence detection needs S^(L-1) = 2^{states} trellis states and S^L = 2^{windows} "
-            f"branch windows (S = 2^{bits} symbols, L = {L}), exceeding TRELLIS_STATE_CAP = "
-            f"{TRELLIS_STATE_CAP} or TRELLIS_WINDOW_CAP = {TRELLIS_WINDOW_CAP}; reduce N, M or L"
-        )
+    what = (
+        f"sequence detection over S^(L-1) = 2^{states} trellis states and S^L = 2^{windows} "
+        f"branch windows (S = 2^{bits} symbols, L = {L})"
+    )
+    for exponent, name, cap in (
+        (states, "TRELLIS_STATE_CAP", TRELLIS_STATE_CAP),
+        (windows, "TRELLIS_WINDOW_CAP", TRELLIS_WINDOW_CAP),
+    ):
+        check_cap(1 << min(exponent, cap.bit_length()), name, cap, what, "reduce N, M or L")
     return 1 << states
 
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import CapacityError
+from .errors import check_cap
 
 __all__ = [
     "GaussPair",
@@ -168,11 +168,12 @@ def sample_ratio(pair: GaussPair, n: int, rng: np.random.Generator, edges) -> Ra
     # n / P(|Y| > eps) pair draws are expected; P is 0 or tiny when the law sits within eps
     eps, scale = SAMPLE_DENOM_EPS, pair.sigma_y * math.sqrt(2.0)
     kept = 0.5 * (math.erfc((eps - pair.mu_y) / scale) + math.erfc((eps + pair.mu_y) / scale))
-    if n > kept * SAMPLE_DRAWS_CAP:
-        raise CapacityError(
-            f"{n} ratios at P(|Y| > {eps}) = {kept:.3g} expect more pair draws than "
-            f"SAMPLE_DRAWS_CAP = {SAMPLE_DRAWS_CAP}"
-        )
+    draws = n / kept if kept else math.inf
+    check_cap(
+        draws, "SAMPLE_DRAWS_CAP", SAMPLE_DRAWS_CAP,
+        f"an expected {draws:.4g} pair draws for {n} ratios at P(|Y| > {eps}) = {kept:.3g}",
+        "request fewer samples",
+    )
     edges = np.asarray(edges, dtype=float)
     counts = np.zeros(edges.size - 1, dtype=np.intp)
     redraws, todo = 0, n

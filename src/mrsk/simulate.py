@@ -42,7 +42,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelParams, cir
-from .errors import CapacityError
+from .errors import check_cap
 from .modem import (
     TRELLIS_WORK_CAP,
     MrskConfig,
@@ -278,16 +278,16 @@ def _particle_steps(t: float, dt: float) -> float:
 def _check_particle_budget(molecules: float, steps: float) -> None:
     """Refuse ``molecules`` past ``PARTICLE_POPULATION_CAP``, or ``steps`` among them (at least
     one) past ``PARTICLE_MOLECULE_STEP_CAP`` molecule-steps, with :class:`CapacityError`."""
-    if molecules > PARTICLE_POPULATION_CAP:
-        raise CapacityError(
-            f"{molecules:.7g} molecules in flight exceed PARTICLE_POPULATION_CAP = "
-            f"{PARTICLE_POPULATION_CAP}; release fewer molecules (reduce Q, Omega, N, M or L)"
-        )
-    if steps * max(1.0, molecules) > PARTICLE_MOLECULE_STEP_CAP:
-        raise CapacityError(
-            f"{steps:.4g} steps among {molecules:.4g} molecules exceed PARTICLE_MOLECULE_STEP_CAP"
-            f" = {PARTICLE_MOLECULE_STEP_CAP:.0e} molecule-steps; raise dt or simulate less time"
-        )
+    check_cap(
+        molecules, "PARTICLE_POPULATION_CAP", PARTICLE_POPULATION_CAP,
+        f"a population of {molecules:.7g} molecules in flight",
+        "release fewer molecules (reduce Q, Omega, N, M or L)",
+    )
+    check_cap(
+        steps * max(1.0, molecules), "PARTICLE_MOLECULE_STEP_CAP", PARTICLE_MOLECULE_STEP_CAP,
+        f"a walk of {steps:.4g} steps among {molecules:.4g} molecules",
+        "raise dt or simulate less time",
+    )
 
 
 def particle_hit_fraction(
@@ -535,34 +535,29 @@ def _map_frames(jobs: list[tuple], workers: int) -> list[tuple[int, int, int, in
 
 def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
     """Raise :class:`CapacityError` past a cap, ValueError for overflow or ADMC at L = 1; no table."""
-    if sim.n_bits > TRIALS_CAP:
-        raise CapacityError(
-            f"requested {sim.n_bits} bits exceeds TRIALS_CAP = {TRIALS_CAP}; request fewer bits"
-        )
-    # symbol_count = 2^bits_per_symbol is compared by its exponent, never built
-    if mrsk.bits_per_symbol >= SYMBOL_COUNT_CAP.bit_length():
-        raise CapacityError(
-            f"N={mrsk.N}, M={mrsk.M} gives 2^{mrsk.bits_per_symbol} symbols, exceeding "
-            f"SYMBOL_COUNT_CAP = {SYMBOL_COUNT_CAP}; reduce N or M"
-        )
+    check_cap(sim.n_bits, "TRIALS_CAP", TRIALS_CAP, f"requested {sim.n_bits} bits", "request fewer bits")
+    bits = mrsk.bits_per_symbol  # symbol_count = 2^bits
+    check_cap(
+        1 << min(bits, SYMBOL_COUNT_CAP.bit_length()), "SYMBOL_COUNT_CAP", SYMBOL_COUNT_CAP,
+        f"the symbol set (N={mrsk.N}, M={mrsk.M} gives 2^{bits} symbols)", "reduce N or M",
+    )
     check_alphabet(mrsk)
-    n_symbols = -(-sim.n_bits // mrsk.bits_per_symbol)
+    n_symbols = -(-sim.n_bits // bits)
     if mrsk.detector != "ftd":
         # a symbol costs MLSD its S^L branch windows (within the window cap) and ADMC its S + 1
         # tabulated decisions, one per previous decision and one from the cold start
-        bits = mrsk.bits_per_symbol
         if mrsk.detector == "mlsd":
             trellis_states(mrsk, channel.L)
             per_symbol, what = 1 << bits * channel.L, f"S^L = 2^{bits * channel.L} branch windows"
         else:
             per_symbol, what = (1 << bits) + 1, f"S + 1 = 2^{bits} + 1 decisions"
         work = n_symbols * per_symbol
-        if work > TRELLIS_WORK_CAP:
-            raise CapacityError(
-                f"{mrsk.detector} detection of {n_symbols} symbols over {what} scores "
-                f"{work:.4g} candidate-symbols, exceeding TRELLIS_WORK_CAP = "
-                f"2^{TRELLIS_WORK_CAP.bit_length() - 1}; request fewer bits or reduce N, M or L"
-            )
+        check_cap(
+            work, "TRELLIS_WORK_CAP", TRELLIS_WORK_CAP,
+            f"{mrsk.detector} detection scoring {work} candidate-symbols ({n_symbols} symbols"
+            f" over {what} each)",
+            "request fewer bits or reduce N, M or L",
+        )
     check_moments(mrsk)
     if sim.engine == "particle":
         # each molecule steps L intervals, so at most L intervals of the largest symbol,
@@ -578,11 +573,10 @@ def _refuse(mrsk: MrskConfig, channel: ChannelParams, sim: SimConfig) -> None:
         # column j takes j (2^M - 1) + 1 values Q Omega^e at most, each rint to two at most
         lo, hi = _binomial_window(mrsk.Q * np.float64(mrsk.Omega) ** (mrsk.N - 1), reached)
         entries = mrsk.N * (2 + (mrsk.alphabet_size - 1) * (mrsk.N - 1)) * np.sum(hi - lo + 1)
-        if not entries <= BINOMIAL_ROW_CAP:
-            raise CapacityError(
-                f"binomial rows may hold {entries:.4g} CDF entries, exceeding BINOMIAL_ROW_CAP"
-                f" = {BINOMIAL_ROW_CAP}; reduce Q, Omega, N or M"
-            )
+        check_cap(
+            entries, "BINOMIAL_ROW_CAP", BINOMIAL_ROW_CAP,
+            f"a binomial row table of up to {entries:.4g} CDF entries", "reduce Q, Omega, N or M",
+        )
     if mrsk.detector == "admc" and channel.L < 2:  # as detect_admc would, after the arrivals
         raise ValueError("memory cancellation needs channel memory L >= 2")
 

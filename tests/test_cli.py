@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrsk import analysis, channel, cli, ratio_stats, simulate
+from mrsk import analysis, baselines, channel, cli, modem, ratio_stats, simulate
 from mrsk.cli import (
     CSV_HEADER,
     ExperimentSpec,
@@ -472,7 +473,7 @@ class TestErrors:
         argv = ["ber-sim", "--detector", "admc", "--N", "3", "--M", "9", "--bits", "80000"]
         rc, out = run(tmp_path, "x.csv", argv)
         assert rc == 2 and not out.exists()
-        assert "TRELLIS_WORK_CAP = 2^30" in capsys.readouterr().err
+        assert "TRELLIS_WORK_CAP = 1073741824" in capsys.readouterr().err
 
     def test_non_finite_range_exit_one(self, tmp_path, capsys):
         # a usage error, before any point count is computed
@@ -813,6 +814,14 @@ REFUSED_ARGV = [
     ["compare", "--M", "2", "--L", "20"],  # 4^20 sequences, refused before the 2^20-history baselines
     ["ber-sim", "--detector", "admc", "--N", "3", "--M", "9"],  # 5,556 symbols x (2^18 + 1) decisions
 ]
+# every size cap, by name, as its module holds it
+CAPS = {
+    name: value
+    for module in (analysis, baselines, channel, cli, modem, ratio_stats, simulate)
+    for name, value in vars(module).items()
+    if name.endswith("_CAP")
+}
+REFUSAL = re.compile(r"mrsk: refused: .+ exceeds (\w+_CAP) = (\d+); \S.*\n")
 
 
 class TestExitCodes:
@@ -827,10 +836,14 @@ class TestExitCodes:
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("mrsk: refused: ") and err.count("\n") == 1
+        # one form for every refusal, naming its cap with the exact value its module holds
+        line = REFUSAL.fullmatch(err)
+        assert line and int(line[2]) == CAPS[line[1]], err
 
     def test_oversized_requests_refused_within_two_gigabytes(self):
-        # each request in a fresh interpreter whose address space is capped
-        # at 2e9 bytes: a table built before its refusal would fail there
+        # each request in a process of its own whose address space is capped at
+        # 2e9 bytes, where a table built before its refusal would fail: one
+        # interpreter under the cap imports mrsk once and forks a child per request
         resource = pytest.importorskip("resource")
         limit = 2_000_000 * 1024
 
@@ -838,20 +851,34 @@ class TestExitCodes:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         code = (
-            "import sys, time; from mrsk.cli import run_cli\n"
-            "t = time.perf_counter(); rc = run_cli(sys.argv[1:])\n"
-            "print(rc, time.perf_counter() - t)"
+            "import io, json, os, sys, time, traceback\n"
+            "from mrsk.cli import run_cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if os.fork() == 0:  # the child reports one line and never returns to the loop\n"
+            "        sys.stdout = sys.stderr = out = io.StringIO()\n"
+            "        rc, t = None, time.perf_counter()\n"
+            "        try:\n"
+            "            rc = run_cli(argv)\n"
+            "        except Exception:\n"
+            "            rc = traceback.format_exc()\n"
+            "        finally:\n"
+            "            record = [argv, rc, time.perf_counter() - t, out.getvalue()]\n"
+            "            print(json.dumps(record), file=sys.__stdout__, flush=True)\n"
+            "            os._exit(0)\n"
+            "    assert os.wait()[1] == 0\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
-        for argv in REFUSED_ARGV:
-            done = subprocess.run(
-                [sys.executable, "-c", code, *argv, "-o", os.devnull],
-                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-                timeout=120, preexec_fn=cap_address_space,
-            )
-            rc, seconds = done.stdout.split()
-            assert rc == "2" and float(seconds) < 1.0, (argv, done.stdout, done.stderr)
-            assert done.stderr.startswith("mrsk: refused: ") and done.stderr.count("\n") == 1
+        requests = [argv + ["-o", os.devnull] for argv in REFUSED_ARGV]
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(requests)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120, preexec_fn=cap_address_space,
+        )
+        results = [json.loads(line) for line in done.stdout.splitlines()]
+        assert done.returncode == 0 and [r[0] for r in results] == requests, done.stderr
+        for argv, rc, seconds, out in results:  # out holds the child's stdout and stderr
+            assert rc == 2 and seconds < 1.0, (argv, rc, seconds, out)
+            assert out.startswith("mrsk: refused: ") and out.count("\n") == 1
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(argv=cli_argv())

@@ -5,18 +5,21 @@ one implementation that other modules call instead of reaching into
 its helpers; every name a module exports in ``__all__`` exists and has
 a caller in the package or a listed entry point, so helpers whose only
 callers are tests live in ``tests/``; size caps are module constants,
-not parameters or config fields; only ``cli`` names the bit time
-``t_b``, which its experiment spec turns into the symbol interval every
-other module reads; and no module keeps orphans, an import it never reads
-or a private module-level name it never reads.
+not parameters or config fields, each with its row in the README's cap
+table, and only ``errors`` raises a refusal; only ``cli`` names the bit
+time ``t_b``, which its experiment spec turns into the symbol interval
+every other module reads; and no module keeps orphans, an import it never
+reads or a private module-level name it never reads.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mrsk"
+README = SRC.parents[1] / "README.md"
 MODULES = sorted(SRC.glob("*.py"))
 # exported names no package module calls, each with its caller outside the package
 ENTRY_POINTS = {
@@ -218,6 +221,77 @@ def test_caps_are_module_constants(path):
             ]
     capped = sorted(name for name in names if name.endswith("_cap"))
     assert not capped, f"{path.name} takes caps as parameters or fields: {capped}"
+
+
+def code_caps(modules) -> set[tuple[str, str, int]]:
+    """(module, name, value) of every ``*_CAP`` constant a module defines."""
+    caps = set()
+    for path in modules:
+        for node in parse(path).body:
+            names = [
+                t.id
+                for t in getattr(node, "targets", ())
+                if isinstance(t, ast.Name) and t.id.endswith("_CAP")
+            ]
+            if names:  # a literal expression such as 1 << 13 or 10**9
+                value = eval(compile(ast.Expression(node.value), path, "eval"), {"__builtins__": {}})
+                caps.update((path.stem, name, value) for name in names)
+    return caps
+
+
+def readme_caps(text: str) -> set[tuple[str, str, int]]:
+    """(module, name, value) of every cap in the first cell of a cap table row.
+
+    A row starts with `mrsk.module.NAME` = value; further `NAME` = value in the
+    same cell belong to the same module.  A value is written 2^k, 10^k or plain.
+    """
+    caps = set()
+    for line in text.splitlines():
+        if not line.startswith("| `mrsk."):
+            continue
+        module = None
+        cell = line.split("|")[1]
+        for qualified, base, exponent in re.findall(r"`([\w.]+_CAP)` = (\d+)(?:\^(\d+))?", cell):
+            *prefix, name = qualified.split(".")
+            module = prefix[-1] if prefix else module
+            caps.add((module, name, int(base) ** int(exponent or 1)))
+    return caps
+
+
+def test_readme_cap_rows_read_every_form():
+    row = "| `mrsk.m.A_CAP` = 2^13, `B_CAP` = 10^9 | `mrsk.x.C_CAP` = 7 in a later cell |\n"
+    assert readme_caps(row + "| `mrsk.n.D_CAP` = 256 | d |\n") == {
+        ("m", "A_CAP", 8192), ("m", "B_CAP", 10**9), ("n", "D_CAP", 256)
+    }
+
+
+def test_every_cap_has_its_readme_row():
+    # a cap cannot be added, renamed, moved or re-valued without its README row
+    code, readme = code_caps(MODULES), readme_caps(README.read_text())
+    assert code, "no caps found"
+    assert code == readme, f"code only: {sorted(code - readme)}; README only: {sorted(readme - code)}"
+
+
+def refusals_constructed(tree: ast.Module) -> list[int]:
+    """Lines where the module calls ``CapacityError``, by name or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CapacityError"
+    )
+
+
+def test_refusals_found_in_every_form():
+    tree = ast.parse("raise CapacityError(1)\nx = errors.CapacityError\nraise errors.CapacityError()\n")
+    assert refusals_constructed(tree) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "errors"], ids=lambda p: p.stem)
+def test_only_errors_constructs_a_refusal(path):
+    # every refusal goes through errors.check_cap, so every cap is checked and worded by one rule
+    found = refusals_constructed(parse(path))
+    assert not found, f"{path.name} constructs CapacityError at lines {found}; call check_cap"
 
 
 def bit_time_names(tree: ast.Module) -> list[str]:

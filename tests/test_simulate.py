@@ -624,7 +624,7 @@ class TestFrameRunner:
         monkeypatch.setattr(simulate, "_arrivals_statistical", refuse_frame)
         config, channel = MrskConfig(N=3, M=2, detector="mlsd"), ChannelParams(Ts=1.0, L=4)
         symbols = modem.TRELLIS_WORK_CAP >> 16
-        with pytest.raises(CapacityError, match=r"TRELLIS_WORK_CAP = 2\^30"):
+        with pytest.raises(CapacityError, match="TRELLIS_WORK_CAP = 1073741824;"):
             run_link(config, channel, SimConfig(n_bits=4 * (symbols + 1)))
         with pytest.raises(AssertionError, match="before the first frame"):
             run_link(config, channel, SimConfig(n_bits=4 * symbols))
@@ -635,10 +635,24 @@ class TestFrameRunner:
         monkeypatch.setattr(simulate, "_arrivals_statistical", refuse_frame)
         config, channel = MrskConfig(N=3, M=9, detector="admc"), ChannelParams(Ts=1.0, L=2)
         symbols = modem.TRELLIS_WORK_CAP // (config.symbol_count + 1)
-        with pytest.raises(CapacityError, match=r"TRELLIS_WORK_CAP = 2\^30"):
+        with pytest.raises(CapacityError, match="TRELLIS_WORK_CAP = 1073741824;"):
             run_link(config, channel, SimConfig(n_bits=18 * (symbols + 1)))
         with pytest.raises(AssertionError, match="before the first frame"):
             run_link(config, channel, SimConfig(n_bits=18 * symbols))
+
+    @pytest.mark.parametrize(
+        "name, cap, config, sim",
+        [
+            ("TRELLIS_WORK_CAP", 1000, MrskConfig(N=2, M=1, detector="mlsd"), SimConfig(2000)),
+            ("PARTICLE_MOLECULE_STEP_CAP", 12345, CFG, SimConfig(1000, engine="particle")),
+        ],
+    )
+    def test_refusal_prints_a_cap_that_is_not_round(self, monkeypatch, name, cap, config, sim):
+        # a cap is printed as the integer it is, never as a power of two or in e-notation
+        monkeypatch.setattr(simulate, "_simulate_frame", refuse_frame)
+        monkeypatch.setattr(simulate, name, cap)
+        with pytest.raises(CapacityError, match=f"exceeds {name} = {cap}; "):
+            run_link(config, ChannelParams(Ts=1.0, L=2), sim)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_admc_without_memory_refused_before_any_arrival(self, monkeypatch, frame_symbols, workers):
