@@ -9,16 +9,15 @@ detectors), :mod:`mrsk.analysis` (closed-form BER), :mod:`mrsk.simulate`
 runner; a sweep or compare point is its spec with one field replaced).
 """
 
-from .analysis import BerResult, ftd_ber
+from .analysis import BerEstimate, ftd_ber
 from .channel import ChannelParams, arrival_moments, cir, hit_fraction
 from .errors import CapacityError
 from .modem import MrskConfig, detect_admc, detect_ftd, detect_mlsd
 from .ratio_stats import GaussPair
-from .simulate import BerEstimate, SimConfig, run_link, run_links
+from .simulate import SimConfig, run_link, run_links
 
 __all__ = [
     "BerEstimate",
-    "BerResult",
     "CapacityError",
     "ChannelParams",
     "GaussPair",

@@ -1,4 +1,4 @@
-"""Closed-form bit-error-rate evaluation for fixed-threshold detection.
+"""Closed-form bit-error-rate evaluation for fixed-threshold detection, and the BER record.
 
 The newest symbol's ratio position j reads molecule types j and j+1,
 whose emissions are Q times products of the symbol's first j and j+1
@@ -26,6 +26,7 @@ implemented, so it is simulated (``simulate.run_link``, ``detector="admc"``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ from .modem import MrskConfig, check_moments, codewords, ratio_alphabet, thresho
 from .ratio_stats import solid_ratio_cdf
 
 __all__ = [
-    "BerResult",
+    "BerEstimate",
+    "ber_confidence",
     "hamming_table",
     "check_alphabet",
     "check_sequences",
@@ -53,13 +55,58 @@ ALPHABET_CAP = 1 << 12
 # windows per block are (2^M)^t with t * M <= _BLOCK_BITS: about a MiB of
 # bucket temporaries
 _BLOCK_BITS = 12
+_Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
-class BerResult:
-    """Analytic BER of fixed-threshold detection."""
+class BerEstimate:
+    """Bit-error estimate with a 95% confidence interval, the one BER record of every path.
 
+    Analytic results (:func:`ftd_ber`) are carried with bits=0 and a collapsed interval.
+    ``degenerate_frames`` counts symbols whose raw ratio denominators fall
+    at or below the degeneracy epsilon; ``admc_clamps`` counts the
+    memory-cancelled count elements clamped at it.
+    """
+
+    errors: int
+    bits: int
     ber: float
+    ci_low: float
+    ci_high: float
+    degenerate_frames: int = 0
+    admc_clamps: int = 0
+
+    @classmethod
+    def from_counts(cls, errors: int, bits: int, **counters) -> "BerEstimate":
+        """Estimate from an error count; ``counters`` fill the remaining fields."""
+        lo, hi = ber_confidence(errors, bits)
+        return cls(errors=errors, bits=bits, ber=errors / bits, ci_low=lo, ci_high=hi, **counters)
+
+    @classmethod
+    def exact(cls, ber: float) -> "BerEstimate":
+        return cls(errors=0, bits=0, ber=ber, ci_low=ber, ci_high=ber)
+
+
+def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion."""
+    phat = errors / n
+    denom = 1.0 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def ber_confidence(errors: int, bits: int) -> tuple[float, float]:
+    """95% interval: rule of three at zero errors, Wilson below 30, normal above."""
+    if bits <= 0:
+        raise ValueError("need simulated bits to build an interval")
+    if errors == 0:
+        return 0.0, min(1.0, 3.0 / bits)
+    if errors < 30:
+        return wilson_interval(errors, bits)
+    p = errors / bits
+    half = _Z95 * math.sqrt(p * (1 - p) / bits)
+    return max(0.0, p - half), min(1.0, p + half)
 
 
 def hamming_table(M: int, coding: str) -> np.ndarray:
@@ -147,8 +194,8 @@ def _position_errors(config: MrskConfig, taps: np.ndarray, j: int, ham: np.ndarr
     return total / k**digits
 
 
-def ftd_ber(config: MrskConfig, channel: ChannelParams) -> BerResult:
-    """Exact BER of fixed-threshold detection under the FIR channel model.
+def ftd_ber(config: MrskConfig, channel: ChannelParams) -> BerEstimate:
+    """Exact BER of fixed-threshold detection under the FIR channel model, a 0-bit estimate.
 
     The per-bit error probability of the newest symbol, averaged over all
     symbol_count^L equally likely transmit sequences, one ratio position
@@ -164,7 +211,7 @@ def ftd_ber(config: MrskConfig, channel: ChannelParams) -> BerResult:
     check_sequences(config, channel.L)
     check_moments(config)
     if not taps.any():
-        return BerResult(ber=0.5)
+        return BerEstimate.exact(0.5)
     ham = hamming_table(config.M, config.coding)
     errors = sum(_position_errors(config, taps, j, ham) for j in range(config.N - 1))
-    return BerResult(ber=errors / config.bits_per_symbol)
+    return BerEstimate.exact(errors / config.bits_per_symbol)

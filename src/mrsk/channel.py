@@ -102,8 +102,8 @@ def arrival_moments(emissions, taps) -> tuple[np.ndarray, np.ndarray]:
     n = s.shape[-2]
     if not 1 <= n <= p.size:
         raise ValueError(f"history length {n} must lie in 1..{p.size} (the memory length)")
-    if np.any(s < 0):
-        raise ValueError("emission counts must be nonnegative")
+    if not np.all((s >= 0) & (s < np.inf)):  # NaN fails both
+        raise ValueError("emission counts must be finite and nonnegative")
     w = p[:n][::-1]
     mu = np.einsum("m,...mn->...n", w, s)
     var = np.einsum("m,...mn->...n", (p * (1.0 - p))[:n][::-1], s)

@@ -32,7 +32,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import check_sequences, ftd_ber
+from .analysis import BerEstimate, check_sequences, ftd_ber
 from .baselines import (
     CskConfig,
     MoskConfig,
@@ -54,7 +54,7 @@ from .ratio_stats import (
     sample_ratio,
     solid_ratio_pdf,
 )
-from .simulate import BerEstimate, SimConfig, child_seed, run_link, run_links
+from .simulate import SimConfig, child_seed, run_link, run_links
 
 __all__ = ["run_cli", "main", "write_csv", "replay_csv", "ExperimentSpec"]
 
@@ -277,7 +277,7 @@ def _analytic(spec: ExperimentSpec) -> BerEstimate:
     """The closed-form estimate of one point, which exists for the fixed-threshold detector only."""
     if spec.detector != "ftd":
         raise CliError("the analytic path covers the fixed-threshold detector only")
-    return BerEstimate.exact(ftd_ber(spec.mrsk, spec.channel).ber)
+    return ftd_ber(spec.mrsk, spec.channel)
 
 
 def _sweep(spec: ExperimentSpec, workers: int) -> list[tuple[float, BerEstimate]]:

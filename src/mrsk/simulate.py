@@ -54,7 +54,7 @@ from .modem import (
     symbol_quantities,
     trellis_states,
 )
-from .analysis import check_alphabet
+from .analysis import BerEstimate, ber_confidence, check_alphabet  # the first two re-exported
 
 __all__ = [
     "SimConfig", "BerEstimate", "run_link", "run_links", "ParticleState", "new_particle_state",
@@ -63,7 +63,6 @@ __all__ = [
     "TRIALS_CAP", "BINOMIAL_ROW_CAP",
 ]
 
-_Z95 = 1.959963984540054
 # symbols per independent frame: a fixed split keeps results worker-count independent
 FRAME_SYMBOLS = 8192
 # bits one link may simulate
@@ -120,58 +119,6 @@ class SimConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if not 0 < self.particle_dt < math.inf:  # NaN fails too
             raise ValueError(f"particle_dt must be positive and finite, got {self.particle_dt}")
-
-
-@dataclass(frozen=True)
-class BerEstimate:
-    """Bit-error estimate with a 95% confidence interval.
-
-    Analytic results are carried with bits=0 and a collapsed interval.
-    ``degenerate_frames`` counts symbols whose raw ratio denominators fall
-    at or below the degeneracy epsilon; ``admc_clamps`` counts the
-    memory-cancelled count elements clamped at it.
-    """
-
-    errors: int
-    bits: int
-    ber: float
-    ci_low: float
-    ci_high: float
-    degenerate_frames: int = 0
-    notes: tuple[str, ...] = ()
-    admc_clamps: int = 0
-
-    @classmethod
-    def from_counts(cls, errors: int, bits: int, **counters) -> "BerEstimate":
-        """Estimate from an error count; ``counters`` fill the remaining fields."""
-        lo, hi = ber_confidence(errors, bits)
-        return cls(errors=errors, bits=bits, ber=errors / bits, ci_low=lo, ci_high=hi, **counters)
-
-    @classmethod
-    def exact(cls, ber: float) -> "BerEstimate":
-        return cls(errors=0, bits=0, ber=ber, ci_low=ber, ci_high=ber)
-
-
-def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    phat = errors / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def ber_confidence(errors: int, bits: int) -> tuple[float, float]:
-    """95% interval: rule of three at zero errors, Wilson below 30, normal above."""
-    if bits <= 0:
-        raise ValueError("need simulated bits to build an interval")
-    if errors == 0:
-        return 0.0, min(1.0, 3.0 / bits)
-    if errors < 30:
-        return wilson_interval(errors, bits)
-    p = errors / bits
-    half = _Z95 * math.sqrt(p * (1 - p) / bits)
-    return max(0.0, p - half), min(1.0, p + half)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +180,18 @@ def particle_step(
     E ~ Exp(1), R' = sqrt((R + s Z)^2 + 2 s^2 E), the radial and the two
     tangential components of an N(0, s^2) kick per axis.  A molecule ending
     a step within the receiver radius is absorbed, and so is one whose
-    straddling Brownian bridge crosses it, w.p. exp(-g0*g1 / (D dt)) for
-    its distances g0, g1 to the surface.  Steps run in blocks of (b, n)
-    draws, normals then exponentials; a molecule absorbed at any step of a
-    block is tallied once.
+    bridge from R0 to R1 touches it, w.p. (e^(-g0 g1 / (D dt)) - e^(-R0 R1 / (D dt)))
+    / (1 - e^(-R0 R1 / (D dt))) for its distances g0, g1 to the surface: the
+    Bessel-3 bridge killed at r, by the method of images, so every step is
+    exact at any dt.  Steps run in blocks of (b, n) draws, normals then
+    exponentials; a molecule absorbed at any step of a block is tallied once.
     """
     if not 0 < dt < math.inf or n_steps < 0:  # NaN fails too
         raise ValueError(f"dt must be positive and finite, n_steps >= 0; got {dt}, {n_steps}")
     ch = state.channel
-    var = 2.0 * ch.D * dt
+    var, ddt = 2.0 * ch.D * dt, ch.D * dt
+    # the image term's shift below is at most this, as R0 + R1 > 2 r (about 1e-138 at dt = 1e-3)
+    image = -ddt * math.log(-math.expm1(-max(ch.r * ch.r / ddt, 5e-324)))  # r^2 may underflow
     while n_steps and state.alive:
         n = state.alive
         b = min(n_steps, max(1, _PARTICLE_BLOCK_STEPS // n))
@@ -258,10 +208,20 @@ def particle_step(
             np.sqrt(r, r)
         gap = radii - ch.r  # (b + 1, n) distances to the receiver surface
         hit = gap[1:] <= 0.0
-        # the bridge crosses w.p. exp(-x) exactly when an Exp(1) draw exceeds x
+        # a bridge hits w.p. e^-x exactly when an Exp(1) draw exceeds x = (g0 g1 + shift) / (D dt):
+        # shift = D dt log((1 - e^(-R0 R1 / (D dt))) / (1 - e^(-r (R0 + R1 - r) / (D dt)))) >= 0
         bridge = rng.standard_exponential(out=kick)
-        bridge *= ch.D * dt
-        hit |= np.multiply(gap[:-1], gap[1:], out=spread) < bridge
+        bridge *= ddt
+        cross = np.multiply(gap[:-1], gap[1:], out=spread) < bridge
+        near = np.flatnonzero(cross)
+        near = near[spread.flat[near] + image >= bridge.flat[near]]  # where the shift may flip it
+        if near.size:
+            r0, r1 = radii[:-1].flat[near], radii[1:].flat[near]
+            outside = (r0 > ch.r) & (r1 > ch.r)  # the others are hit anyway
+            near, r0, r1 = near[outside], r0[outside], r1[outside]
+            shift = np.log(-np.expm1(-r0 * r1 / ddt)) - np.log(-np.expm1(-ch.r * (r0 + r1 - ch.r) / ddt))
+            cross.flat[near] = spread.flat[near] + ddt * shift < bridge.flat[near]
+        hit |= cross
         absorbed = hit.any(axis=0)
         state.interval_counts += np.bincount(state.types[absorbed], minlength=len(state.interval_counts))
         # boolean indexing copies, so the block is freed
@@ -609,17 +569,10 @@ def run_links(
 
     totals = np.zeros((len(links), 4), dtype=np.int64)
     np.add.at(totals, owners, results)
-    estimates = []
-    for (mrsk, channel, sim), (errors, bits, degenerate, clamps) in zip(links, totals.tolist()):
-        step_rms = math.sqrt(2.0 * channel.D * sim.particle_dt)
-        coarse = sim.engine == "particle" and step_rms > channel.r / 5.0
-        notes = (
-            f"particle step rms {step_rms:.3g} um exceeds r/5 = {channel.r / 5.0:.3g} um; "
-            "absorption accuracy degrades at this dt",
-        ) if coarse else ()
-        counters = dict(degenerate_frames=degenerate, admc_clamps=clamps, notes=notes)
-        estimates.append(BerEstimate.from_counts(errors, bits, **counters))
-    return estimates
+    return [
+        BerEstimate.from_counts(errors, bits, degenerate_frames=degenerate, admc_clamps=clamps)
+        for errors, bits, degenerate, clamps in totals.tolist()
+    ]
 
 
 def run_link(

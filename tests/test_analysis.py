@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ftd_oracle import ftd_ber_oracle, ftd_detection_prob
 from mrsk import analysis
 from mrsk.analysis import (
-    BerResult,
+    BerEstimate,
     _bucket_probs,
     ftd_ber,
     hamming_table,
@@ -226,7 +226,7 @@ class TestFtdBer:
         assert not cir(ch).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ftd_ber(cfg, ch).ber == 0.5
+            assert ftd_ber(cfg, ch) == BerEstimate.exact(0.5)
         est = run_link(cfg, ch, SimConfig(n_bits=40_000, seed=31))
         assert abs(est.ber - 0.5) < 3 * math.sqrt(0.25 / est.bits)
 
@@ -259,8 +259,11 @@ class TestFtdBer:
             assert abs(est.ber - analytic) < 3 * se + 1e-9
 
 
-class TestBerResult:
+class TestExactEstimate:
     def test_probability_range(self):
+        # the closed form is an estimate without simulated bits: its interval is collapsed
         res = ftd_ber(MrskConfig(), CH)
-        assert isinstance(res, BerResult)
+        assert isinstance(res, BerEstimate)
+        assert res.bits == 0 and res.errors == 0
+        assert res.ci_low == res.ber == res.ci_high
         assert 0.0 <= res.ber <= 1.0

@@ -169,6 +169,12 @@ class TestArrivalMoments:
         with pytest.raises(ValueError):
             arrival_moments(column([0, 0, 0, 0, -5]), cir(DEFAULTS))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_emission_rejected(self, bad):
+        # NaN passes a nonnegativity test and inf has no finite moments
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            arrival_moments([[bad, 1.0]], cir(DEFAULTS))
+
     def test_length_mismatch_rejected(self):
         # a history may be shorter than the memory (cold start), never longer
         taps = cir(DEFAULTS)

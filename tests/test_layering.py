@@ -26,6 +26,7 @@ ENTRY_POINTS = {
     "cli.main": "the console script of pyproject.toml",
     "cli.replay_csv": "the README's replay API",
     "simulate.particle_hit_fraction": "perfbench's hit-fraction experiments",
+    "simulate.ber_confidence": "imports from mrsk.simulate, its home before analysis",
 }
 
 

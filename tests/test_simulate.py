@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -14,14 +15,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import signal, special, stats
 
+from count_oracle import run_link_ber
 from encode_oracle import encode_bits_to_indices, symbol_indices
 from mlsd_oracle import mlsd_exhaustive
 
 import mrsk
 from mrsk import cli, modem, simulate
-from mrsk.analysis import ftd_ber, hamming_table
+from mrsk.analysis import ftd_ber, hamming_table, wilson_interval
 from mrsk.cli import ExperimentSpec
-from mrsk.channel import ChannelParams, arrival_moments, cir
+from mrsk.channel import ChannelParams, arrival_moments, cir, hit_fraction
 from mrsk.errors import CapacityError
 from mrsk.modem import (
     MrskConfig,
@@ -41,7 +43,6 @@ from mrsk.simulate import (
     particle_step,
     release_molecules,
     run_link,
-    wilson_interval,
 )
 
 CH = ChannelParams(Ts=0.5, L=5)
@@ -745,6 +746,22 @@ class TestDetectorPathEquivalence:
         assert ids.tolist() == mlsd_exhaustive(ratios, cfg, taps) and degenerate == 0
 
 
+def assert_burst_is_multinomial(dt: float, rng: np.random.Generator) -> None:
+    """One burst of n over L intervals splits as Multinomial(n; p_1..p_L): per-interval
+    means n p_k and cross-interval covariance -n p_1 p_2, each within 4 SE."""
+    ch = ChannelParams(Ts=0.25, L=3)
+    p = cir(ch)
+    n, frames = 200, 2_000
+    emissions = np.zeros((ch.L, 1))
+    emissions[0] = n
+    x = np.array([simulate._arrivals_particle(emissions, ch, dt, rng)[:, 0] for _ in range(frames)])
+    var = n * p * (1.0 - p)
+    assert np.all(np.abs(x.mean(axis=0) - n * p) < 4.0 * np.sqrt(var / frames))
+    cov = -n * p[0] * p[1]
+    se = math.sqrt((var[0] * var[1] + cov * cov) / frames)  # Gaussian approximation
+    assert abs(np.cov(x[:, 0], x[:, 1])[0, 1] - cov) < 4.0 * se
+
+
 class TestParticle:
     def test_frozen_medium_keeps_positions(self):
         # vanishing diffusion: the kick scale collapses and nothing moves
@@ -835,21 +852,35 @@ class TestParticle:
         assert np.all(counts[:at] == 0) and np.all(counts[at + ch.L :] == 0)
 
     def test_burst_split_is_multinomial(self):
-        # one burst of n over L intervals splits as Multinomial(n; p_1..p_L):
-        # per-interval means n p_k and cross-interval covariance -n p_1 p_2
-        # (independent per-tap draws would give 0, about 6.5 SE away)
-        ch = ChannelParams(Ts=0.25, L=3)
-        p = cir(ch)
-        n, frames = 200, 2_000
-        emissions = np.zeros((ch.L, 1))
-        emissions[0] = n
-        rng = np.random.default_rng(11)
-        x = np.array([simulate._arrivals_particle(emissions, ch, 1e-2, rng)[:, 0] for _ in range(frames)])
-        var = n * p * (1.0 - p)
-        assert np.all(np.abs(x.mean(axis=0) - n * p) < 4.0 * np.sqrt(var / frames))
-        cov = -n * p[0] * p[1]
-        se = math.sqrt((var[0] * var[1] + cov * cov) / frames)  # Gaussian approximation
-        assert abs(np.cov(x[:, 0], x[:, 1])[0, 1] - cov) < 4.0 * se
+        # independent per-tap draws would give covariance 0, about 6.5 SE away
+        assert_burst_is_multinomial(1e-2, np.random.default_rng(11))
+
+    def test_burst_split_is_multinomial_at_one_step_an_interval(self):
+        # with the sphere's image term one step of dt = Ts is an exact interval
+        assert_burst_is_multinomial(0.25, np.random.default_rng(12))
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.5])
+    def test_one_step_hit_fraction_is_exact(self, t):
+        # one step of dt = t is an exact transition of the process killed at r, so
+        # 10^6 molecules read hit_fraction(t) within 4 SE; the flat boundary's
+        # bridge alone absorbs too many (z = +36 at 0.5 s and +105 at 1 s here)
+        n, ch = 1_000_000, ChannelParams()
+        frac, exact = particle_hit_fraction(n, t, ch, t, np.random.default_rng(5)), hit_fraction(t, ch)
+        assert abs(frac - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n)
+
+    def test_steps_inside_the_receiver_are_quiet(self):
+        # a molecule absorbed early in a block walks on to the block's end, and may step
+        # with R0 + R1 <= r, where the image term's log has no real value; such steps are
+        # hits anyway and raise no RuntimeWarning.  Molecules placed at R = 0.5 take them
+        # at once, at D dt = r^2, where the image term is large
+        ch = ChannelParams(d=10.0, r=5.0, D=79.4, Ts=1.0, L=1)
+        state = new_particle_state(ch, 1)
+        release_molecules(state, [10_000])
+        state.positions[:] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            particle_step(state, ch.r**2 / ch.D, np.random.default_rng(13), 1)
+        assert state.interval_counts[0] == 10_000  # each ends inside or crossed the surface
 
     def test_population_cap_refused_before_any_frame(self, monkeypatch):
         monkeypatch.setattr(simulate, "_arrivals_particle", refuse_frame)
@@ -989,11 +1020,6 @@ class TestParticle:
         with pytest.raises(ValueError):
             release_molecules(state, [-1])
 
-    def test_coarse_dt_noted(self):
-        sim = SimConfig(n_bits=1_000, engine="particle", particle_dt=0.05, seed=1)
-        est = run_link(MrskConfig(Q=50.0), ChannelParams(Ts=0.1, L=1), sim)
-        assert any("r/5" in note for note in est.notes)
-
     def test_particle_link_roundtrip(self, frame_symbols):
         frame_symbols(10)
         sim = SimConfig(n_bits=1_000, engine="particle", particle_dt=1e-2, seed=4)
@@ -1110,3 +1136,36 @@ class TestFrameEquivalence:
         mrsk, channel, sim, index, n_symbols = jobs[which]
         got = simulate._simulate_frame(mrsk, channel, sim, index, n_symbols)
         assert got == reference_frame(mrsk, channel, sim, index, n_symbols)
+
+
+class TestCountLaw:
+    """FTD links against the exact count law of ``tests/count_oracle.py`` (N = 2), within 4 SE.
+
+    A symbol's mean bit error lies in [0, 1], so its variance is at most p (1 - p)
+    whatever M is; the SE takes that over the symbols.  The Gaussian ``ftd_ber``
+    is 4.6 % (Q = 50, t_b = 0.25), 7.5 % (Q = 100) and 9.6 % (the particle link)
+    below the count law, 5 to 22 of these SEs.
+    """
+
+    @staticmethod
+    def assert_within_4_se(mrsk_config, channel, sim):
+        est = run_link(mrsk_config, channel, sim)
+        exact = run_link_ber(mrsk_config, channel, sim.n_bits)
+        symbols = est.bits / mrsk_config.bits_per_symbol
+        assert abs(est.ber - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / symbols)
+
+    @pytest.mark.parametrize(
+        "M, Q, t_b, L, seed",
+        [(1, 50.0, 0.25, 5, 11), (1, 100.0, 0.5, 5, 12), (2, 1000.0, 0.5, 3, 13)],
+        ids=["Q50-tb0.25", "Q100-tb0.5", "M2-Q1000"],
+    )
+    def test_binomial_engine(self, M, Q, t_b, L, seed):
+        cfg = MrskConfig(N=2, M=M, Q=Q)
+        sim = SimConfig(n_bits=1_000_000, seed=seed, engine="binomial")
+        self.assert_within_4_se(cfg, ChannelParams(Ts=M * t_b, L=L), sim)
+
+    def test_particle_engine_at_one_step_an_interval(self):
+        # the README particle link, each interval one exact step
+        ch = ChannelParams(Ts=0.5, L=2)
+        sim = SimConfig(n_bits=50_000, seed=14, engine="particle", particle_dt=ch.Ts)
+        self.assert_within_4_se(MrskConfig(N=2, M=1, Q=50.0), ch, sim)
